@@ -20,6 +20,7 @@ from .errors import (
     NoDrift,
     NoMean,
     NonnegativeRequired,
+    QuadratureFailure,
     UnsupportedTag,
 )
 from .idlaw import Triplet, TypeClass, classify_type, drift, mean
@@ -92,9 +93,10 @@ def radial_moment(nu, g, lo=0.0, hi=INF, stable_power=None, stable_log=0.0):
         dens = lambda r: r ** (-nu.alpha - 1.0)
         fn = lambda r: np.asarray(g(r), dtype=float) * dens(r)
         res = improper_nonneg(slab_quad(fn, rtol=1e-10), lo, hi)
-        if res.converged:
-            return nu.weight_sum() * float(np.max(res.value))
-        # finiteness is certain; only the value is unresolved
+        if not res.converged:
+            # finiteness is certain; only the value is unresolved
+            raise InconclusiveError("stable radial moment not certified",
+                                    res.evidence)
         return nu.weight_sum() * float(np.max(res.value))
     return nu.integral(lambda x: g(np.sqrt((x * x).sum(axis=1))), lo, hi)
 
@@ -503,7 +505,7 @@ def _locally_integrable_kernel(k: Kernel):
             v = kernel_window_integral(k, p, q, "abs")
             if not math.isfinite(float(v)):
                 return False
-    except Exception:
+    except (QuadratureFailure, InconclusiveError):
         return None
     return True
 
@@ -539,7 +541,6 @@ def _bounded_on_grid(values, mode):
 class LargenessClass(enum.Enum):
     ALL_ID = "all-id"
     AB_PRESERVING = "ab-preserving"
-    AB_INTO_ABSOLUTE = "ab-into-absolute"
     AB_INTO_ESSENTIAL = "ab-into-essential"
     TRIVIAL_ESSENTIAL = "trivial-essential"
     TRIVIAL_ABSOLUTE_ZERO = "trivial-absolute-zero"
@@ -642,7 +643,7 @@ def cone_largeness(k: Kernel, orthant_signs=None):
     """Largeness statements for laws supported on an orthant.
 
     Returns (label, evidence) where label is the strongest of
-    'preserving', 'absolute-cover', 'essential-cover', 'none'.
+    'preserving', 'essential-cover', 'none'.
     """
     samples = np.asarray(k(default_probe(k)), dtype=float)
     if np.any(samples < 0):
@@ -650,14 +651,9 @@ def cone_largeness(k: Kernel, orthant_signs=None):
     ev, prof = largeness_conditions(k)
     out = {
         "preserving": ev["ab-preserving"],
-        "absolute-cover": ev["ab-preserving"],
         "essential-cover": ev["ab-into-essential"],
     }
-    label = "none"
-    for name in ("preserving", "absolute-cover", "essential-cover"):
-        if out[name].is_yes:
-            label = name
-            break
+    label = next((name for name, v in out.items() if v.is_yes), "none")
     return label, out
 
 

@@ -3,7 +3,9 @@
 A Levy measure assigns no mass to the origin and integrates |x|^2 ^ 1.  The
 calculus below needs several integral functionals of a measure nu, evaluated
 either exactly (atoms, stable families) or by certified quadrature (radial
-densities, lazy pushforwards):
+densities).  The transformed measures, window pushforwards and occupation
+mixtures, are scale mixtures of these representations and live in
+``idcalc.transform`` (``ScaleMixtureMeasure``):
 
 * ``integral(h, lo, hi)``      -- int h(x) nu(dx) over lo <= |x| < hi, h >= 0
 * ``scaled_integral(h, u, ..)``-- same with x replaced by u*x
@@ -1006,51 +1008,6 @@ class SymmetrizedMeasure(LevyMeasure):
 
     def supported_in_orthant(self, signs):
         return True if self.base.is_zero() else False
-
-
-class ScaledMeasure(LevyMeasure):
-    """Pushforward of nu under x -> c x (c != 0), optionally mass-weighted."""
-
-    def __init__(self, base, scale, weight=1.0):
-        if scale == 0.0:
-            raise ValueError("scale must be nonzero")
-        if weight <= 0.0:
-            raise ValueError("weight must be positive")
-        self.base = base
-        self.scale = float(scale)
-        self.weight = float(weight)
-        self.dim = base.dim
-
-    def integral(self, h, lo=0.0, hi=INF):
-        v = self.base.scaled_integral(h, self.scale, lo, hi)
-        return INF if v == INF else self.weight * v
-
-    def scaled_integral(self, h, u, lo=0.0, hi=INF):
-        v = self.base.scaled_integral(h, u * self.scale, lo, hi)
-        return INF if v == INF else self.weight * v
-
-    def clip2_scaled(self, us):
-        return self.weight * self.base.clip2_scaled(np.asarray(us) * self.scale)
-
-    def clip1_scaled(self, us):
-        return self.weight * self.base.clip1_scaled(np.asarray(us) * self.scale)
-
-    def centering_scaled(self, us):
-        return self.weight * self.base.centering_scaled(np.asarray(us) * self.scale)
-
-    def cumulant_scaled(self, z, us):
-        return self.weight * self.base.cumulant_scaled(z, np.asarray(us) * self.scale)
-
-    def vector_weighted(self, w, lo=0.0, hi=INF):
-        a = abs(self.scale)
-
-        def w2(r):
-            return np.asarray(w(a * r), dtype=float)
-        v = self.base.vector_weighted(w2, lo / a, hi / a)
-        return self.weight * self.scale * np.asarray(v)
-
-    def is_symmetric(self):
-        return self.base.is_symmetric()
 
 
 def symmetrize_measure(nu):

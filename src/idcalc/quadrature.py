@@ -115,11 +115,6 @@ def adaptive_quad(fn, a, b, *, rtol=1e-10, atol=1e-13, max_panels=16384):
     return total, total_err
 
 
-def quad_value(fn, a, b, **kw):
-    """Convenience wrapper returning only the value."""
-    return adaptive_quad(fn, a, b, **kw)[0]
-
-
 @dataclass
 class ImproperResult:
     status: str                      # "converged" | "diverged" | "inconclusive"

@@ -13,6 +13,11 @@ triplet.  The improper transforms arise as window limits:
 * ``phi_sym``  -- symmetrized: the integral of X - X' for an independent
                   copy X'.
 
+The transformed Levy measure is the scale mixture int nu(B/u) m(du), one
+class (:class:`ScaleMixtureMeasure`) with two mixing laws: m is Lebesgue
+measure on a window pushed through f (:class:`PushforwardMeasure`), or the
+occupation measure tau (:class:`TauMixtureMeasure`, the route of ``psi``).
+
 Membership tests return three-valued verdicts; the transforms either return
 a :class:`TransformResult` or raise :class:`NotDefinable` /
 :class:`InconclusiveError`.  Closed-form domain rules attached to tagged
@@ -34,7 +39,9 @@ from .errors import (
     NotABLaw,
     NotDefinable,
     NotInDomain,
+    NoMean,
     QuadratureFailure,
+    UnsupportedTag,
 )
 from .idlaw import Triplet, TypeClass, classify_type, drift, mean
 from .kernels import Kernel, TauMeasure, kernel_window_integral
@@ -64,9 +71,108 @@ class TransformResult:
     diagnostics: dict = field(default_factory=dict)
 
 
-class PushforwardMeasure(LevyMeasure):
-    """Levy measure of a window (or improper) integral: the base measure
-    transported by x -> f(s) x and integrated in s.
+class ScaleMixtureMeasure(LevyMeasure):
+    """The scale mixture nu~(B) = int nu(B/u) m(du) of a base Levy measure.
+
+    Every functional of nu~ is the matching functional of the base measure
+    at scale u, mixed over m.  A subclass supplies m through one hook,
+    ``_mix(per_scale, nonneg, label, atol)``: it integrates the per-scale
+    values (vectorized over an array of scales) against m, returns INF for
+    a certified divergence when ``nonneg``, and may name ``label`` in its
+    error and use ``atol`` as its absolute panel tolerance.
+    """
+
+    base: LevyMeasure
+
+    def _mix(self, per_scale, nonneg=False, label=None, atol=1e-13):
+        raise NotImplementedError
+
+    def _per_u(self, us, value, shape=(), dtype=float):
+        """Evaluate ``value(u)`` at each scale of the array ``us``."""
+        us = np.atleast_1d(np.asarray(us, dtype=float))
+        out = np.empty(us.shape + shape, dtype=dtype)
+        for i, u in enumerate(us):
+            out[i] = value(u)
+        return out
+
+    def integral(self, h, lo=0.0, hi=INF):
+        if self.base.is_zero():
+            return 0.0
+
+        def per_scale(vs):
+            return np.array([0.0 if v == 0.0 else
+                             self.base.scaled_integral(h, v, lo, hi) for v in vs])
+        return float(np.max(self._mix(per_scale, nonneg=True)))
+
+    def scaled_integral(self, h, u, lo=0.0, hi=INF):
+        if u == 0.0:
+            return 0.0
+        return self.integral(lambda x: h(u * x), lo / abs(u), hi / abs(u))
+
+    def clip2_scaled(self, us):
+        return self._per_u(us, lambda u: 0.0 if u == 0.0 else self._mix(
+            lambda vs: self.base.clip2_scaled(u * vs), nonneg=True))
+
+    def clip1_scaled(self, us):
+        def value(u):
+            if u == 0.0:
+                return 0.0
+            try:
+                return self._mix(lambda vs: self.base.clip1_scaled(u * vs),
+                                 nonneg=True)
+            except QuadratureFailure:
+                return INF
+        return self._per_u(us, value)
+
+    def centering_scaled(self, us):
+        return self._per_u(us, lambda u: self._mix(
+            lambda vs: self.base.centering_scaled(u * vs), label="centering"),
+            shape=(self.dim,))
+
+    def cumulant_scaled(self, z, us):
+        z = np.asarray(z, dtype=float)
+        return self._per_u(us, lambda u: self._mix(
+            lambda vs: self.base.cumulant_scaled(z, u * vs), label="exponent"),
+            dtype=complex)
+
+    def tail_mass(self, rs):
+        rs = np.atleast_1d(np.asarray(rs, dtype=float))
+        out = np.empty(rs.shape)
+        for i, r in enumerate(rs):
+            def per_scale(vs, r=float(r)):
+                vs = np.abs(vs)
+                vals = np.zeros(vs.shape)
+                nz = vs > 0
+                if np.any(nz):
+                    with np.errstate(over="ignore"):
+                        vals[nz] = self.base.tail_mass(r / vs[nz])
+                return vals
+            out[i] = float(np.max(self._mix(per_scale, nonneg=True, atol=1e-12)))
+        return out
+
+    def vector_weighted(self, w, lo=0.0, hi=INF):
+        def per_scale(vs):
+            rows = []
+            for v in vs:
+                if v == 0.0:
+                    rows.append(np.zeros(self.dim))
+                    continue
+                av = abs(v)
+
+                def w2(r, av=av):
+                    return np.asarray(w(av * r), dtype=float)
+                rows.append(v * np.asarray(
+                    self.base.vector_weighted(w2, lo / av, hi / av)))
+            return np.asarray(rows)
+        return np.asarray(self._mix(per_scale, label="moment vector"))
+
+    def is_symmetric(self):
+        return self.base.is_symmetric()
+
+
+class PushforwardMeasure(ScaleMixtureMeasure):
+    """Levy measure of a window (or improper) integral: the scale mixture
+    over m = Lebesgue measure on (p, q) pushed through the kernel.
 
     Kept lazy as (kernel, window, base) so functionals evaluate by iterated
     quadrature without discretization of the measure itself.
@@ -80,148 +186,30 @@ class PushforwardMeasure(LevyMeasure):
         self.proper = self.p > kernel.a and self.q < kernel.b
         self.dim = base.dim
 
-    def _outer_nonneg(self, slab):
-        if self.proper:
-            return slab(self.p, self.q)
-        res = improper_nonneg(slab, self.p, self.q)
-        if res.converged:
-            return res.value
-        if res.diverged:
-            return INF
-        raise InconclusiveError("pushforward integral not certified",
-                                res.evidence)
+    def _mix(self, per_scale, nonneg=False, label=None, atol=1e-13):
+        def slab(w1, w2):
+            fn = lambda s: per_scale(np.atleast_1d(self.kernel(s)))
+            return adaptive_quad(fn, w1, w2, rtol=1e-9, atol=atol)[0]
 
-    def _outer_signed(self, slab, label):
         if self.proper:
             return slab(self.p, self.q)
+        if nonneg:
+            res = improper_nonneg(slab, self.p, self.q)
+            if res.converged:
+                return res.value
+            if res.diverged:
+                return INF
+            raise InconclusiveError("pushforward integral not certified",
+                                    res.evidence)
         res = improper_limit(slab, self.p, self.q, rtol=1e-9)
         if not res.converged:
             raise InconclusiveError(f"pushforward {label} not certified")
         return res.value
 
-    def integral(self, h, lo=0.0, hi=INF):
-        if self.base.is_zero():
-            return 0.0
 
-        def slab(w1, w2):
-            def fn(s):
-                us = self.kernel(s)
-                return np.array([
-                    0.0 if u == 0.0 else self.base.scaled_integral(h, u, lo, hi)
-                    for u in np.atleast_1d(us)])
-            return adaptive_quad(fn, w1, w2, rtol=1e-9)[0]
-
-        return self._outer_nonneg(slab)
-
-    def scaled_integral(self, h, u, lo=0.0, hi=INF):
-        if u == 0.0:
-            return 0.0
-
-        def h2(x):
-            return h(u * x)
-        return self.integral(h2, lo / abs(u), hi / abs(u))
-
-    def clip2_scaled(self, us):
-        us = np.atleast_1d(np.asarray(us, dtype=float))
-        out = np.empty(us.shape)
-        for i, u in enumerate(us):
-            if u == 0.0:
-                out[i] = 0.0
-                continue
-
-            def slab(w1, w2):
-                fn = lambda s: self.base.clip2_scaled(u * self.kernel(s))
-                return adaptive_quad(fn, w1, w2, rtol=1e-9)[0]
-
-            out[i] = self._outer_nonneg(slab)
-        return out
-
-    def clip1_scaled(self, us):
-        us = np.atleast_1d(np.asarray(us, dtype=float))
-        out = np.empty(us.shape)
-        for i, u in enumerate(us):
-            if u == 0.0:
-                out[i] = 0.0
-                continue
-
-            def slab(w1, w2):
-                fn = lambda s: self.base.clip1_scaled(u * self.kernel(s))
-                return adaptive_quad(fn, w1, w2, rtol=1e-9)[0]
-
-            try:
-                out[i] = self._outer_nonneg(slab)
-            except QuadratureFailure:
-                out[i] = INF
-        return out
-
-    def centering_scaled(self, us):
-        us = np.atleast_1d(np.asarray(us, dtype=float))
-        out = np.empty(us.shape + (self.dim,))
-        for i, u in enumerate(us):
-            def slab(w1, w2):
-                fn = lambda s: self.base.centering_scaled(u * self.kernel(s))
-                return adaptive_quad(fn, w1, w2, rtol=1e-9)[0]
-
-            out[i] = self._outer_signed(slab, "centering")
-        return out
-
-    def cumulant_scaled(self, z, us):
-        us = np.atleast_1d(np.asarray(us, dtype=float))
-        z = np.asarray(z, dtype=float)
-        out = np.empty(us.shape, dtype=complex)
-        for i, u in enumerate(us):
-            def slab(w1, w2):
-                fn = lambda s: self.base.cumulant_scaled(z, u * self.kernel(s))
-                return adaptive_quad(fn, w1, w2, rtol=1e-9)[0]
-
-            out[i] = self._outer_signed(slab, "exponent")
-        return out
-
-    def tail_mass(self, rs):
-        rs = np.atleast_1d(np.asarray(rs, dtype=float))
-        out = np.empty(rs.shape)
-        for i, r in enumerate(rs):
-            def slab(w1, w2, r=float(r)):
-                def fn(s):
-                    us = np.abs(np.atleast_1d(self.kernel(s)))
-                    vals = np.zeros(us.shape)
-                    nz = us > 0
-                    if np.any(nz):
-                        with np.errstate(over="ignore"):
-                            vals[nz] = self.base.tail_mass(r / us[nz])
-                    return vals
-                return adaptive_quad(fn, w1, w2, rtol=1e-9, atol=1e-12)[0]
-            v = self._outer_nonneg(slab)
-            out[i] = INF if v == INF else float(np.max(v)) if np.ndim(v) else float(v)
-        return out
-
-    def vector_weighted(self, w, lo=0.0, hi=INF):
-        def slab(w1, w2):
-            def fn(s):
-                us = np.atleast_1d(self.kernel(s))
-                rows = []
-                for u in us:
-                    if u == 0.0:
-                        rows.append(np.zeros(self.dim))
-                        continue
-                    au = abs(u)
-
-                    def w2_(r, au=au):
-                        return np.asarray(w(au * r), dtype=float)
-                    rows.append(u * np.asarray(
-                        self.base.vector_weighted(w2_, lo / au, hi / au)))
-                return np.asarray(rows)
-            return adaptive_quad(fn, w1, w2, rtol=1e-9)[0]
-
-        return self._outer_signed(slab, "moment vector")
-
-    def is_symmetric(self):
-        return self.base.is_symmetric()
-
-
-class TauMixtureMeasure(LevyMeasure):
+class TauMixtureMeasure(ScaleMixtureMeasure):
     """Levy measure transported by an occupation measure: the scale mixture
-    nu_tilde(B) = int nu(B/u) tau(du)."""
+    over m = tau (atoms plus a density)."""
 
     def __init__(self, tau: TauMeasure, base: LevyMeasure):
         if tau.density is None and not tau.atoms:
@@ -230,8 +218,7 @@ class TauMixtureMeasure(LevyMeasure):
         self.base = base
         self.dim = base.dim
 
-    def _mix(self, per_scale, nonneg=False):
-        """Combine per-scale values against tau (atoms + density part)."""
+    def _mix(self, per_scale, nonneg=False, label=None, atol=1e-13):
         total = None
         for u, m in self.tau.atoms:
             v = m * np.asarray(per_scale(np.array([u]))[0])
@@ -242,99 +229,20 @@ class TauMixtureMeasure(LevyMeasure):
             def fn(u):
                 vals = np.asarray(per_scale(u))
                 dens = np.asarray(self.tau.density(u), dtype=float)
-                if vals.ndim == 1:
-                    return vals * dens
-                return vals * dens[:, None]
+                return vals * (dens if vals.ndim == 1 else dens[:, None])
 
             slab = slab_quad(fn, rtol=1e-10, atol=1e-13)
             if nonneg:
                 res = improper_nonneg(slab, lo, hi, rtol=1e-10)
                 if res.diverged:
-                    v = INF
-                elif res.converged:
-                    v = res.value
-                else:
-                    raise InconclusiveError("occupation mixture not certified",
-                                            res.evidence)
+                    return INF
             else:
                 res = improper_limit(slab, lo, hi, rtol=1e-9)
-                if not res.converged:
-                    raise InconclusiveError("occupation mixture not certified",
-                                            res.evidence)
-                v = res.value
-            if np.isscalar(v) and v == INF:
-                return INF
-            total = v if total is None else total + v
+            if not res.converged:
+                raise InconclusiveError("occupation mixture not certified",
+                                        res.evidence)
+            total = res.value if total is None else total + res.value
         return total
-
-    def integral(self, h, lo=0.0, hi=INF):
-        def per_scale(us):
-            return np.array([
-                0.0 if u == 0.0 else self.base.scaled_integral(h, float(u), lo, hi)
-                for u in np.atleast_1d(us)])
-        val = self._mix(per_scale, nonneg=True)
-        return INF if (np.isscalar(val) and val == INF) else float(np.max(val)) \
-            if np.ndim(val) else float(val)
-
-    def scaled_integral(self, h, u, lo=0.0, hi=INF):
-        if u == 0.0:
-            return 0.0
-        return self.integral(lambda x: h(u * x), lo / abs(u), hi / abs(u))
-
-    def clip2_scaled(self, us):
-        us = np.atleast_1d(np.asarray(us, dtype=float))
-        return np.array([
-            float(self._mix(lambda vs, u=u: self.base.clip2_scaled(
-                u * np.atleast_1d(vs)), nonneg=True))
-            for u in us])
-
-    def cumulant_scaled(self, z, us):
-        us = np.atleast_1d(np.asarray(us, dtype=float))
-        return np.array([
-            complex(self._mix(lambda vs, u=u: self.base.cumulant_scaled(z, u * np.atleast_1d(vs))))
-            for u in us])
-
-    def centering_scaled(self, us):
-        us = np.atleast_1d(np.asarray(us, dtype=float))
-        return np.stack([
-            np.asarray(self._mix(lambda vs, u=u: self.base.centering_scaled(u * np.atleast_1d(vs))))
-            for u in us])
-
-    def vector_weighted(self, w, lo=0.0, hi=INF):
-        def per_scale(us):
-            rows = []
-            for u in np.atleast_1d(us):
-                if u == 0.0:
-                    rows.append(np.zeros(self.dim))
-                    continue
-                au = abs(float(u))
-
-                def w2(r, au=au):
-                    return np.asarray(w(au * r), dtype=float)
-                rows.append(float(u) * np.asarray(
-                    self.base.vector_weighted(w2, lo / au, hi / au)))
-            return np.asarray(rows)
-        return np.asarray(self._mix(per_scale))
-
-    def tail_mass(self, rs):
-        rs = np.atleast_1d(np.asarray(rs, dtype=float))
-        out = np.empty(rs.shape)
-        for i, r in enumerate(rs):
-            def per_scale(us, r=float(r)):
-                us = np.abs(np.atleast_1d(us))
-                vals = np.zeros(us.shape)
-                nz = us > 0
-                if np.any(nz):
-                    with np.errstate(over="ignore"):
-                        vals[nz] = self.base.tail_mass(r / us[nz])
-                return vals
-            v = self._mix(per_scale, nonneg=True)
-            out[i] = INF if (np.isscalar(v) and v == INF) else \
-                float(np.max(v)) if np.ndim(v) else float(v)
-        return out
-
-    def is_symmetric(self):
-        return self.base.is_symmetric()
 
 
 # ---------------------------------------------------------------------------
@@ -466,21 +374,32 @@ def _jump_condition(k: Kernel, t: Triplet) -> Verdict:
     return Verdict.unknown("clipped-quadratic-uncertified", **res.evidence)
 
 
-def _rule_override(k: Kernel, t: Triplet, which: str, numeric: Verdict) -> Verdict:
-    """Consult the closed-form domain rule for tagged kernels.
+def _rules(k: Kernel, t: Triplet, use_rules=True) -> dict:
+    """The closed-form domain verdicts of a tagged kernel, or an empty table
+    when rules are off or the kernel carries no supported tag.  Each public
+    transform and verdict looks them up at most once."""
+    if not use_rules or k.tag is None:
+        return {}
+    from .domains import domain_rule_verdicts  # late import: no cycle at load
+    try:
+        return domain_rule_verdicts(k, t)
+    except UnsupportedTag:
+        return {}
+
+
+def _determined(rules: dict, which: str):
+    rule = rules.get(which)
+    return None if rule is None or rule.is_unknown else rule
+
+
+def _rule_override(rules: dict, which: str, numeric: Verdict) -> Verdict:
+    """Consult the closed-form domain rule.
 
     The rule's answer wins when determined; a determined disagreement with a
     determined numeric verdict raises :class:`ConsistencyAlarm`.
     """
-    if k.tag is None:
-        return numeric
-    from .domains import domain_rule_verdicts  # late import: no cycle at load
-    try:
-        rules = domain_rule_verdicts(k, t)
-    except Exception:
-        return numeric
-    rule = rules.get(which)
-    if rule is None or rule.is_unknown:
+    rule = _determined(rules, which)
+    if rule is None:
         return numeric
     if not numeric.is_unknown and rule.truth is not numeric.truth:
         raise ConsistencyAlarm(
@@ -489,29 +408,27 @@ def _rule_override(k: Kernel, t: Triplet, which: str, numeric: Verdict) -> Verdi
     return rule
 
 
+def _essential(k: Kernel, t: Triplet, rules: dict) -> Verdict:
+    numeric = combine_all(_gaussian_condition(k, t), _jump_condition(k, t))
+    return _rule_override(rules, "essential", numeric)
+
+
 def essential_conditions(k: Kernel, t: Triplet, use_rules=True) -> Verdict:
     """Definability of the essential (and symmetrized) transform.
 
     With ``use_rules=False`` only the certified window numerics run; this is
     the independent route the closed-form rules are checked against.
     """
-    numeric = combine_all(_gaussian_condition(k, t), _jump_condition(k, t))
-    if not use_rules:
-        return numeric
-    return _rule_override(k, t, "essential", numeric)
+    return _essential(k, t, _rules(k, t, use_rules))
 
 
 def definable_verdict(k: Kernel, t: Triplet, use_rules=True) -> Verdict:
     """Three-valued membership in the plain transform domain."""
-    if use_rules and k.tag is not None:
-        from .domains import domain_rule_verdicts
-        try:
-            rule = domain_rule_verdicts(k, t).get("plain")
-        except Exception:
-            rule = None
-        if rule is not None and not rule.is_unknown:
-            return rule
-    cond = essential_conditions(k, t, use_rules=use_rules)
+    rules = _rules(k, t, use_rules)
+    rule = _determined(rules, "plain")
+    if rule is not None:
+        return rule
+    cond = _essential(k, t, rules)
     if not cond.is_yes:
         return cond
     res = _drive_gamma(k, t)
@@ -524,19 +441,15 @@ def definable_verdict(k: Kernel, t: Triplet, use_rules=True) -> Verdict:
 
 def compensated_verdict(k: Kernel, t: Triplet, use_rules=True) -> Verdict:
     """Three-valued membership in the compensated transform domain."""
-    if use_rules and k.tag is not None:
-        from .domains import domain_rule_verdicts
-        try:
-            rule = domain_rule_verdicts(k, t).get("compensated")
-        except Exception:
-            rule = None
-        if rule is not None and not rule.is_unknown:
-            return rule
-    cond = essential_conditions(k, t, use_rules=use_rules)
+    rules = _rules(k, t, use_rules)
+    rule = _determined(rules, "compensated")
+    if rule is not None:
+        return rule
+    cond = _essential(k, t, rules)
     if not cond.is_yes:
         return cond
     try:
-        phi_c(k, t)
+        _phi_c(k, t, rules)
         return Verdict.yes("compensation-found")
     except NotDefinable as e:
         return Verdict.no(e.reason)
@@ -583,14 +496,20 @@ def _drive_gamma(k: Kernel, t: Triplet):
     return improper_limit(_gamma_slab(k, t), k.a, k.b, rtol=1e-8)
 
 
-def _closed_form_rule(k, t, which):
-    if k.tag is None:
-        return None
-    from .domains import domain_rule_verdicts
-    try:
-        return domain_rule_verdicts(k, t).get(which)
-    except Exception:
-        return None
+def _gate(k: Kernel, t: Triplet, rules: dict, which=None) -> Verdict:
+    """The definability gate of the transforms: the essential conditions
+    must hold, and the closed-form rule for ``which`` must not exclude the
+    law.  Returns the essential verdict."""
+    cond = _essential(k, t, rules)
+    if cond.is_no:
+        raise NotDefinable(cond.reason, cond.witness)
+    if cond.is_unknown:
+        raise InconclusiveError(f"definability test unresolved: {cond.reason}",
+                                cond.witness)
+    rule = rules.get(which)
+    if rule is not None and rule.is_no:
+        raise NotDefinable(rule.reason, rule.witness)
+    return cond
 
 
 def phi(k: Kernel, t: Triplet) -> TransformResult:
@@ -599,15 +518,7 @@ def phi(k: Kernel, t: Triplet) -> TransformResult:
     Requires the Gaussian and jump conditions plus convergence of the
     window locations; returns the limit triplet with a fixed location.
     """
-    cond = essential_conditions(k, t)
-    if cond.is_no:
-        raise NotDefinable(cond.reason, cond.witness)
-    if cond.is_unknown:
-        raise InconclusiveError(f"definability test unresolved: {cond.reason}",
-                                cond.witness)
-    rule = _closed_form_rule(k, t, "plain")
-    if rule is not None and rule.is_no:
-        raise NotDefinable(rule.reason, rule.witness)
+    cond = _gate(k, t, _rules(k, t), "plain")
     res = _drive_gamma(k, t)
     if res.diverged:
         raise NotDefinable("location-trace-divergent", res.evidence)
@@ -625,12 +536,7 @@ def phi(k: Kernel, t: Triplet) -> TransformResult:
 def phi_es(k: Kernel, t: Triplet) -> TransformResult:
     """Essential transform: the location is free; the canonical
     representative carries location zero."""
-    cond = essential_conditions(k, t)
-    if cond.is_no:
-        raise NotDefinable(cond.reason, cond.witness)
-    if cond.is_unknown:
-        raise InconclusiveError(f"definability test unresolved: {cond.reason}",
-                                cond.witness)
+    cond = _gate(k, t, _rules(k, t))
     trip = Triplet(_result_gaussian(k, t), _result_measure(k, t),
                    np.zeros(t.dim), validate=False)
     return TransformResult(trip, LocationMode.FREE, {"condition": cond.reason})
@@ -639,12 +545,7 @@ def phi_es(k: Kernel, t: Triplet) -> TransformResult:
 def phi_sym(k: Kernel, t: Triplet) -> TransformResult:
     """Symmetrized transform: doubled Gaussian part, reflection-summed jump
     measure, location pinned at zero."""
-    cond = essential_conditions(k, t)
-    if cond.is_no:
-        raise NotDefinable(cond.reason, cond.witness)
-    if cond.is_unknown:
-        raise InconclusiveError(f"definability test unresolved: {cond.reason}",
-                                cond.witness)
+    cond = _gate(k, t, _rules(k, t))
     nu = _result_measure(k, t)
     trip = Triplet(2.0 * _result_gaussian(k, t),
                    None if nu is None else symmetrize_measure(nu),
@@ -705,15 +606,11 @@ def phi_c(k: Kernel, t: Triplet) -> TransformResult:
     recovered from the window trace (directly when int f -> 0, by an affine
     fit of the divergence direction otherwise).
     """
-    cond = essential_conditions(k, t)
-    if cond.is_no:
-        raise NotDefinable(cond.reason, cond.witness)
-    if cond.is_unknown:
-        raise InconclusiveError(f"definability test unresolved: {cond.reason}",
-                                cond.witness)
-    rule = _closed_form_rule(k, t, "compensated")
-    if rule is not None and rule.is_no:
-        raise NotDefinable(rule.reason, rule.witness)
+    return _phi_c(k, t, _rules(k, t))
+
+
+def _phi_c(k: Kernel, t: Triplet, rules: dict) -> TransformResult:
+    cond = _gate(k, t, rules, "compensated")
     fres = _kernel_mass_limit(k)
     gres = _drive_gamma(k, t)
     diag = {"condition": cond.reason, "kernel_mass": fres.status}
@@ -737,6 +634,11 @@ def phi_c(k: Kernel, t: Triplet) -> TransformResult:
             raise InconclusiveError("location trace unresolved", gres.evidence)
         gamma_t = np.asarray(gres.value, dtype=float)
         diag["theta"] = None
+    elif t.nu.is_zero():
+        # the window locations are exactly gamma F_pq: theta = gamma takes
+        # them all and leaves location zero
+        gamma_t = np.zeros(t.dim)
+        diag["theta"] = np.asarray(t.gamma).tolist()
     else:
         # int f has no limit: solve the affine divergence direction from the
         # trace gamma_pq ~ F_pq theta + gamma_tilde, with the kernel mass
@@ -746,6 +648,10 @@ def phi_c(k: Kernel, t: Triplet) -> TransformResult:
                        for (p, q, _) in gres.trace])
         m = len(fs)
         tail = max(8, m // 2)
+        if m < tail:
+            raise InconclusiveError("location trace too short for the affine"
+                                    " fit of the divergence direction",
+                                    {"trace_length": m})
         X = np.stack([fs[-tail:], np.ones(tail)], axis=1)
         coef, *_ = np.linalg.lstsq(X, gs[-tail:], rcond=None)
         theta, gamma_t = coef[0], coef[1]
@@ -774,7 +680,7 @@ def _assert_compensated_mean_zero(result: TransformResult, tol=1e-6):
     """A unique compensated law with a finite first moment is centered."""
     try:
         m = mean(result.triplet)
-    except Exception:
+    except (NoMean, InconclusiveError, QuadratureFailure):
         result.diagnostics["mean"] = None
         return
     result.diagnostics["mean"] = np.asarray(m).tolist()
@@ -789,8 +695,8 @@ def absolutely_definable(k: Kernel, t: Triplet, use_rules=True) -> Verdict:
     Strongest of the domains: requires the essential conditions plus the
     absolute location clause.
     """
-    override = (lambda v: _rule_override(k, t, "absolute", v)) if use_rules \
-        else (lambda v: v)
+    rules = _rules(k, t, use_rules)
+    override = lambda v: _rule_override(rules, "absolute", v)
     base = combine_all(_gaussian_condition(k, t), _jump_condition(k, t))
     if base.is_no:
         return override(base)
@@ -900,21 +806,10 @@ def psi(tau_or_kernel, nu: LevyMeasure):
     tau = tau_or_kernel
     out = TauMixtureMeasure(tau, nu)
     # membership: mixed clipped-quadratic mass must be finite
-    try:
-        val = out.clip2_scaled(np.array([1.0]))[0]
-    except InconclusiveError:
-        raise
+    val = out.clip2_scaled(np.array([1.0]))[0]
     if not math.isfinite(float(val)):
         raise NotInDomain("clipped-quadratic-divergent")
     return out
-
-
-def transform_cumulant(result_or_triplet, z):
-    """Characteristic exponent of a transform output (lazy measures allowed)."""
-    from .idlaw import cumulant as _cum
-    trip = result_or_triplet.triplet if isinstance(result_or_triplet, TransformResult) \
-        else result_or_triplet
-    return _cum(trip, z)
 
 
 def base_exponent_scaled(t: Triplet, z, us):

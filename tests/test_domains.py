@@ -13,8 +13,10 @@ from idcalc.domains import (
     kernel_profile,
     largeness_conditions,
     psi_largeness,
+    radial_moment,
+    tail_power_moment_verdict,
 )
-from idcalc.errors import NonnegativeRequired, UnsupportedTag
+from idcalc.errors import InconclusiveError, NonnegativeRequired, UnsupportedTag
 from idcalc.kernels import (
     double_exp_kernel,
     exp_kernel,
@@ -166,6 +168,29 @@ class TestDomainRules:
                             continue
                         assert a.truth is b.truth, (al, name, gamma,
                                                     a.reason, b.reason)
+
+
+class TestStableRadialMoment:
+    @staticmethod
+    def _unconverged_driver(monkeypatch):
+        import idcalc.domains as domains
+        from idcalc.quadrature import ImproperResult
+        monkeypatch.setattr(domains, "improper_nonneg",
+                            lambda *a, **kw: ImproperResult("inconclusive", None))
+
+    def test_unconverged_value_raises(self, monkeypatch):
+        self._unconverged_driver(monkeypatch)
+        with pytest.raises(InconclusiveError):
+            radial_moment(sym_stable(1.5), lambda r: r, 1.0, INF, stable_power=1.0)
+
+    def test_unconverged_value_is_unknown_verdict(self, monkeypatch):
+        self._unconverged_driver(monkeypatch)
+        assert tail_power_moment_verdict(sym_stable(1.5), 1.0).is_unknown
+
+    def test_converged_value(self):
+        # int_1^inf r r^(-2.5) dr = 2, per unit weight
+        v = radial_moment(sym_stable(1.5), lambda r: r, 1.0, INF, stable_power=1.0)
+        assert v == pytest.approx(2.0, rel=1e-9)
 
 
 class TestKernelProfile:

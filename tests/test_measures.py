@@ -5,7 +5,9 @@ import pytest
 
 import idcalc as ic
 from idcalc.errors import InconclusiveError
-from idcalc.measures import INF, ScaledMeasure, _stable_exponent
+from idcalc.kernels import TauMeasure
+from idcalc.measures import INF, _stable_exponent
+from idcalc.transform import TauMixtureMeasure
 
 from conftest import radial_h
 
@@ -137,8 +139,9 @@ class TestSumAndWrappers:
         assert tot.total_mass() == INF
 
     def test_scaled_measure_pushforward(self):
+        # a one-atom occupation mixture: mass 0.5 at scale 3
         a = ic.AtomicMeasure([[1.0]], [2.0])
-        sc = ScaledMeasure(a, 3.0, weight=0.5)
+        sc = TauMixtureMeasure(TauMeasure(atoms=[(3.0, 0.5)]), a)
         ones = lambda x: np.ones(x.shape[0])
         assert sc.integral(ones, 2.9, 3.1) == 1.0
 

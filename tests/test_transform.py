@@ -41,7 +41,7 @@ from idcalc.transform import (
 )
 from idcalc.verdicts import Truth
 
-from corpus import corpus_pairs
+from corpus import corpus_pairs, corpus_triplets
 
 INF = math.inf
 
@@ -419,3 +419,58 @@ def test_exponent_scaling_consistency(stable_exponent_oracle):
         got = complex(base_exponent_scaled(t, np.array([1.3]), np.array([u]))[0])
         want = stable_exponent_oracle(0.8, u * 1.3) + 1j * 0.3 * u * 1.3
         assert got == pytest.approx(want, abs=1e-8)
+
+
+class TestRuleLookup:
+    @staticmethod
+    def _count_rules(monkeypatch):
+        import idcalc.domains as domains
+        original = domains.domain_rule_verdicts
+        calls = []
+
+        def counted(k, t):
+            calls.append(1)
+            return original(k, t)
+        monkeypatch.setattr(domains, "domain_rule_verdicts", counted)
+        return calls
+
+    @pytest.mark.parametrize("op", [phi, phi_c, phi_es, phi_sym,
+                                    definable_verdict, compensated_verdict,
+                                    essential_conditions, absolutely_definable])
+    def test_rules_evaluated_at_most_once_per_call(self, monkeypatch, op):
+        calls = self._count_rules(monkeypatch)
+        op(exp_kernel(), ic.Triplet(1.0, None, [0.3]))
+        assert len(calls) == 1
+
+    def test_numeric_route_skips_rules(self, monkeypatch):
+        calls = self._count_rules(monkeypatch)
+        t = ic.Triplet(1.0, None, [0.3])
+        compensated_verdict(exp_kernel(), t, use_rules=False)
+        definable_verdict(exp_kernel(), t, use_rules=False)
+        assert calls == []
+
+    def test_rule_bug_propagates(self, monkeypatch):
+        import idcalc.domains as domains
+
+        def broken(k, t):
+            raise TypeError("bug in a domain rule")
+        monkeypatch.setattr(domains, "domain_rule_verdicts", broken)
+        with pytest.raises(TypeError):
+            phi(exp_kernel(), ic.Triplet(1.0, None, [0.3]))
+
+
+class TestCompensatedPowerTail:
+    """phi_c under power_tail(1.5), whose kernel mass diverges, on the laws
+    whose location trace is too short for the affine fit."""
+
+    @pytest.mark.parametrize("i,theta", [(0, [0.0]), (1, [0.7]), (2, [0.3])])
+    def test_jumpless_law_splits_exactly(self, i, theta):
+        res = phi_c(power_tail_kernel(1.5), corpus_triplets()[i])
+        assert res.location_mode is LocationMode.COMPENSATED_UNIQUE
+        np.testing.assert_array_equal(res.triplet.gamma, [0.0])
+        assert res.diagnostics["theta"] == theta
+
+    @pytest.mark.parametrize("i", [4, 7])
+    def test_short_trace_is_inconclusive(self, i):
+        with pytest.raises(InconclusiveError, match="too short"):
+            phi_c(power_tail_kernel(1.5), corpus_triplets()[i])
