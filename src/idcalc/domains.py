@@ -574,7 +574,6 @@ def largeness_conditions(k: Kernel, profile: KernelProfile | None = None):
     ev["large-level-bounded"] = _bounded_on_grid(prof.h_of_r, "h")
     ev["all-id"] = combine_all(ev["support-finite"], ev["square-finite"])
     ev["ab-preserving"] = combine_all(ev["support-finite"], ev["abs-finite"])
-    ev["ab-into-absolute"] = ev["ab-preserving"]
     ev["ab-into-essential"] = combine_all(
         ev["locally-integrable"], ev["support-finite"],
         ev["small-level-bounded"], ev["large-level-bounded"])

@@ -309,8 +309,12 @@ def sample_integral(k: Kernel, t: Triplet, p: float, q: float,
     mesh = cfg.mesh_points
     probe = _probe_grid(t.dim)
     target = 0.5 / math.sqrt(cfg.n_paths)
-    while mesh * 2 <= cfg.max_mesh_points and \
-            _mesh_bias(k, t, p, q, mesh, probe) > target:
+    exact = None   # the exact window exponents, computed at the first check
+    while mesh * 2 <= cfg.max_mesh_points:
+        if exact is None:
+            exact = [_window_exponent_value(k, t, p, q, z) for z in probe]
+        if _mesh_bias(k, t, p, q, mesh, probe, exact) <= target:
+            break
         mesh *= 2
     sampler = IncrementSampler(t, cfg)
     return _integral_once(k, sampler, p, q, mesh, cfg.n_paths, cfg.seed)
@@ -326,17 +330,17 @@ def _probe_grid(dim, m=6):
     return base[:, None] * dirs
 
 
-def _mesh_bias(k, t, p, q, mesh, zs):
-    """Characteristic-function gap of the midpoint-frozen integrand."""
+def _mesh_bias(k, t, p, q, mesh, zs, exact):
+    """Characteristic-function gap of the midpoint-frozen integrand, against
+    the exact window exponents ``exact`` at the arguments ``zs``."""
     from .transform import base_exponent_scaled
     ds = (q - p) / mesh
     mids = p + (np.arange(mesh) + 0.5) * ds
     fvals = np.asarray(k(mids), dtype=float)
     gap = 0.0
-    for z in zs:
+    for z, ex in zip(zs, exact):
         frozen = ds * np.sum(base_exponent_scaled(t, z, fvals))
-        exact = _window_exponent_value(k, t, p, q, z)
-        gap = max(gap, abs(np.exp(frozen) - np.exp(exact)))
+        gap = max(gap, abs(np.exp(frozen) - np.exp(ex)))
     return gap
 
 

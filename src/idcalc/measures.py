@@ -7,13 +7,29 @@ densities).  The transformed measures, window pushforwards and occupation
 mixtures, are scale mixtures of these representations and live in
 ``idcalc.transform`` (``ScaleMixtureMeasure``):
 
-* ``integral(h, lo, hi)``      -- int h(x) nu(dx) over lo <= |x| < hi, h >= 0
-* ``scaled_integral(h, u, ..)``-- same with x replaced by u*x
-* ``clip2_scaled(us)``         -- int (|u x|^2 ^ 1) nu(dx), vectorized in u
+* ``scaled_integral(h, us, lo, hi)`` -- int h(u x) nu(dx) over
+  lo <= |u x| < hi, h >= 0
+* ``clip2_scaled(us)``         -- int (|u x|^2 ^ 1) nu(dx)
 * ``clip1_scaled(us)``         -- int (|u x| ^ 1) nu(dx), may be +inf
 * ``centering_scaled(us)``     -- int x (1/(1+|ux|^2) - 1/(1+|x|^2)) nu(dx)
 * ``cumulant_scaled(z, us)``   -- int (e^{i<z,ux>} - 1 - i<z,ux>/(1+|ux|^2)) nu(dx)
-* ``vector_weighted(w, lo, hi)``-- int x w(|x|) nu(dx)
+* ``vector_weighted_scaled(w, us, lo, hi)`` -- int (u x) w(|u x|) nu(dx) over
+  lo <= |u x| < hi, shape (m, dim)
+
+Every ``*_scaled`` functional takes an array ``us`` of m scales and answers
+for all of them in one call; ``integral(h, lo, hi)`` and
+``vector_weighted(w, lo, hi)`` are their one-scale case u = 1.  Per
+representation:
+
+* atoms: exact sums, one call of ``h`` (or ``w``) on all m x n points;
+* stable: the exact scaling identity nu(B/u) = |u|^alpha nu(sign(u) B), so
+  one base integral per sign of u serves every scale;
+* radial and gamma: over the full range [0, inf) the r-range and window
+  schedule are common to all scales, so one radial driver integrates an
+  (n_r, m) integrand, each scale certified as its own component; a shell
+  [lo, hi) has the scale-dependent r-range [lo/|u|, hi/|u|) and runs one
+  driver per scale;
+* sums, the zero measure and lazy symmetrizations compose the above.
 
 Radius regions are half-open [lo, hi) so that body/tail splits partition an
 atom sitting exactly on the boundary.
@@ -50,6 +66,13 @@ def _region_mask(r, lo, hi):
     return (r >= lo) & (r < hi)
 
 
+def _scales(us):
+    return np.atleast_1d(np.asarray(us, dtype=float))
+
+
+_ONE = np.array([1.0])
+
+
 class LevyMeasure:
     """Abstract base; concrete variants implement the functional surface."""
 
@@ -57,10 +80,11 @@ class LevyMeasure:
 
     # -- generic functionals -------------------------------------------------
     def integral(self, h, lo=0.0, hi=INF):
-        raise NotImplementedError
+        """int h(x) nu(dx) over lo <= |x| < hi: the one-scale case."""
+        return float(self.scaled_integral(h, _ONE, lo, hi)[0])
 
-    def scaled_integral(self, h, u, lo=0.0, hi=INF):
-        """int h(u x) nu(dx) over lo <= |u x| < hi (single scalar u)."""
+    def scaled_integral(self, h, us, lo=0.0, hi=INF):
+        """int h(u x) nu(dx) over lo <= |u x| < hi, one entry per scale."""
         raise NotImplementedError
 
     def clip2_scaled(self, us):
@@ -76,6 +100,11 @@ class LevyMeasure:
         raise NotImplementedError
 
     def vector_weighted(self, w, lo=0.0, hi=INF):
+        """int x w(|x|) nu(dx) over lo <= |x| < hi: the one-scale case."""
+        return self.vector_weighted_scaled(w, _ONE, lo, hi)[0]
+
+    def vector_weighted_scaled(self, w, us, lo=0.0, hi=INF):
+        """int (u x) w(|u x|) nu(dx) over lo <= |u x| < hi, shape (m, dim)."""
         raise NotImplementedError
 
     # -- derived conveniences ------------------------------------------------
@@ -119,11 +148,8 @@ class ZeroMeasure(LevyMeasure):
     def __init__(self, dim=1):
         self.dim = dim
 
-    def integral(self, h, lo=0.0, hi=INF):
-        return 0.0
-
-    def scaled_integral(self, h, u, lo=0.0, hi=INF):
-        return 0.0
+    def scaled_integral(self, h, us, lo=0.0, hi=INF):
+        return np.zeros(_scales(us).shape)
 
     def tail_mass(self, rs):
         return np.zeros(np.atleast_1d(np.asarray(rs, dtype=float)).shape)
@@ -140,8 +166,8 @@ class ZeroMeasure(LevyMeasure):
     def cumulant_scaled(self, z, us):
         return np.zeros(np.asarray(us, dtype=float).shape, dtype=complex)
 
-    def vector_weighted(self, w, lo=0.0, hi=INF):
-        return np.zeros(self.dim)
+    def vector_weighted_scaled(self, w, us, lo=0.0, hi=INF):
+        return np.zeros(_scales(us).shape + (self.dim,))
 
     def is_zero(self):
         return True
@@ -176,22 +202,22 @@ class AtomicMeasure(LevyMeasure):
         self.radii = r
         self.dim = pts.shape[1]
 
-    def integral(self, h, lo=0.0, hi=INF):
-        m = _region_mask(self.radii, lo, hi)
-        if not m.any():
-            return 0.0
-        vals = np.asarray(h(self.points[m]), dtype=float)
-        return float((vals * self.masses[m]).sum())
-
-    def scaled_integral(self, h, u, lo=0.0, hi=INF):
-        if u == 0.0:
-            return 0.0
+    def _scaled_radii(self, us, lo, hi):
+        """|u| r of every (scale, atom) pair, and the mask of the pairs with
+        u != 0 inside [lo, hi)."""
         with np.errstate(over="ignore"):
-            m = _region_mask(np.abs(u) * self.radii, lo, hi)
-        if not m.any():
-            return 0.0
-        vals = np.asarray(h(u * self.points[m]), dtype=float)
-        return float((vals * self.masses[m]).sum())
+            ur = np.abs(us)[:, None] * self.radii[None, :]
+        return ur, _region_mask(ur, lo, hi) & (us != 0.0)[:, None]
+
+    def scaled_integral(self, h, us, lo=0.0, hi=INF):
+        us = _scales(us)
+        _, m = self._scaled_radii(us, lo, hi)
+        vals = np.zeros(m.shape)
+        if m.any():
+            with np.errstate(over="ignore"):
+                pts = us[:, None, None] * self.points[None, :, :]
+            vals[m] = np.asarray(h(pts[m]), dtype=float)
+        return (vals * self.masses[None, :]).sum(axis=1)
 
     def tail_mass(self, rs):
         rs = np.atleast_1d(np.asarray(rs, dtype=float))
@@ -222,12 +248,14 @@ class AtomicMeasure(LevyMeasure):
         integrand = np.exp(1j * uzx) - 1.0 - 1j * uzx / (1.0 + ur * ur)
         return integrand @ self.masses
 
-    def vector_weighted(self, w, lo=0.0, hi=INF):
-        m = _region_mask(self.radii, lo, hi)
-        if not m.any():
-            return np.zeros(self.dim)
-        wv = np.asarray(w(self.radii[m]), dtype=float)
-        return (self.points[m] * (wv * self.masses[m])[:, None]).sum(axis=0)
+    def vector_weighted_scaled(self, w, us, lo=0.0, hi=INF):
+        us = _scales(us)
+        ur, m = self._scaled_radii(us, lo, hi)
+        wv = np.zeros(m.shape)
+        if m.any():
+            wv[m] = np.asarray(w(ur[m]), dtype=float)
+        weighted = (wv * self.masses[None, :])[:, :, None]
+        return us[:, None] * (self.points[None, :, :] * weighted).sum(axis=1)
 
     def is_symmetric(self):
         key = {tuple(np.round(p, 12)): m for p, m in zip(self.points, self.masses)}
@@ -428,32 +456,46 @@ class RadialMeasure(LevyMeasure):
             return INF
         raise InconclusiveError("radial integral not certified", res.evidence)
 
-    def integral(self, h, lo=0.0, hi=INF):
-        total = 0.0
-        for xi, w in zip(self.directions, self.weights):
-            def g(r, xi=xi):
-                return np.asarray(h(np.outer(r, xi)), dtype=float)
-            part = self._radial(g, lo, hi)
-            if part == INF:
-                return INF
-            total += w * part
-        return float(total)
+    def _batched(self, us, lo, hi):
+        """The nonzero scales, and whether one radial driver serves them all:
+        over [0, inf) the r-range and window schedule do not depend on the
+        scale, over a shell [lo/|u|, hi/|u|) they do."""
+        nz = np.flatnonzero(us)
+        return nz, lo == 0.0 and hi == INF and nz.size > 1
 
-    def scaled_integral(self, h, u, lo=0.0, hi=INF):
-        if u == 0.0:
-            return 0.0
-        a = abs(u)
-        with np.errstate(over="ignore"):
-            rlo, rhi = lo / a, hi / a
-        total = 0.0
-        for xi, w in zip(self.directions, self.weights):
-            def g(r, xi=xi):
-                return np.asarray(h(np.outer(u * r, xi)), dtype=float)
-            part = self._radial(g, rlo, rhi)
-            if part == INF:
-                return INF
-            total += w * part
-        return float(total)
+    def scaled_integral(self, h, us, lo=0.0, hi=INF):
+        us = _scales(us)
+        out = np.zeros(us.shape)
+        nz, batched = self._batched(us, lo, hi)
+        if batched:
+            u = us[nz]
+            shape = (len(self.weights), u.size)
+
+            def g(r):
+                # one column per (direction, scale) pair
+                x = (r[:, None] * u[None, :])[:, None, :, None] \
+                    * self.directions[None, :, None, :]
+                return np.asarray(h(x.reshape(-1, self.dim)),
+                                  dtype=float).reshape(len(r), -1)
+            parts = np.zeros(shape[0] * shape[1]) + self._radial(g, 0.0, INF)
+            out[nz] = self.weights @ parts.reshape(shape)
+            return out
+        for i in nz:
+            u = us[i]
+            a = abs(u)
+            with np.errstate(over="ignore"):
+                rlo, rhi = lo / a, hi / a
+            total = 0.0
+            for xi, w in zip(self.directions, self.weights):
+                def g(r, xi=xi):
+                    return np.asarray(h(np.outer(u * r, xi)), dtype=float)
+                part = self._radial(g, rlo, rhi)
+                if part == INF:
+                    total = INF
+                    break
+                total += w * part
+            out[i] = total
+        return out
 
     def _clip_single(self, u, power):
         """int (|u r|^power ^ 1) rho(r) dr, split at the clipping radius so
@@ -555,13 +597,29 @@ class RadialMeasure(LevyMeasure):
             R *= 4.0
         raise InconclusiveError("cumulant tail bound did not close")
 
-    def vector_weighted(self, w, lo=0.0, hi=INF):
-        def g(r):
-            return r * np.asarray(w(r), dtype=float)
-        val = self._radial(g, lo, hi, signed=True)
-        if np.isscalar(val) and val == INF:
-            return np.full(self.dim, INF)
-        return np.einsum("k,kd->d", self.weights, self.directions) * float(val)
+    def vector_weighted_scaled(self, w, us, lo=0.0, hi=INF):
+        # int (u r xi) w(|u| r) rho(r) dr over the directions: u times the
+        # weighted direction sum times one radial integral per scale
+        us = _scales(us)
+        vals = np.zeros(us.shape)
+        nz, batched = self._batched(us, lo, hi)
+        if batched:
+            au = np.abs(us[nz])
+
+            def g(r):
+                x = r[:, None] * au[None, :]
+                return r[:, None] * np.asarray(w(x.ravel()), dtype=float).reshape(x.shape)
+            vals[nz] = self._radial(g, 0.0, INF, signed=True)
+        else:
+            for i in nz:
+                a = abs(us[i])
+                with np.errstate(over="ignore"):
+                    rlo, rhi = lo / a, hi / a
+
+                def g(r, a=a):
+                    return r * np.asarray(w(a * r), dtype=float)
+                vals[i] = self._radial(g, rlo, rhi, signed=True)
+        return np.outer(us * vals, np.einsum("k,kd->d", self.weights, self.directions))
 
     def is_symmetric(self):
         key = {tuple(np.round(d, 12)): w for d, w in zip(self.directions, self.weights)}
@@ -629,6 +687,8 @@ class GammaMeasure(LevyMeasure):
         self.rate = float(rate)
         self.direction = direction / np.linalg.norm(direction)
         self.dim = self.direction.shape[0]
+        self._polar = RadialMeasure(self.direction[None, :], np.array([1.0]),
+                                    self._density(), validate=False)
 
     def _density(self):
         c, lam = self.shape, self.rate
@@ -637,14 +697,10 @@ class GammaMeasure(LevyMeasure):
                              decreasing_tail=True, label="gamma")
 
     def as_radial(self):
-        return RadialMeasure(self.direction[None, :], np.array([1.0]),
-                             self._density(), validate=False)
+        return self._polar
 
-    def integral(self, h, lo=0.0, hi=INF):
-        return self.as_radial().integral(h, lo, hi)
-
-    def scaled_integral(self, h, u, lo=0.0, hi=INF):
-        return self.as_radial().scaled_integral(h, u, lo, hi)
+    def scaled_integral(self, h, us, lo=0.0, hi=INF):
+        return self._polar.scaled_integral(h, us, lo, hi)
 
     def clip2_scaled(self, us):
         from scipy.special import exp1
@@ -708,8 +764,8 @@ class GammaMeasure(LevyMeasure):
                 - 1j * theta * np.sign(u) * _exp_arctan_transform(y))
         return out
 
-    def vector_weighted(self, w, lo=0.0, hi=INF):
-        return self.as_radial().vector_weighted(w, lo, hi)
+    def vector_weighted_scaled(self, w, us, lo=0.0, hi=INF):
+        return self._polar.vector_weighted_scaled(w, us, lo, hi)
 
     def is_symmetric(self):
         return False
@@ -763,6 +819,11 @@ class StableMeasure(LevyMeasure):
         self.directions = dirs
         self.weights = weights
         self.dim = dirs.shape[1]
+        # the exact density as a polar measure, for generic integrands
+        a = self.alpha
+        dens = RadialDensity(lambda r: r ** (-a - 1.0), order_zero=-a - 1.0,
+                             order_inf=-a - 1.0, decreasing_tail=True, label="stable")
+        self._polar = RadialMeasure(dirs, weights, dens, validate=False)
 
     # exact radial power integral: int_lo^hi r^(m - alpha - 1) dr
     def power_radial(self, m, lo=0.0, hi=INF):
@@ -780,22 +841,25 @@ class StableMeasure(LevyMeasure):
     def weight_sum(self):
         return float(self.weights.sum())
 
-    def integral(self, h, lo=0.0, hi=INF):
-        # generic h: windowed quadrature against the exact density
-        dens = RadialDensity(lambda r: r ** (-self.alpha - 1.0),
-                             order_zero=-self.alpha - 1.0,
-                             order_inf=-self.alpha - 1.0,
-                             decreasing_tail=True, label="stable")
-        proxy = RadialMeasure(self.directions, self.weights, dens, validate=False)
-        return proxy.integral(h, lo, hi)
+    def as_radial(self):
+        return self._polar
 
-    def scaled_integral(self, h, u, lo=0.0, hi=INF):
-        dens = RadialDensity(lambda r: r ** (-self.alpha - 1.0),
-                             order_zero=-self.alpha - 1.0,
-                             order_inf=-self.alpha - 1.0,
-                             decreasing_tail=True, label="stable")
-        proxy = RadialMeasure(self.directions, self.weights, dens, validate=False)
-        return proxy.scaled_integral(h, u, lo, hi)
+    def _scale_factors(self, us):
+        """|u|^alpha, 0 at u = 0."""
+        with np.errstate(over="ignore"):
+            return np.abs(us) ** self.alpha
+
+    def scaled_integral(self, h, us, lo=0.0, hi=INF):
+        # the scaling identity nu(B/u) = |u|^alpha nu(sign(u) B): one base
+        # integral of h(sign(u) y) over lo <= |y| < hi per sign
+        us = _scales(us)
+        out = np.zeros(us.shape)
+        for sign in (1.0, -1.0):
+            sel = np.sign(us) == sign
+            if sel.any():
+                base = self._polar.scaled_integral(h, np.array([sign]), lo, hi)[0]
+                out[sel] = self._scale_factors(us[sel]) * base
+        return out
 
     def tail_mass(self, rs):
         rs = np.atleast_1d(np.asarray(rs, dtype=float))
@@ -851,13 +915,15 @@ class StableMeasure(LevyMeasure):
             out = out + w * scale * _stable_exponent(a, sg * theta)
         return out
 
-    def vector_weighted(self, w, lo=0.0, hi=INF):
-        dens = RadialDensity(lambda r: r ** (-self.alpha - 1.0),
-                             order_zero=-self.alpha - 1.0,
-                             order_inf=-self.alpha - 1.0,
-                             decreasing_tail=True, label="stable")
-        proxy = RadialMeasure(self.directions, self.weights, dens, validate=False)
-        return proxy.vector_weighted(w, lo, hi)
+    def vector_weighted_scaled(self, w, us, lo=0.0, hi=INF):
+        # the same identity: sign(u) |u|^alpha times one base moment vector
+        us = _scales(us)
+        out = np.zeros(us.shape + (self.dim,))
+        nz = us != 0.0
+        if nz.any():
+            base = self._polar.vector_weighted(w, lo, hi)
+            out[nz] = np.outer(np.sign(us[nz]) * self._scale_factors(us[nz]), base)
+        return out
 
     def is_symmetric(self):
         key = {tuple(np.round(d, 12)): w for d, w in zip(self.directions, self.weights)}
@@ -920,16 +986,8 @@ class SumMeasure(LevyMeasure):
         self.parts = parts
         self.dim = parts[0].dim
 
-    def _sum(self, values):
-        if any((np.isscalar(v) and v == INF) for v in values):
-            return INF
-        return sum(values)
-
-    def integral(self, h, lo=0.0, hi=INF):
-        return self._sum([p.integral(h, lo, hi) for p in self.parts])
-
-    def scaled_integral(self, h, u, lo=0.0, hi=INF):
-        return self._sum([p.scaled_integral(h, u, lo, hi) for p in self.parts])
+    def scaled_integral(self, h, us, lo=0.0, hi=INF):
+        return sum(p.scaled_integral(h, us, lo, hi) for p in self.parts)
 
     def tail_mass(self, rs):
         return sum(p.tail_mass(rs) for p in self.parts)
@@ -946,8 +1004,8 @@ class SumMeasure(LevyMeasure):
     def cumulant_scaled(self, z, us):
         return sum(p.cumulant_scaled(z, us) for p in self.parts)
 
-    def vector_weighted(self, w, lo=0.0, hi=INF):
-        return sum(p.vector_weighted(w, lo, hi) for p in self.parts)
+    def vector_weighted_scaled(self, w, us, lo=0.0, hi=INF):
+        return sum(p.vector_weighted_scaled(w, us, lo, hi) for p in self.parts)
 
     def is_symmetric(self):
         return all(p.is_symmetric() for p in self.parts)
@@ -974,15 +1032,10 @@ class SymmetrizedMeasure(LevyMeasure):
         self.base = base
         self.dim = base.dim
 
-    def integral(self, h, lo=0.0, hi=INF):
+    def scaled_integral(self, h, us, lo=0.0, hi=INF):
         def h2(x):
             return np.asarray(h(x)) + np.asarray(h(-x))
-        return self.base.integral(h2, lo, hi)
-
-    def scaled_integral(self, h, u, lo=0.0, hi=INF):
-        def h2(x):
-            return np.asarray(h(x)) + np.asarray(h(-x))
-        return self.base.scaled_integral(h2, u, lo, hi)
+        return self.base.scaled_integral(h2, us, lo, hi)
 
     def tail_mass(self, rs):
         return 2.0 * self.base.tail_mass(rs)
@@ -1000,8 +1053,8 @@ class SymmetrizedMeasure(LevyMeasure):
     def cumulant_scaled(self, z, us):
         return 2.0 * np.real(self.base.cumulant_scaled(z, us)).astype(complex)
 
-    def vector_weighted(self, w, lo=0.0, hi=INF):
-        return np.zeros(self.dim)
+    def vector_weighted_scaled(self, w, us, lo=0.0, hi=INF):
+        return np.zeros(_scales(us).shape + (self.dim,))
 
     def is_symmetric(self):
         return True

@@ -6,12 +6,22 @@ be real, complex, or vector-valued (trailing axes), which lets the Levy
 machinery integrate characteristic-exponent integrands and location vectors
 without per-point Python callbacks.
 
+Every entry of a vector value is a component, and each component is
+certified as if it ran alone: ``adaptive_quad`` refines until each
+component's error is below ``atol + rtol * |component|``, and the improper
+drivers keep the stabilization, geometric-tail and divergence state of each
+component apart.  A component stops accumulating at the level where its own
+rule decides it.  So a batch of integrands (one per scale, say) shares the
+panel evaluations of one call, yet no component rides on the tolerance of a
+larger one.  For a scalar or one-component value these are the plain
+scalar rules.
+
 Improper integrals over open or unbounded intervals are driven through
 nested geometric windows.  The drivers return a three-valued outcome:
 converged (with a value), diverged, or inconclusive, following a fixed
-certification policy:
+certification policy, per component:
 
-* signed integrands: Cauchy stабilization of the partial value below
+* signed integrands: Cauchy stabilization of the partial value below
   ``rtol`` over ``consec`` consecutive levels certifies convergence;
   magnitude beyond ``diverge`` certifies divergence; otherwise the driver
   gives up after ``levels`` doublings.
@@ -19,6 +29,14 @@ certification policy:
   a geometric rate certify a finite value (with a tail bound), and window
   contributions bounded away from zero and non-decreasing over several
   consecutive levels certify divergence.
+
+A nonnegative result is converged when every component is certified and
+at least one converged, with ``+inf`` in each diverged component; diverged
+(value ``None``) when every component diverged; and inconclusive when any
+component is neither.  A signed vector with a divergent component has no
+limit: that component ends the run as diverged.  The evidence is that of
+the component decided last; with several components it also lists each
+component's own under ``"components"``.
 """
 
 from __future__ import annotations
@@ -29,6 +47,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import QuadratureFailure
+
+INF = math.inf
 
 # 15-point Kronrod extension of 7-point Gauss on [-1, 1].
 _KRONROD_NODES = np.array([
@@ -56,7 +76,7 @@ _GAUSS_IDX = np.arange(1, 15, 2)
 
 
 def _panel(fn, a, b):
-    """One Gauss-Kronrod panel; returns (value, error_estimate)."""
+    """One Gauss-Kronrod panel; returns (value, per-component error)."""
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
     x = mid + half * _KRONROD_NODES
@@ -68,15 +88,26 @@ def _panel(fn, a, b):
     wg = _GAUSS_WEIGHTS.reshape((7,) + (1,) * len(shape_tail))
     vk = half * (wk * y).sum(axis=0)
     vg = half * (wg * y[_GAUSS_IDX]).sum(axis=0)
-    err = np.max(np.abs(vk - vg))
-    return vk, float(err)
+    return vk, np.abs(vk - vg)
+
+
+def _error_weights(total, rtol, atol):
+    """Weights that order panels for refinement: the tightest component
+    tolerance over each component's own, so a panel's key is its worst error
+    relative to that component's tolerance (the error itself for one
+    component)."""
+    if np.size(total) == 1:
+        return 1.0
+    tol = np.maximum(atol + rtol * np.abs(total), 1e-300)
+    return tol.min() / tol
 
 
 def adaptive_quad(fn, a, b, *, rtol=1e-10, atol=1e-13, max_panels=16384):
     """Integrate ``fn`` over the finite interval [a, b].
 
-    Returns ``(value, error_estimate)``; raises :class:`QuadratureFailure`
-    when the panel budget is exhausted before the tolerance is met.
+    Returns ``(value, error_estimate)``, the estimate being the largest
+    component error; raises :class:`QuadratureFailure` when the panel budget
+    is exhausted before every component meets its tolerance.
     """
     import heapq
 
@@ -89,36 +120,37 @@ def adaptive_quad(fn, a, b, *, rtol=1e-10, atol=1e-13, max_panels=16384):
         return np.zeros(probe.shape[1:], dtype=probe.dtype), 0.0
     val, err = _panel(fn, a, b)
     counter = 0  # heap tiebreaker
-    heap = [(-err, counter, a, b, val)]
+    heap = [(0.0, counter, a, b, val, err)]
     total = np.array(val, copy=True)
-    total_err = err
+    total_err = np.array(err, copy=True)
     n = 1
-    while total_err > atol + rtol * np.max(np.abs(total)) and n < max_panels:
-        neg_err, _, lo, hi, v0 = heapq.heappop(heap)
-        err0 = -neg_err
+    while (total_err > atol + rtol * np.abs(total)).any() and n < max_panels:
+        _, _, lo, hi, v0, e0 = heapq.heappop(heap)
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:  # interval at floating-point resolution
-            total_err -= err0
+            total_err = total_err - e0
             continue
         v1, e1 = _panel(fn, lo, mid)
         v2, e2 = _panel(fn, mid, hi)
         total = total - v0 + v1 + v2
-        total_err = total_err - err0 + e1 + e2
+        total_err = total_err - e0 + e1 + e2
+        weight = _error_weights(total, rtol, atol)
         counter += 1
-        heapq.heappush(heap, (-e1, counter, lo, mid, v1))
+        heapq.heappush(heap, (-float((e1 * weight).max()), counter, lo, mid, v1, e1))
         counter += 1
-        heapq.heappush(heap, (-e2, counter, mid, hi, v2))
+        heapq.heappush(heap, (-float((e2 * weight).max()), counter, mid, hi, v2, e2))
         n += 2
-    if total_err > 10.0 * (atol + rtol * max(np.max(np.abs(total)), 1e-300)):
+    if np.any(total_err > 10.0 * (atol + rtol * np.maximum(np.abs(total), 1e-300))):
         raise QuadratureFailure(
-            f"panel budget exhausted: err={total_err:.3g} over [{a:g},{b:g}]")
-    return total, total_err
+            f"panel budget exhausted: err={float(np.max(total_err)):.3g}"
+            f" over [{a:g},{b:g}]")
+    return total, float(np.max(total_err))
 
 
 @dataclass
 class ImproperResult:
     status: str                      # "converged" | "diverged" | "inconclusive"
-    value: object = None             # limit (converged) or +inf marker (diverged)
+    value: object = None             # limit (+inf in diverged components) or None
     trace: list = field(default_factory=list)
     evidence: dict = field(default_factory=dict)
 
@@ -129,6 +161,45 @@ class ImproperResult:
     @property
     def diverged(self):
         return self.status == "diverged"
+
+
+class _Components:
+    """Outcome of each component of an improper driver's value."""
+
+    def __init__(self, n):
+        self.status = ["open"] * n
+        self.evidence = [None] * n
+        self.last = None
+
+    def open(self):
+        return [c for c, s in enumerate(self.status) if s == "open"]
+
+    def open_mask(self, shape):
+        return np.array([s == "open" for s in self.status]).reshape(shape)
+
+    def decide(self, c, status, evidence):
+        self.status[c] = status
+        self.evidence[c] = evidence
+        self.last = evidence
+
+    def with_components(self, evidence):
+        if len(self.status) == 1:
+            return evidence
+        return {**evidence, "components": self.evidence}
+
+    def result(self, value, trace, budget):
+        """The driver's result once every component is decided or the
+        level budget is spent; ``value`` holds each component's final
+        value."""
+        if "open" in self.status:
+            return ImproperResult("inconclusive", value, trace,
+                                  self.with_components(budget))
+        if "converged" not in self.status:
+            return ImproperResult("diverged", None, trace, self.with_components(self.last))
+        if "diverged" in self.status:
+            diverged = np.array([s == "diverged" for s in self.status])
+            value = np.where(diverged.reshape(np.shape(value)), INF, value)
+        return ImproperResult("converged", value, trace, self.with_components(self.last))
 
 
 def default_anchor(a, b):
@@ -168,7 +239,9 @@ def improper_limit(slab, a, b, *, rtol=1e-8, atol=1e-12, diverge=1e10,
 
     ``slab(lo, hi)`` must return the integral over the finite slab [lo, hi].
     The driver accumulates the integral over nested windows and applies the
-    Cauchy / magnitude policy described in the module docstring.
+    Cauchy / magnitude policy described in the module docstring to each
+    component.  A signed vector with a divergent component has no limit, so
+    the first component past ``diverge`` ends the run as diverged.
     """
     sched = window_schedule(a, b, levels, p0=p0, q0=q0)
     p_prev, q_prev = sched[0]
@@ -178,7 +251,8 @@ def improper_limit(slab, a, b, *, rtol=1e-8, atol=1e-12, diverge=1e10,
         return ImproperResult("inconclusive", None, [],
                               {"rule": "slab-quadrature-failure", "detail": str(e)})
     trace = [(p_prev, q_prev, np.array(value, copy=True))]
-    stable = 0
+    comps = _Components(value.size)
+    stable = [0] * value.size
     for (p, q) in sched[1:]:
         inc = 0.0
         try:
@@ -190,41 +264,50 @@ def improper_limit(slab, a, b, *, rtol=1e-8, atol=1e-12, diverge=1e10,
             return ImproperResult("inconclusive", value, trace,
                                   {"rule": "slab-quadrature-failure",
                                    "detail": str(e)})
-        new_value = value + inc
-        delta = np.max(np.abs(new_value - value))
+        # a decided component keeps the value of the level that decided it
+        new_value = np.where(comps.open_mask(value.shape), value + inc, value)
+        delta = np.abs(new_value - value).reshape(-1)
         value = new_value
         trace.append((p, q, np.array(value, copy=True)))
         p_prev, q_prev = p, q
-        if np.max(np.abs(value)) > diverge:
-            return ImproperResult("diverged", None, trace,
-                                  {"rule": "magnitude", "magnitude": float(np.max(np.abs(value)))})
-        scale = max(1.0, float(np.max(np.abs(value))))
-        if delta < rtol * scale + atol:
-            stable += 1
-            if stable >= consec:
-                return ImproperResult("converged", value, trace,
-                                      {"levels": len(trace) - 1})
-        else:
-            stable = 0
+        mags = np.abs(value).reshape(-1)
+        for c in comps.open():
+            if mags[c] > diverge:
+                # a vector with a divergent component has no limit
+                comps.decide(c, "diverged", {"rule": "magnitude",
+                                             "magnitude": float(mags[c])})
+                return ImproperResult("diverged", None, trace,
+                                      comps.with_components(comps.last))
+            scale = max(1.0, float(mags[c]))
+            if delta[c] < rtol * scale + atol:
+                stable[c] += 1
+                if stable[c] >= consec:
+                    comps.decide(c, "converged", {"levels": len(trace) - 1})
+            else:
+                stable[c] = 0
+        if not comps.open():
+            return comps.result(value, trace, None)
     # budget exhausted: extrapolate an exactly geometric increment sequence
-    incs = [np.atleast_1d(trace[i + 1][2] - trace[i][2]).ravel()
-            for i in range(len(trace) - 1)][-6:]
-    norms = [float(np.linalg.norm(v)) for v in incs]
-    if len(norms) >= 5 and min(norms) > 0:
-        ratios = [norms[i + 1] / norms[i] for i in range(len(norms) - 1)]
-        spread = (max(ratios) - min(ratios)) / max(min(ratios), 1e-300)
-        aligned = all(
-            float(np.real(np.vdot(incs[i], incs[i + 1]))) >
-            0.999 * norms[i] * norms[i + 1]
-            for i in range(len(incs) - 1))
-        if max(ratios) < 0.998 and spread < 1e-4 and aligned:
-            rho = float(np.mean(ratios))
-            tail = incs[-1].reshape(np.shape(trace[-1][2])) * rho / (1.0 - rho)
-            return ImproperResult("converged", value + tail, trace,
-                                  {"rule": "tight-geometric-extrapolation",
-                                   "ratio": rho})
-    return ImproperResult("inconclusive", value, trace,
-                          {"rule": "budget", "levels": levels})
+    tails = np.zeros_like(value)
+    for c in comps.open():
+        incs = [np.atleast_1d(trace[i + 1][2].reshape(-1)[c] - trace[i][2].reshape(-1)[c])
+                for i in range(len(trace) - 1)][-6:]
+        norms = [float(np.linalg.norm(v)) for v in incs]
+        if len(norms) >= 5 and min(norms) > 0:
+            ratios = [norms[i + 1] / norms[i] for i in range(len(norms) - 1)]
+            spread = (max(ratios) - min(ratios)) / max(min(ratios), 1e-300)
+            aligned = all(
+                float(np.real(np.vdot(incs[i], incs[i + 1]))) >
+                0.999 * norms[i] * norms[i + 1]
+                for i in range(len(incs) - 1))
+            if max(ratios) < 0.998 and spread < 1e-4 and aligned:
+                rho = float(np.mean(ratios))
+                tails.reshape(-1)[c] = incs[-1][0] * rho / (1.0 - rho)
+                comps.decide(c, "converged", {"rule": "tight-geometric-extrapolation",
+                                              "ratio": rho})
+    if comps.open():
+        return comps.result(value, trace, {"rule": "budget", "levels": levels})
+    return comps.result(value + tails, trace, None)
 
 
 def improper_nonneg(slab, a, b, *, rtol=1e-9, atol=1e-13, blowup=1e12,
@@ -234,7 +317,8 @@ def improper_nonneg(slab, a, b, *, rtol=1e-9, atol=1e-13, blowup=1e12,
 
     Returns :class:`ImproperResult`; on ``"converged"`` the value includes a
     geometric extrapolation of the remaining tail when the window ratio is
-    certifiably below one, and the evidence records the tail bound.
+    certifiably below one, and the evidence records the tail bound.  Each
+    component of a vector integrand is certified on its own.
     """
     sched = window_schedule(a, b, levels, p0=p0, q0=q0)
     p_prev, q_prev = sched[0]
@@ -244,10 +328,11 @@ def improper_nonneg(slab, a, b, *, rtol=1e-9, atol=1e-13, blowup=1e12,
         return ImproperResult("inconclusive", None, [],
                               {"rule": "slab-quadrature-failure", "detail": str(e)})
     total = np.array(first, dtype=float, copy=True)
-    windows = []          # per-level added mass (max over components)
+    windows = []          # per-level added mass of each component
     trace = [(p_prev, q_prev, float(np.max(total)))]
-    stable = 0
-    growing = 0
+    comps = _Components(total.size)
+    stable = [0] * total.size
+    growing = [0] * total.size
     for (p, q) in sched[1:]:
         inc = np.zeros_like(total)
         try:
@@ -259,70 +344,78 @@ def improper_nonneg(slab, a, b, *, rtol=1e-9, atol=1e-13, blowup=1e12,
             return ImproperResult("inconclusive", total, trace,
                                   {"rule": "slab-quadrature-failure",
                                    "detail": str(e)})
-        if np.any(inc < -1e-12 * max(1.0, float(np.max(np.abs(total))))):
+        # a decided component keeps the value of the level that decided it
+        inc = np.where(comps.open_mask(total.shape), inc, 0.0)
+        if np.any(inc < -1e-12 * np.maximum(1.0, np.abs(total))):
             raise QuadratureFailure("negative window in nonnegative improper integral")
         total = total + inc
-        w = float(np.max(inc))
-        windows.append(w)
+        windows.append(inc.reshape(-1).tolist())
         trace.append((p, q, float(np.max(total))))
         p_prev, q_prev = p, q
-        if float(np.max(total)) > blowup:
-            return ImproperResult("diverged", None, trace,
-                                  {"rule": "threshold", "partial": float(np.max(total))})
-        scale = max(1.0, float(np.max(total)))
-        if w < rtol * scale + atol:
-            stable += 1
-            if stable >= consec:
-                return ImproperResult("converged", total, trace,
-                                      {"rule": "stabilized", "tail_bound": w})
-        else:
-            stable = 0
-        if len(windows) >= 2:
-            # only (near-)nondecreasing window masses are divergence
-            # evidence; geometric decay however slow is not
-            if w >= 0.999 * windows[-2] and w > floor * scale:
-                growing += 1
+        tot = total.reshape(-1)
+        for c in comps.open():
+            w = windows[-1][c]
+            if float(tot[c]) > blowup:
+                comps.decide(c, "diverged", {"rule": "threshold",
+                                             "partial": float(tot[c])})
+                continue
+            scale = max(1.0, float(tot[c]))
+            if w < rtol * scale + atol:
+                stable[c] += 1
+                if stable[c] >= consec:
+                    comps.decide(c, "converged", {"rule": "stabilized", "tail_bound": w})
+                    continue
             else:
-                growing = 0
-            if growing >= grow_consec:
-                return ImproperResult(
-                    "diverged", None, trace,
-                    {"rule": "nondecreasing-windows", "window": w,
-                     "count": growing})
-        if len(windows) >= 10:
-            # windows settled on a positive level (harmonic-type series):
-            # genuine geometric decay loses visibly over five doublings,
-            # and a rising transient fails the narrow-band requirement
-            lagged = windows[-6]
-            recent = windows[-3:]
-            if lagged > floor * scale and min(recent) > floor * scale \
-                    and all(0.90 * lagged <= v <= 1.02 * lagged for v in recent) \
-                    and max(recent) <= 1.05 * min(recent):
-                return ImproperResult(
-                    "diverged", None, trace,
-                    {"rule": "non-vanishing-windows", "window": w,
-                     "lagged": lagged})
+                stable[c] = 0
+            if len(windows) >= 2:
+                # only (near-)nondecreasing window masses are divergence
+                # evidence; geometric decay however slow is not
+                if w >= 0.999 * windows[-2][c] and w > floor * scale:
+                    growing[c] += 1
+                else:
+                    growing[c] = 0
+                if growing[c] >= grow_consec:
+                    comps.decide(c, "diverged", {"rule": "nondecreasing-windows",
+                                                 "window": w, "count": growing[c]})
+                    continue
+            if len(windows) >= 10:
+                # windows settled on a positive level (harmonic-type series):
+                # genuine geometric decay loses visibly over five doublings,
+                # and a rising transient fails the narrow-band requirement
+                lagged = windows[-6][c]
+                recent = [v[c] for v in windows[-3:]]
+                if lagged > floor * scale and min(recent) > floor * scale \
+                        and all(0.90 * lagged <= v <= 1.02 * lagged for v in recent) \
+                        and max(recent) <= 1.05 * min(recent):
+                    comps.decide(c, "diverged", {"rule": "non-vanishing-windows",
+                                                 "window": w, "lagged": lagged})
+        if not comps.open():
+            return comps.result(total, trace, None)
     # Budget exhausted: attempt geometric tail certification.
-    tail = [w for w in windows[-6:] if w > 0]
-    if len(tail) >= 4:
+    bounds = np.zeros_like(total)
+    for c in comps.open():
+        tail = [v[c] for v in windows[-6:] if v[c] > 0]
+        if len(tail) < 4:
+            continue
         ratios = [tail[i + 1] / tail[i] for i in range(len(tail) - 1)]
         rho = max(ratios)
         spread = (max(ratios) - min(ratios)) / max(min(ratios), 1e-300)
         if rho < 0.97:
             bound = tail[-1] * rho / (1.0 - rho)
-            return ImproperResult("converged", total + bound, trace,
-                                  {"rule": "geometric-tail", "tail_bound": bound,
-                                   "ratio": rho})
+            bounds.reshape(-1)[c] = bound
+            comps.decide(c, "converged", {"rule": "geometric-tail", "tail_bound": bound,
+                                          "ratio": rho})
         # exactly geometric decay (pure power integrands): the extrapolated
         # tail is exact up to the quadrature noise in the ratio estimate
-        if rho < 0.998 and spread < 1e-4:
+        elif rho < 0.998 and spread < 1e-4:
             rho_hat = float(np.mean(ratios))
             bound = tail[-1] * rho_hat / (1.0 - rho_hat)
-            return ImproperResult("converged", total + bound, trace,
-                                  {"rule": "tight-geometric-extrapolation",
-                                   "tail_bound": bound, "ratio": rho_hat})
-    return ImproperResult("inconclusive", total, trace,
-                          {"rule": "budget", "levels": levels})
+            bounds.reshape(-1)[c] = bound
+            comps.decide(c, "converged", {"rule": "tight-geometric-extrapolation",
+                                          "tail_bound": bound, "ratio": rho_hat})
+    if comps.open():
+        return comps.result(total, trace, {"rule": "budget", "levels": levels})
+    return comps.result(total + bounds, trace, None)
 
 
 def slab_quad(fn, *, rtol=1e-10, atol=1e-14):

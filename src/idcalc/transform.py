@@ -75,11 +75,12 @@ class ScaleMixtureMeasure(LevyMeasure):
     """The scale mixture nu~(B) = int nu(B/u) m(du) of a base Levy measure.
 
     Every functional of nu~ is the matching functional of the base measure
-    at scale u, mixed over m.  A subclass supplies m through one hook,
-    ``_mix(per_scale, nonneg, label, atol)``: it integrates the per-scale
-    values (vectorized over an array of scales) against m, returns INF for
-    a certified divergence when ``nonneg``, and may name ``label`` in its
-    error and use ``atol`` as its absolute panel tolerance.
+    at scale u, mixed over m; the base answers for all the scales of an
+    outer quadrature panel in one call.  A subclass supplies m through one
+    hook, ``_mix(per_scale, nonneg, label, atol)``: it integrates the
+    per-scale values (vectorized over an array of scales) against m,
+    returns INF for a certified divergence when ``nonneg``, and may name
+    ``label`` in its error and use ``atol`` as its absolute panel tolerance.
     """
 
     base: LevyMeasure
@@ -95,19 +96,11 @@ class ScaleMixtureMeasure(LevyMeasure):
             out[i] = value(u)
         return out
 
-    def integral(self, h, lo=0.0, hi=INF):
+    def scaled_integral(self, h, us, lo=0.0, hi=INF):
         if self.base.is_zero():
-            return 0.0
-
-        def per_scale(vs):
-            return np.array([0.0 if v == 0.0 else
-                             self.base.scaled_integral(h, v, lo, hi) for v in vs])
-        return float(np.max(self._mix(per_scale, nonneg=True)))
-
-    def scaled_integral(self, h, u, lo=0.0, hi=INF):
-        if u == 0.0:
-            return 0.0
-        return self.integral(lambda x: h(u * x), lo / abs(u), hi / abs(u))
+            return np.zeros(np.atleast_1d(us).shape)
+        return self._per_u(us, lambda u: 0.0 if u == 0.0 else float(np.max(self._mix(
+            lambda vs: self.base.scaled_integral(h, u * vs, lo, hi), nonneg=True))))
 
     def clip2_scaled(self, us):
         return self._per_u(us, lambda u: 0.0 if u == 0.0 else self._mix(
@@ -150,21 +143,10 @@ class ScaleMixtureMeasure(LevyMeasure):
             out[i] = float(np.max(self._mix(per_scale, nonneg=True, atol=1e-12)))
         return out
 
-    def vector_weighted(self, w, lo=0.0, hi=INF):
-        def per_scale(vs):
-            rows = []
-            for v in vs:
-                if v == 0.0:
-                    rows.append(np.zeros(self.dim))
-                    continue
-                av = abs(v)
-
-                def w2(r, av=av):
-                    return np.asarray(w(av * r), dtype=float)
-                rows.append(v * np.asarray(
-                    self.base.vector_weighted(w2, lo / av, hi / av)))
-            return np.asarray(rows)
-        return np.asarray(self._mix(per_scale, label="moment vector"))
+    def vector_weighted_scaled(self, w, us, lo=0.0, hi=INF):
+        return self._per_u(us, lambda u: 0.0 if u == 0.0 else self._mix(
+            lambda vs: self.base.vector_weighted_scaled(w, u * vs, lo, hi),
+            label="moment vector"), shape=(self.dim,))
 
     def is_symmetric(self):
         return self.base.is_symmetric()
@@ -449,7 +431,7 @@ def compensated_verdict(k: Kernel, t: Triplet, use_rules=True) -> Verdict:
     if not cond.is_yes:
         return cond
     try:
-        _phi_c(k, t, rules)
+        _phi_c(k, t, rules, cond)
         return Verdict.yes("compensation-found")
     except NotDefinable as e:
         return Verdict.no(e.reason)
@@ -496,11 +478,12 @@ def _drive_gamma(k: Kernel, t: Triplet):
     return improper_limit(_gamma_slab(k, t), k.a, k.b, rtol=1e-8)
 
 
-def _gate(k: Kernel, t: Triplet, rules: dict, which=None) -> Verdict:
+def _gate(k: Kernel, t: Triplet, rules: dict, which=None, cond=None) -> Verdict:
     """The definability gate of the transforms: the essential conditions
     must hold, and the closed-form rule for ``which`` must not exclude the
-    law.  Returns the essential verdict."""
-    cond = _essential(k, t, rules)
+    law.  Returns the essential verdict; a caller that has computed it
+    already hands it in as ``cond``."""
+    cond = _essential(k, t, rules) if cond is None else cond
     if cond.is_no:
         raise NotDefinable(cond.reason, cond.witness)
     if cond.is_unknown:
@@ -609,8 +592,8 @@ def phi_c(k: Kernel, t: Triplet) -> TransformResult:
     return _phi_c(k, t, _rules(k, t))
 
 
-def _phi_c(k: Kernel, t: Triplet, rules: dict) -> TransformResult:
-    cond = _gate(k, t, rules, "compensated")
+def _phi_c(k: Kernel, t: Triplet, rules: dict, cond=None) -> TransformResult:
+    cond = _gate(k, t, rules, "compensated", cond)
     fres = _kernel_mass_limit(k)
     gres = _drive_gamma(k, t)
     diag = {"condition": cond.reason, "kernel_mass": fres.status}

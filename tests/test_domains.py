@@ -241,6 +241,13 @@ class TestLargeness:
         cls, info = classify_largeness(kfn())
         assert cls is want, info["evidence"]
 
+    def test_evidence_holds_no_alias_keys(self):
+        # every evidence key is a condition some class or label reads
+        ev, _ = largeness_conditions(power_at_zero_kernel(0.75))
+        assert "ab-into-absolute" not in ev
+        assert {c.value for c in LargenessClass} - {"none"} <= set(ev)
+        assert ev["ab-preserving"].is_yes
+
     def test_implication_chain_never_violated(self):
         # the implied weaker classes of the chosen class must not test false
         imples = {

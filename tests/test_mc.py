@@ -194,3 +194,34 @@ class TestImproperConvergenceWitness:
         assert devs[-1] < 4.0
         # the short window is visibly different
         assert devs[0] > devs[-1]
+
+
+def test_mesh_choice_computes_exact_exponents_once(monkeypatch):
+    import dataclasses
+    import idcalc.mc as mc
+    calls = []
+    original = mc._window_exponent_value
+
+    def counted(*args):
+        calls.append(1)
+        return original(*args)
+    monkeypatch.setattr(mc, "_window_exponent_value", counted)
+    k, t = exp_kernel(), cp_unit()
+    cfg = SimConfig(mesh_points=8, n_paths=20_000, seed=3)
+    samples = sample_integral(k, t, 0.0, 8.0, cfg)
+    probe = mc._probe_grid(1)
+    assert len(calls) == len(probe)
+    # the chosen mesh is the first doubling whose gap meets the target
+    exact = [original(k, t, 0.0, 8.0, z) for z in probe]
+    target = 0.5 / math.sqrt(cfg.n_paths)
+    meshes = [8 * 2 ** i for i in range(12)]
+    gaps = [mc._mesh_bias(k, t, 0.0, 8.0, m, probe, exact) for m in meshes]
+    chosen = meshes[next(i for i, g in enumerate(gaps) if g <= target)]
+    assert chosen > 8
+    # a mesh that cannot double is never checked: no quadrature, and the
+    # same samples as the checked run
+    calls.clear()
+    fixed = sample_integral(k, t, 0.0, 8.0, dataclasses.replace(
+        cfg, mesh_points=chosen, max_mesh_points=chosen))
+    assert calls == []
+    np.testing.assert_array_equal(samples, fixed)

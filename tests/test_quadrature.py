@@ -98,3 +98,73 @@ def test_slab_failure_is_inconclusive():
 def test_bisect_monotone_decreasing():
     s = bisect_monotone(lambda x: math.exp(-x), 0.3, 0.0, 10.0, increasing=False)
     assert abs(s - math.log(1 / 0.3)) < 1e-10
+
+
+class TestComponentwiseCertification:
+    """Each component of a vector value is certified as if it ran alone."""
+
+    PEAK = staticmethod(lambda x: 1.0 / (1e-4 + (x - 0.3) ** 2))
+    PEAK_MASS = (math.atan(70.0) + math.atan(30.0)) / 1e-2
+
+    @pytest.mark.parametrize("first", ["peak", "one"])
+    def test_small_component_meets_its_own_tolerance(self, first):
+        # [f, 1e-8 f], and [1, 1e-8 f] whose small component alone has the
+        # peak: under one shared max-norm tolerance it came out 1.5e-2 off
+        f = self.PEAK
+        big = f if first == "peak" else np.ones_like
+        want = np.array([self.PEAK_MASS if first == "peak" else 1.0,
+                         1e-8 * self.PEAK_MASS])
+        v, _ = adaptive_quad(lambda x: np.stack([big(x), 1e-8 * f(x)], axis=1),
+                             0.0, 1.0, rtol=1e-6, atol=0.0)
+        assert np.all(np.abs(v - want) <= 1e-6 * want)
+
+    def test_one_component_vector_runs_as_scalar(self):
+        f = self.PEAK
+        v, err = adaptive_quad(f, 0.0, 1.0, rtol=1e-9)
+        vv, errv = adaptive_quad(lambda x: f(x)[:, None], 0.0, 1.0, rtol=1e-9)
+        assert vv.shape == (1,) and vv[0] == v and errv == err
+
+    @staticmethod
+    def _power_slab(e):
+        # exact integral of r^e over [p, q]
+        return lambda p, q: (q ** (e + 1.0) - p ** (e + 1.0)) / (e + 1.0)
+
+    def test_nonneg_batch_equals_scalar_runs(self):
+        expos = [-1.5, -3.0, -0.8, -1.1, -2.2]   # -0.8 diverges
+        slabs = [self._power_slab(e) for e in expos]
+        solo = [improper_nonneg(s, 1.0, INF) for s in slabs]
+        both = improper_nonneg(lambda p, q: np.array([s(p, q) for s in slabs]),
+                               1.0, INF)
+        assert both.converged
+        assert [r.status for r in solo] == \
+            ["converged", "converged", "diverged", "converged", "converged"]
+        for c, r in enumerate(solo):
+            assert both.evidence["components"][c] == r.evidence
+            assert both.value[c] == (INF if r.diverged else r.value)
+        assert both.evidence["rule"] == max(
+            solo, key=lambda r: len(r.trace)).evidence["rule"]
+
+    def test_limit_batch_equals_scalar_runs(self):
+        slabs = [self._power_slab(-1.5), lambda p, q: math.exp(-p) - math.exp(-q),
+                 self._power_slab(-2.5)]
+        solo = [improper_limit(s, 1.0, INF) for s in slabs]
+        both = improper_limit(lambda p, q: np.array([s(p, q) for s in slabs]), 1.0, INF)
+        assert both.converged and all(r.converged for r in solo)
+        for c, r in enumerate(solo):
+            assert both.evidence["components"][c] == r.evidence
+            assert both.value[c] == r.value
+
+    def test_limit_with_divergent_component_diverges(self):
+        # a signed vector with a divergent component has no limit
+        slabs = [self._power_slab(-1.5), lambda p, q: q - p]
+        solo = improper_limit(slabs[1], 1.0, INF, diverge=1e6)
+        both = improper_limit(lambda p, q: np.array([s(p, q) for s in slabs]),
+                              1.0, INF, diverge=1e6)
+        assert solo.diverged and both.diverged and both.value is None
+        assert both.evidence["rule"] == "magnitude"
+        assert both.evidence["components"][1] == solo.evidence
+        assert len(both.trace) == len(solo.trace)
+
+    def test_all_diverged_is_diverged(self):
+        res = improper_nonneg(lambda p, q: np.array([q - p, 2.0 * (q - p)]), 1.0, INF)
+        assert res.diverged and res.value is None

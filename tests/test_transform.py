@@ -277,6 +277,24 @@ class TestPhiAB:
         with pytest.raises(NotABLaw):
             phi_ab(exp_kernel(), ic.Triplet(1.0, None, [0.0]))
 
+    @staticmethod
+    def _identity_defect(k, t, zs=(-2.0, 0.5, 1.3, 2.4)):
+        res = phi_ab(k, t)
+        return max(abs(ic.cumulant(res.triplet, np.array([z]))
+                       - direct_exponent(k, t, np.array([z]))) for z in zs)
+
+    def test_blowup_kernel_one_sided_stable(self):
+        # the location correction mixes the stable moment vector over scales
+        # up to f = s^-0.8 -> inf; per-scale radial drivers left it 1.5e-3 off
+        t = ic.Triplet(0.0, ic.StableMeasure(0.6, [[1.0]], [1.0]), [0.2])
+        assert self._identity_defect(power_at_zero_kernel(0.8), t) < 1e-5
+
+    def test_exp_kernel_one_sided_stable(self):
+        # was an InconclusiveError: the signed radial driver of the smallest
+        # scales did not stabilize
+        t = ic.Triplet(0.0, ic.StableMeasure(0.6, [[1.0]], [1.0]), [0.1])
+        assert self._identity_defect(exp_kernel(), t) < 1e-8
+
 
 class TestPsi:
     def test_atom_times_atom(self):
@@ -457,6 +475,20 @@ class TestRuleLookup:
         monkeypatch.setattr(domains, "domain_rule_verdicts", broken)
         with pytest.raises(TypeError):
             phi(exp_kernel(), ic.Triplet(1.0, None, [0.3]))
+
+
+def test_compensated_verdict_runs_essential_numerics_once(monkeypatch):
+    import idcalc.transform as transform
+    calls = []
+    original = transform._jump_condition
+
+    def counted(k, t):
+        calls.append(1)
+        return original(k, t)
+    monkeypatch.setattr(transform, "_jump_condition", counted)
+    t = ic.Triplet(0.0, ic.AtomicMeasure([[1.0], [-0.5]], [2.0, 1.0]), [0.2])
+    assert compensated_verdict(exp_kernel(), t, use_rules=False).is_yes
+    assert len(calls) == 1
 
 
 class TestCompensatedPowerTail:
