@@ -11,13 +11,16 @@ from __future__ import annotations
 import argparse
 import csv
 import datetime
+import functools
 import json
 import math
 import os
 import sys
 
 import numpy as np
-from jsonschema import ValidationError, validate
+from jsonschema import ValidationError
+from jsonschema.exceptions import best_match
+from jsonschema.validators import validator_for
 
 from . import schemas
 from .errors import (
@@ -75,6 +78,26 @@ INF = math.inf
 # ---------------------------------------------------------------------------
 # JSON -> objects
 # ---------------------------------------------------------------------------
+
+# id(schema) -> (schema, compiled validator); the schema is held so that its
+# id is not reused while the entry lives
+_VALIDATORS = {}
+
+
+def validate(instance, schema):
+    """``jsonschema.validate`` with the schema checked against its
+    meta-schema and compiled once per process, at first use: raises the
+    same best-match ``ValidationError``, and the same
+    ``jsonschema.exceptions.SchemaError`` for a bad schema."""
+    entry = _VALIDATORS.get(id(schema))
+    if entry is None:
+        cls = validator_for(schema)
+        cls.check_schema(schema)
+        entry = _VALIDATORS[id(schema)] = (schema, cls(schema))
+    error = best_match(entry[1].iter_errors(instance))
+    if error is not None:
+        raise error
+
 
 def _measure_from_spec(spec, dim):
     kind = spec["type"]
@@ -217,8 +240,8 @@ def _plain(obj):
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _cmd_classify(args, report):
-    t = _load_triplet(args)
+def _cmd_classify(args, inputs, report):
+    t = _load_triplet(args, inputs)
     results = {"type": classify_type(t).value}
     for label, fn in (("drift", drift), ("mean", mean)):
         try:
@@ -229,8 +252,8 @@ def _cmd_classify(args, report):
     return 0
 
 
-def _cmd_dual(args, report):
-    t = _load_triplet(args)
+def _cmd_dual(args, inputs, report):
+    t = _load_triplet(args, inputs)
     d = dual(t)
     report["results"] = {"dual": triplet_to_spec(d)}
     return 0
@@ -248,9 +271,9 @@ def _summarize_result(res):
     return out
 
 
-def _cmd_transform(args, report):
-    t = _load_triplet(args)
-    k = _load_kernel(args)
+def _cmd_transform(args, inputs, report):
+    t = _load_triplet(args, inputs)
+    k = _load_kernel(args, inputs)
     fn = _TRANSFORMS[args.variant]
     try:
         res = fn(k, t)
@@ -266,9 +289,9 @@ def _cmd_transform(args, report):
     return 0
 
 
-def _cmd_domain(args, report):
-    t = _load_triplet(args)
-    k = _load_kernel(args)
+def _cmd_domain(args, inputs, report):
+    t = _load_triplet(args, inputs)
+    k = _load_kernel(args, inputs)
     out = {}
     rc = 0
     verdicts = {
@@ -291,8 +314,8 @@ def _cmd_domain(args, report):
     return rc
 
 
-def _cmd_largeness(args, report):
-    k = _load_kernel(args)
+def _cmd_largeness(args, inputs, report):
+    k = _load_kernel(args, inputs)
     cls, info = classify_largeness(k)
     psi_cls, psi_ev = psi_largeness(k)
     report["results"] = {
@@ -307,8 +330,8 @@ def _cmd_largeness(args, report):
     return 0
 
 
-def _cmd_tau(args, report):
-    k = _load_kernel(args)
+def _cmd_tau(args, inputs, report):
+    k = _load_kernel(args, inputs)
     tau = tau_measure(k)
     ok, witness = check_condition_B(tau)
     grid = np.linspace(args.tau_lo, args.tau_hi, args.tau_cells + 1)
@@ -329,9 +352,9 @@ def _cmd_tau(args, report):
     return 0
 
 
-def _cmd_psi(args, report):
-    t = _load_triplet(args)
-    k = _load_kernel(args)
+def _cmd_psi(args, inputs, report):
+    t = _load_triplet(args, inputs)
+    k = _load_kernel(args, inputs)
     try:
         out = psi(k, t.nu)
     except NotInDomain as e:
@@ -352,9 +375,9 @@ def _cmd_psi(args, report):
     return 0
 
 
-def _cmd_simulate(args, report):
-    t = _load_triplet(args)
-    k = _load_kernel(args)
+def _cmd_simulate(args, inputs, report):
+    t = _load_triplet(args, inputs)
+    k = _load_kernel(args, inputs)
     cfg = SimConfig(mesh_points=args.mesh, n_paths=args.paths, seed=args.seed,
                     small_jump_cutoff=args.cutoff,
                     gaussian_compensation=args.gaussian_compensation)
@@ -410,17 +433,33 @@ def _load_json(path):
         raise SchemaError(f"cannot read {path}: {e}")
 
 
-def _load_triplet(args):
+def _read_inputs(args, report):
+    """Parse each ``--dist``/``--kernel`` file once; returns the parsed
+    specs by argument.  The report records each spec, or the argument as
+    given when it names no file."""
+    specs = {}
+    for attr in ("dist", "kernel"):
+        path = getattr(args, attr, None)
+        if path and os.path.exists(path):
+            report["inputs"][attr] = specs[attr] = _load_json(path)
+        elif path:
+            report["inputs"][attr] = path
+    return specs
+
+
+def _load_triplet(args, inputs):
     if not args.dist:
         raise SchemaError("this command needs --dist")
-    return triplet_from_spec(_load_json(args.dist))
+    if "dist" not in inputs:
+        raise SchemaError(f"distribution file not found: {args.dist}")
+    return triplet_from_spec(inputs["dist"])
 
 
-def _load_kernel(args):
+def _load_kernel(args, inputs):
     if not args.kernel:
         raise SchemaError("this command needs --kernel")
-    if os.path.exists(args.kernel):
-        return kernel_from_spec(_load_json(args.kernel))
+    if "kernel" in inputs:
+        return kernel_from_spec(inputs["kernel"])
     # shorthand: bare built-in name with defaults
     name = args.kernel
     if name in ("exp", "log_inv", "double_exp", "sinc", "indicator"):
@@ -434,7 +473,10 @@ def _outdir(args):
     return out
 
 
+@functools.cache
 def build_parser():
+    """The ``idcalc`` argument parser, built once per process: parsing
+    returns a fresh namespace on each call and leaves the parser as it was."""
     ap = argparse.ArgumentParser(
         prog="idcalc",
         description="transforms and domain calculus for infinitely divisible laws")
@@ -495,8 +537,7 @@ _COMMANDS = {
 
 
 def run(argv=None):
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = build_parser().parse_args(argv)
     report = {
         "schema_version": schemas.SCHEMA_VERSION,
         "command": args.command,
@@ -505,14 +546,9 @@ def run(argv=None):
         "results": {},
         "generated_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
-    for attr in ("dist", "kernel"):
-        path = getattr(args, attr, None)
-        if path and os.path.exists(path):
-            report["inputs"][attr] = _load_json(path)
-        elif path:
-            report["inputs"][attr] = path
     try:
-        rc = _COMMANDS[args.command](args, report)
+        inputs = _read_inputs(args, report)
+        rc = _COMMANDS[args.command](args, inputs, report)
     except SchemaError as e:
         report["status"] = "error"
         report["results"] = {"error": str(e)}

@@ -152,7 +152,8 @@ class _JumpSampler:
             m = int(mask.sum())
             if m:
                 jumps[mask] = draw(rng, m)
-        np.add.at(out, owners, jumps)
+        for j in range(self.dim):
+            out[:, j] = np.bincount(owners, weights=jumps[:, j], minlength=n)
         return out
 
 

@@ -676,7 +676,12 @@ class GammaMeasure(LevyMeasure):
 
     The clipped moments, the centering integral and the characteristic
     exponent all reduce to exponential integrals and the sine/cosine
-    integrals, so the transform machinery runs in closed form.
+    integrals, so the transform machinery runs in closed form.  With
+    x = rate/|u|, the clipped moments use the cancellation-free forms
+    1 - (1 + x) e^-x = P(2, x) (the regularized lower incomplete gamma
+    function, as Gamma(2) = 1) and 1 - e^-x = -expm1(-x), which stay
+    accurate to rounding at the large scales |u| (small x) that the
+    improper drivers reach.
     """
 
     def __init__(self, shape, rate, direction):
@@ -703,15 +708,15 @@ class GammaMeasure(LevyMeasure):
         return self._polar.scaled_integral(h, us, lo, hi)
 
     def clip2_scaled(self, us):
-        from scipy.special import exp1
+        from scipy.special import exp1, gammainc
         us = np.atleast_1d(np.asarray(us, dtype=float))
         au = np.abs(us)
         lam = self.rate
         out = np.zeros(us.shape)
         nz = au > 0
         with np.errstate(over="ignore"):
-            x = np.minimum(lam / au[nz], 700.0)
-        body = (1.0 - (1.0 + x) * np.exp(-x)) / (lam * lam)
+            x = lam / au[nz]
+        body = gammainc(2.0, x) / (lam * lam)    # 1 - (1 + x) e^-x
         out[nz] = self.shape * (au[nz] ** 2 * body + exp1(x))
         return out
 
@@ -723,8 +728,8 @@ class GammaMeasure(LevyMeasure):
         out = np.zeros(us.shape)
         nz = au > 0
         with np.errstate(over="ignore"):
-            x = np.minimum(lam / au[nz], 700.0)
-        body = (1.0 - np.exp(-x)) / lam
+            x = lam / au[nz]
+        body = -np.expm1(-x) / lam
         out[nz] = self.shape * (au[nz] * body + exp1(x))
         return out
 

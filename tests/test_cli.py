@@ -214,3 +214,108 @@ def test_env_var_output_dir(tmp_path, gaussian, expk, capsys, monkeypatch):
     rc = run(["transform", "--kernel", expk, "--dist", gaussian])
     assert rc == 0
     assert (out / "report.json").exists()
+
+
+def test_gamma_psi_power_at_zero_answered(tmp_path, capsys):
+    # the gamma clip moments near scale 1e13 used to cancel, and the driver
+    # bisected their noise until it gave up (exit 2)
+    dist = write(tmp_path, "gamma.json",
+                 {"dim": 1, "A": 0.0, "gamma": [-0.1],
+                  "nu": {"type": "gamma", "shape": 1.0, "rate": 1.0,
+                         "direction": [1.0]}})
+    kern = write(tmp_path, "paz08.json",
+                 {"type": "power_at_zero", "exponent": 0.8})
+    rc = run(["--out", str(tmp_path), "psi", "--kernel", kern, "--dist", dist])
+    assert rc == 0
+    assert report(tmp_path)["results"]["in_domain"] is True
+
+
+def test_truncated_input_is_an_error_report(tmp_path, expk, capsys):
+    bad = tmp_path / "truncated.json"
+    bad.write_text('{"dim": 1, "A": 0.0, "gamma": [0.')
+    rc = run(["--out", str(tmp_path), "transform", "--kernel", expk,
+              "--dist", str(bad)])
+    assert rc == 3
+    rep = report(tmp_path)
+    assert rep["status"] == "error"
+    assert rep["results"]["error"].startswith(f"cannot read {bad}")
+
+
+def test_each_input_file_read_once(tmp_path, cp, expk, capsys, monkeypatch):
+    from idcalc import cli
+    paths = []
+    original = cli._load_json
+
+    def counted(path):
+        paths.append(path)
+        return original(path)
+    monkeypatch.setattr(cli, "_load_json", counted)
+    assert run(["--out", str(tmp_path), "transform", "--kernel", expk,
+                "--dist", cp]) == 0
+    assert sorted(paths) == sorted([cp, expk])
+    assert report(tmp_path)["inputs"]["dist"]["nu"]["type"] == "atomic"
+
+
+def test_schemas_checked_once_per_process(tmp_path, gaussian, expk, capsys,
+                                          monkeypatch):
+    from jsonschema.validators import Draft202012Validator
+
+    from idcalc import cli, schemas
+    checked = []
+    original = Draft202012Validator.check_schema
+
+    def counted(schema, *args, **kwargs):
+        checked.append(schema["title"])
+        return original(schema, *args, **kwargs)
+    monkeypatch.setattr(cli, "_VALIDATORS", {})
+    monkeypatch.setattr(Draft202012Validator, "check_schema",
+                        staticmethod(counted))
+    for _ in range(10):
+        assert run(["--out", str(tmp_path), "transform", "--kernel", expk,
+                    "--dist", gaussian]) == 0
+    assert sorted(checked) == sorted([schemas.DISTRIBUTION_SCHEMA["title"],
+                                      schemas.KERNEL_SCHEMA["title"]])
+
+
+_STABLE_NU = {"type": "stable", "alpha": 0.5,
+              "directions": [{"xi": [1.0], "weight": 1.0}]}
+
+
+@pytest.mark.parametrize("kind,spec", [
+    ("distribution", {"dim": 1, "gamma": [0.0],
+                      "nu": {**_STABLE_NU, "alpha": 2.5}}),
+    ("distribution", {"gamma": [0.0], "nu": _STABLE_NU}),
+    ("distribution", {"dim": 1, "gamma": [0.0], "nu": {"type": "levy"}}),
+    ("distribution", {"dim": 1, "gamma": [0.0],
+                      "nu": {"type": "atomic",
+                             "atoms": [{"x": [1.0], "mass": -1.0}]}}),
+    ("kernel", {"type": "mystery"}),
+])
+def test_schema_error_text_matches_jsonschema(tmp_path, kind, spec, capsys):
+    import jsonschema
+
+    from idcalc import schemas
+    schema = {"distribution": schemas.DISTRIBUTION_SCHEMA,
+              "kernel": schemas.KERNEL_SCHEMA}[kind]
+    with pytest.raises(jsonschema.ValidationError) as e:
+        jsonschema.validate(spec, schema)
+    path = write(tmp_path, "bad.json", spec)
+    argv = (["classify", "--dist", path] if kind == "distribution"
+            else ["largeness", "--kernel", path])
+    assert run(["--out", str(tmp_path), *argv]) == 3
+    assert report(tmp_path)["results"]["error"] == \
+        f"{kind} spec invalid: {e.value.message}"
+
+
+def test_parser_built_once():
+    from idcalc.cli import build_parser
+    assert build_parser() is build_parser()
+
+
+def test_reused_parser_keeps_defaults(tmp_path, cp, expk, capsys):
+    common = ["--out", str(tmp_path), "simulate", "--kernel", expk,
+              "--dist", cp, "--paths", "2000", "--mesh", "8", "--seed", "5"]
+    assert run([*common, "--window", "0", "2"]) == 0
+    assert report(tmp_path)["results"]["window"] == [0.0, 2.0]
+    assert run(common) == 0
+    assert report(tmp_path)["results"]["window"] == [0.0, 4.0]

@@ -225,3 +225,40 @@ def test_mesh_choice_computes_exact_exponents_once(monkeypatch):
         cfg, mesh_points=chosen, max_mesh_points=chosen))
     assert calls == []
     np.testing.assert_array_equal(samples, fixed)
+
+
+def _sample_total_add_at(sampler, rng, counts):
+    """The scatter of ``_JumpSampler.sample_total`` written with
+    ``np.add.at``: the reference for the per-coordinate ``bincount``."""
+    from idcalc.mc import _stream_choice
+    n = counts.shape[0]
+    out = np.zeros((n, sampler.dim))
+    total = int(counts.sum())
+    if total == 0 or not sampler.parts:
+        return out
+    rates = np.array([r for r, _ in sampler.parts])
+    comp = _stream_choice(rng, rates / rates.sum(), total)
+    owners = np.repeat(np.arange(n), counts)
+    jumps = np.empty((total, sampler.dim))
+    for ci, (_, draw) in enumerate(sampler.parts):
+        mask = comp == ci
+        if mask.any():
+            jumps[mask] = draw(rng, int(mask.sum()))
+    np.add.at(out, owners, jumps)
+    return out
+
+
+@pytest.mark.parametrize("nu", [
+    ic.StableMeasure(0.8, [[1.0]], [1.0]),
+    ic.SumMeasure([ic.StableMeasure(1.3, [[1.0, 0.0], [0.6, -0.8]], [1.0, 0.5]),
+                   ic.AtomicMeasure([[0.5, 2.0]], [3.0])]),
+])
+def test_jump_scatter_matches_add_at(nu):
+    from idcalc.mc import _JumpSampler
+    sampler = _JumpSampler(nu, 1e-2)
+    counts = _stream(9, 1).poisson(3.0, size=500)
+    counts[::50] = 0          # cells with no jumps
+    for c in (counts, np.zeros(5, dtype=np.int64)):
+        got = sampler.sample_total(_stream(9, 2), c)
+        want = _sample_total_add_at(sampler, _stream(9, 2), c)
+        np.testing.assert_array_equal(got, want)

@@ -325,3 +325,36 @@ class TestScaledFunctionals:
         for nu in (ic.StableMeasure(0.7, [[1.0]], [1.0]), ic.gamma_measure(1.0, 1.0, [1.0])):
             assert isinstance(nu.as_radial(), ic.RadialMeasure)
             assert nu.as_radial() is nu.as_radial()
+
+
+@pytest.mark.parametrize("shape,rate", [(1.0, 1.0), (0.7, 2.5)])
+def test_gamma_clip_moments_match_mpmath(shape, rate):
+    # the clipped moments at scale u, with x = rate/|u|:
+    #   clip2 = shape (u^2 (1 - (1 + x) e^-x) / rate^2 + E1(x))
+    #   clip1 = shape (|u| (1 - e^-x) / rate + E1(x))
+    # evaluated in 60-digit arithmetic, where 1 - (1 + x) e^-x does not
+    # cancel at the large scales the improper drivers reach
+    import mpmath
+    us = np.array([s * 10.0 ** k for k in range(-3, 17) for s in (1.0, -1.0)])
+    gm = ic.gamma_measure(shape, rate, [1.0])
+    got2, got1 = gm.clip2_scaled(us), gm.clip1_scaled(us)
+    with mpmath.workdps(60):
+        for u, c2, c1 in zip(us, got2, got1):
+            au = abs(mpmath.mpf(u))
+            x = rate / au
+            e1 = mpmath.e1(x)
+            want2 = shape * (au ** 2 * (1 - (1 + x) * mpmath.exp(-x)) / rate ** 2 + e1)
+            want1 = shape * (au * (1 - mpmath.exp(-x)) / rate + e1)
+            assert abs(c2 - want2) <= 1e-13 * want2, u
+            assert abs(c1 - want1) <= 1e-13 * want1, u
+        # the closed forms themselves, against quadrature of the defining
+        # integrals of min(|u r|^p, 1) shape e^(-rate r) / r, split at 1/|u|
+        for u in (0.5, -3.0, 1e4):
+            a = 1 / abs(mpmath.mpf(u))
+            tail = mpmath.quad(lambda r: mpmath.exp(-rate * r) / r, [a, 1, mpmath.inf])
+            want2 = shape * (mpmath.quad(lambda r: u * u * r * mpmath.exp(-rate * r),
+                                         [0, a]) + tail)
+            want1 = shape * (mpmath.quad(lambda r: abs(u) * mpmath.exp(-rate * r),
+                                         [0, a]) + tail)
+            assert abs(gm.clip2_scaled([u])[0] - want2) <= 1e-13 * want2, u
+            assert abs(gm.clip1_scaled([u])[0] - want1) <= 1e-13 * want1, u
