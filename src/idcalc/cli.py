@@ -126,8 +126,14 @@ def triplet_from_spec(spec) -> Triplet:
     except ValidationError as e:
         raise SchemaError(f"distribution spec invalid: {e.message}")
     dim = spec["dim"]
-    nu = _measure_from_spec(spec["nu"], dim)
-    return Triplet(spec.get("A", 0.0), nu, spec["gamma"])
+    try:
+        t = Triplet(spec.get("A", 0.0), _measure_from_spec(spec["nu"], dim),
+                    spec["gamma"])
+        if t.dim != dim:
+            raise ValueError(f"dim is {dim} but gamma and nu have dimension {t.dim}")
+    except ValueError as e:
+        raise SchemaError(f"distribution spec invalid: {e}") from e
+    return t
 
 
 def triplet_to_spec(t: Triplet, nu_note=None):
@@ -167,6 +173,13 @@ def kernel_from_spec(spec) -> Kernel:
         validate(spec, schemas.KERNEL_SCHEMA)
     except ValidationError as e:
         raise SchemaError(f"kernel spec invalid: {e.message}")
+    try:
+        return _kernel_from_spec(spec)
+    except ValueError as e:
+        raise SchemaError(f"kernel spec invalid: {e}") from e
+
+
+def _kernel_from_spec(spec):
     kind = spec["type"]
     if kind == "exp":
         return BUILTIN_KERNELS["exp"](spec.get("rate", 1.0))

@@ -33,13 +33,7 @@ from .kernels import (
     PowerTail,
     kernel_window_integral,
 )
-from .measures import (
-    INF,
-    AtomicMeasure,
-    StableMeasure,
-    SumMeasure,
-    ZeroMeasure,
-)
+from .measures import INF, StableMeasure, SumMeasure
 from .quadrature import adaptive_quad, improper_limit, improper_nonneg, slab_quad
 from .verdicts import Truth, Verdict, combine_all
 
@@ -74,13 +68,6 @@ def radial_moment(nu, g, lo=0.0, hi=INF, stable_power=None, stable_log=0.0):
     stable family can be decided by the exact exponent test instead of
     window certification.
     """
-    if isinstance(nu, ZeroMeasure):
-        return 0.0
-    if isinstance(nu, AtomicMeasure):
-        mask = (nu.radii >= lo) & (nu.radii < hi)
-        if not mask.any():
-            return 0.0
-        return float((np.asarray(g(nu.radii[mask])) * nu.masses[mask]).sum())
     if isinstance(nu, SumMeasure):
         parts = [radial_moment(p, g, lo, hi, stable_power, stable_log)
                  for p in nu.parts]
@@ -167,16 +154,10 @@ def body_log_power_moment_verdict(nu, beta):
 
 def tail_first_vector(nu, s):
     """int_{|x| >= s} x nu(dx) (requires a finite tail first moment)."""
-    if isinstance(nu, AtomicMeasure):
-        m = nu.radii >= s
-        if not m.any():
-            return np.zeros(nu.dim)
-        return (nu.points[m] * nu.masses[m][:, None]).sum(axis=0)
     if isinstance(nu, StableMeasure):
         if nu.alpha <= 1.0:
             raise InconclusiveError("tail first moment diverges for this index")
-        direction = np.einsum("k,kd->d", nu.weights, nu.directions)
-        return direction * s ** (1.0 - nu.alpha) / (nu.alpha - 1.0)
+        return nu.direction_sum() * s ** (1.0 - nu.alpha) / (nu.alpha - 1.0)
     if isinstance(nu, SumMeasure):
         return sum(tail_first_vector(p, s) for p in nu.parts)
     return nu.vector_weighted(lambda r: np.ones_like(r), s, INF)
@@ -184,16 +165,10 @@ def tail_first_vector(nu, s):
 
 def body_first_vector(nu, s):
     """int_{|x| < s} x nu(dx)."""
-    if isinstance(nu, AtomicMeasure):
-        m = nu.radii < s
-        if not m.any():
-            return np.zeros(nu.dim)
-        return (nu.points[m] * nu.masses[m][:, None]).sum(axis=0)
     if isinstance(nu, StableMeasure):
         if nu.alpha >= 1.0:
             raise InconclusiveError("small-jump first moment diverges")
-        direction = np.einsum("k,kd->d", nu.weights, nu.directions)
-        return direction * s ** (1.0 - nu.alpha) / (1.0 - nu.alpha)
+        return nu.direction_sum() * s ** (1.0 - nu.alpha) / (1.0 - nu.alpha)
     if isinstance(nu, SumMeasure):
         return sum(body_first_vector(p, s) for p in nu.parts)
     return nu.vector_weighted(lambda r: np.ones_like(r), 0.0, s)

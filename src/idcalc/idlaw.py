@@ -52,6 +52,8 @@ class Triplet:
         if nu.dim != d:
             raise ValueError("Levy measure dimension mismatch")
         if validate:
+            if not (np.all(np.isfinite(A)) and np.all(np.isfinite(gamma))):
+                raise ValueError("Gaussian matrix and location must be finite")
             if np.max(np.abs(A - A.T)) > _SYM_TOL:
                 raise ValueError("Gaussian matrix must be symmetric")
             A = 0.5 * (A + A.T)

@@ -255,8 +255,8 @@ class TauMeasure:
 
 def tau_exponential(rate=1.0):
     """Exponential occupation measure (density rate e^{-rate u} on (0, inf))."""
-    if rate <= 0:
-        raise ValueError("rate must be positive")
+    if not (0 < rate < INF):
+        raise ValueError("rate must be positive and finite")
 
     def im(u1, u2):
         lo, hi = max(u1, 0.0), u2
@@ -685,8 +685,8 @@ def tau_measure(k: Kernel) -> TauMeasure:
 
 def exp_kernel(rate=1.0):
     """f(s) = exp(-rate s) on (0, inf); the selfdecomposability integrand."""
-    if rate <= 0:
-        raise ValueError("rate must be positive")
+    if not (0 < rate < INF):
+        raise ValueError("rate must be positive and finite")
     r = float(rate)
 
     def tau_builder():
@@ -765,8 +765,8 @@ def log_inverse_kernel():
 
 def power_tail_kernel(alpha):
     """f(s) = s^(-1/alpha) on (1, inf)."""
-    if alpha <= 0:
-        raise ValueError("tail index must be positive")
+    if not (0 < alpha < INF):
+        raise ValueError("tail index must be positive and finite")
     al = float(alpha)
     e1 = 1.0 - 1.0 / al
     e2 = 1.0 - 2.0 / al
@@ -826,8 +826,8 @@ def power_tail_kernel(alpha):
 
 def power_at_zero_kernel(exponent, b=1.0):
     """f(s) = s^(-exponent) on (0, b)."""
-    if exponent <= 0:
-        raise ValueError("exponent must be positive")
+    if not (0 < exponent < INF):
+        raise ValueError("exponent must be positive and finite")
     if not (0 < b < INF):
         raise ValueError("right endpoint must be finite and positive")
     q_ = float(exponent)
@@ -931,8 +931,8 @@ def log_power_kernel(beta, at_zero=False):
     """f comparable to s^-1 with a logarithmic correction of order -beta,
     at infinity (default) or at the left endpoint (``at_zero``)."""
     be = float(beta)
-    if be <= -1.0:
-        raise ValueError("beta must exceed -1 for a decreasing kernel")
+    if not (-1.0 < be < INF):
+        raise ValueError("beta must be finite and exceed -1 for a decreasing kernel")
     if not at_zero:
         a, b = math.e, INF
 
@@ -1004,8 +1004,8 @@ def sinc_kernel():
 
 def indicator_kernel(height=1.0, a=0.0, b=1.0):
     """Constant kernel f = height on a finite interval (a, b)."""
-    if height == 0.0:
-        raise ValueError("height must be nonzero")
+    if height == 0.0 or not math.isfinite(height):
+        raise ValueError("height must be nonzero and finite")
     if not (math.isfinite(a) and math.isfinite(b) and a < b):
         raise ValueError("finite nondegenerate interval required")
     h = float(height)

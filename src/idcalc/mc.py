@@ -30,7 +30,6 @@ from .kernels import Kernel
 from .measures import (
     INF,
     AtomicMeasure,
-    GammaMeasure,
     RadialMeasure,
     StableMeasure,
     SumMeasure,
@@ -97,9 +96,6 @@ class _JumpSampler:
         if eps is None:
             raise InfiniteActivityWithoutCutoff(
                 "continuous Levy measure needs a small-jump cutoff")
-        if isinstance(nu, GammaMeasure):
-            self._build(nu.as_radial(), eps)
-            return
         if isinstance(nu, StableMeasure):
             al = nu.alpha
             lam_r = eps ** (-al) / al          # radial tail mass above eps
@@ -240,8 +236,6 @@ def _small_jump_covariance(nu, eps):
         return sum(_small_jump_covariance(p, eps) for p in nu.parts)
     if isinstance(nu, (ZeroMeasure, AtomicMeasure)):
         return 0.0
-    if isinstance(nu, GammaMeasure):
-        return _small_jump_covariance(nu.as_radial(), eps)
     d = nu.dim
     out = np.zeros((d, d))
     if isinstance(nu, StableMeasure):

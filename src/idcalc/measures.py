@@ -22,13 +22,16 @@ for all of them in one call; ``integral(h, lo, hi)`` and
 representation:
 
 * atoms: exact sums, one call of ``h`` (or ``w``) on all m x n points;
-* stable: the exact scaling identity nu(B/u) = |u|^alpha nu(sign(u) B), so
-  one base integral per sign of u serves every scale;
-* radial and gamma: over the full range [0, inf) the r-range and window
+* the polar family, nu(B) = sum_k w_k int 1_B(r xi_k) rho(r) dr
+  (``RadialMeasure``): over the full range [0, inf) the r-range and window
   schedule are common to all scales, so one radial driver integrates an
   (n_r, m) integrand, each scale certified as its own component; a shell
   [lo, hi) has the scale-dependent r-range [lo/|u|, hi/|u|) and runs one
-  driver per scale;
+  driver per scale.  ``StableMeasure`` (rho = r^(-alpha-1)) and
+  ``GammaMeasure`` (rho = c e^(-lambda r) / r) are members of the family
+  that override only the functionals with closed forms; the stable
+  scaling identity nu(B/u) = |u|^alpha nu(sign(u) B) lets one base
+  integral per sign of u serve every scale;
 * sums, the zero measure and lazy symmetrizations compose the above.
 
 Radius regions are half-open [lo, hi) so that body/tail splits partition an
@@ -51,13 +54,6 @@ from .quadrature import adaptive_quad, improper_nonneg, improper_limit, slab_qua
 INF = math.inf
 
 
-def _as_points(x, dim):
-    pts = np.atleast_2d(np.asarray(x, dtype=float))
-    if pts.shape[1] != dim:
-        raise ValueError(f"points must have dimension {dim}")
-    return pts
-
-
 def _norms(pts):
     return np.sqrt((pts * pts).sum(axis=1))
 
@@ -71,6 +67,20 @@ def _scales(us):
 
 
 _ONE = np.array([1.0])
+
+
+def _reflection_symmetric(points, masses):
+    """Whether the weighted points are invariant under x -> -x: the masses
+    of repeated points (to 12 digits) add up before the comparison."""
+    total = {}
+    for p, m in zip(map(tuple, np.round(points, 12)), masses):
+        total[p] = total.get(p, 0.0) + m
+    return all(math.isclose(m, total.get(tuple(-q for q in p), 0.0), rel_tol=1e-12)
+               for p, m in total.items())
+
+
+def _in_orthant(points, signs):
+    return bool(np.all(points * np.asarray(signs, dtype=float)[None, :] >= 0))
 
 
 class LevyMeasure:
@@ -139,7 +149,21 @@ class LevyMeasure:
         return None
 
     def dual(self):
+        """Inversion-transported measure.  The result remembers its base, so
+        applying the inversion twice is bitwise exact."""
+        base = getattr(self, "_dual_of", None)
+        if base is not None:
+            return base
+        out = self._dual()
+        out._dual_of = self
+        return out
+
+    def _dual(self):
         raise IdcalcError("dual is available only for primitive representations")
+
+    def symmetrized(self):
+        """nu(B) + nu(-B); lazy unless a representation materializes it."""
+        return SymmetrizedMeasure(self)
 
 
 class ZeroMeasure(LevyMeasure):
@@ -181,6 +205,9 @@ class ZeroMeasure(LevyMeasure):
     def dual(self):
         return self
 
+    def symmetrized(self):
+        return self
+
 
 class AtomicMeasure(LevyMeasure):
     """Finitely many atoms; every functional is an exact sum."""
@@ -192,8 +219,10 @@ class AtomicMeasure(LevyMeasure):
         masses = np.asarray(masses, dtype=float)
         if masses.shape != (pts.shape[0],):
             raise ValueError("one mass per atom required")
-        if np.any(masses <= 0):
-            raise ValueError("atom masses must be positive")
+        if not np.all((masses > 0) & (masses < INF)):
+            raise ValueError("atom masses must be positive and finite")
+        if not np.all(np.isfinite(pts)):
+            raise ValueError("atom points must be finite")
         r = _norms(pts)
         if np.any(r == 0):
             raise ValueError("a Levy measure has no atom at the origin")
@@ -258,26 +287,14 @@ class AtomicMeasure(LevyMeasure):
         return us[:, None] * (self.points[None, :, :] * weighted).sum(axis=1)
 
     def is_symmetric(self):
-        key = {tuple(np.round(p, 12)): m for p, m in zip(self.points, self.masses)}
-        for p, m in zip(self.points, self.masses):
-            m2 = key.get(tuple(np.round(-p, 12)))
-            if m2 is None or not math.isclose(m, m2, rel_tol=1e-12):
-                return False
-        return True
+        return _reflection_symmetric(self.points, self.masses)
 
     def supported_in_orthant(self, signs):
-        signs = np.asarray(signs, dtype=float)
-        return bool(np.all(self.points * signs[None, :] >= 0))
+        return _in_orthant(self.points, signs)
 
-    def dual(self):
-        # remember the base so applying the inversion twice is bitwise exact
-        base = getattr(self, "_dual_of", None)
-        if base is not None:
-            return base
+    def _dual(self):
         r2 = self.radii ** 2
-        out = AtomicMeasure(self.points / r2[:, None], self.masses * r2)
-        out._dual_of = self
-        return out
+        return AtomicMeasure(self.points / r2[:, None], self.masses * r2)
 
     def symmetrized(self):
         pts = np.vstack([self.points, -self.points])
@@ -309,12 +326,11 @@ class RadialDensity:
     """
 
     def __init__(self, fn, support=(0.0, INF), order_zero=None, order_inf=None,
-                 decreasing_tail=False, label="radial"):
+                 label="radial"):
         self.fn = fn
         self.support = (float(support[0]), float(support[1]))
         self.order_zero = order_zero
         self.order_inf = order_inf
-        self.decreasing_tail = decreasing_tail
         self.label = label
 
     def __call__(self, r):
@@ -386,17 +402,21 @@ class _DualRadialDensity(RadialDensity):
 
 class RadialMeasure(LevyMeasure):
     """Polar representation: directions (unit vectors with weights) times a
-    common radial density."""
+    common radial density.
+
+    The base of the polar family.  Subclasses pass their exact density and
+    override only the functionals that have closed forms; the generic ones
+    run certified radial quadrature of the density.
+    """
 
     def __init__(self, directions, weights, density: RadialDensity, validate=True):
         dirs = np.atleast_2d(np.asarray(directions, dtype=float))
         weights = np.asarray(weights, dtype=float)
         if weights.shape != (dirs.shape[0],):
             raise ValueError("one weight per direction required")
-        if np.any(weights <= 0):
-            raise ValueError("direction weights must be positive")
-        norms = _norms(dirs)
-        if np.any(np.abs(norms - 1.0) > 1e-9):
+        if not np.all((weights > 0) & (weights < INF)):
+            raise ValueError("direction weights must be positive and finite")
+        if not np.all(np.abs(_norms(dirs) - 1.0) <= 1e-9):
             raise ValueError("directions must be unit vectors")
         self.directions = dirs
         self.weights = weights
@@ -406,6 +426,13 @@ class RadialMeasure(LevyMeasure):
             c2 = self.clipped_second_moment()
             if not math.isfinite(c2):
                 raise ValueError("radial density does not integrate r^2 ^ 1")
+
+    def weight_sum(self):
+        return float(self.weights.sum())
+
+    def direction_sum(self):
+        """sum_k w_k xi_k."""
+        return np.einsum("k,kd->d", self.weights, self.directions)
 
     # radial integral of a vectorized g(r), improper certification at ends
     def _radial(self, g, lo, hi, signed=False):
@@ -513,19 +540,17 @@ class RadialMeasure(LevyMeasure):
 
     def clip2_scaled(self, us):
         us = np.atleast_1d(np.asarray(us, dtype=float))
-        wsum = float(self.weights.sum())
-        return wsum * np.array([self._clip_single(float(u), 2.0) for u in us])
+        return self.weight_sum() * np.array([self._clip_single(float(u), 2.0) for u in us])
 
     def clip1_scaled(self, us):
         us = np.atleast_1d(np.asarray(us, dtype=float))
-        wsum = float(self.weights.sum())
         test = self.density.moment_order_test(1.0, "zero")
         if test is False:
             return np.where(us != 0, INF, 0.0)
         vals = np.array([self._clip_single(float(u), 1.0) for u in us])
         if np.any(np.isinf(vals)):
             return np.where(us != 0, INF, 0.0)
-        return wsum * vals
+        return self.weight_sum() * vals
 
     def centering_scaled(self, us):
         us = np.asarray(us, dtype=float)
@@ -619,33 +644,25 @@ class RadialMeasure(LevyMeasure):
                 def g(r, a=a):
                     return r * np.asarray(w(a * r), dtype=float)
                 vals[i] = self._radial(g, rlo, rhi, signed=True)
-        return np.outer(us * vals, np.einsum("k,kd->d", self.weights, self.directions))
+        return np.outer(us * vals, self.direction_sum())
 
     def is_symmetric(self):
-        key = {tuple(np.round(d, 12)): w for d, w in zip(self.directions, self.weights)}
-        for d, w in zip(self.directions, self.weights):
-            w2 = key.get(tuple(np.round(-d, 12)))
-            if w2 is None or not math.isclose(w, w2, rel_tol=1e-12):
-                return False
-        return True
+        return _reflection_symmetric(self.directions, self.weights)
 
     def supported_in_orthant(self, signs):
-        signs = np.asarray(signs, dtype=float)
-        return bool(np.all(self.directions * signs[None, :] >= 0))
+        return _in_orthant(self.directions, signs)
 
-    def dual(self):
-        base = getattr(self, "_dual_of", None)
-        if base is not None:
-            return base
-        out = RadialMeasure(self.directions, self.weights, self.density.dual(),
-                            validate=False)
-        out._dual_of = self
-        return out
+    def _dual(self):
+        return RadialMeasure(self.directions, self.weights, self.density.dual(),
+                             validate=False)
+
+    def _reflected(self):
+        """Directions and weights of nu(B) + nu(-B)."""
+        return (np.vstack([self.directions, -self.directions]),
+                np.concatenate([self.weights, self.weights]))
 
     def symmetrized(self):
-        dirs = np.vstack([self.directions, -self.directions])
-        w = np.concatenate([self.weights, self.weights])
-        return RadialMeasure(dirs, w, self.density, validate=False)
+        return RadialMeasure(*self._reflected(), self.density, validate=False)
 
 
 def _exp_arctan_transform(y):
@@ -670,7 +687,7 @@ def _exp_arctan_transform(y):
     return out
 
 
-class GammaMeasure(LevyMeasure):
+class GammaMeasure(RadialMeasure):
     """Levy measure of a gamma subordinator along one direction:
     radial density shape * exp(-rate r) / r.
 
@@ -679,45 +696,39 @@ class GammaMeasure(LevyMeasure):
     integrals, so the transform machinery runs in closed form.  With
     x = rate/|u|, the clipped moments use the cancellation-free forms
     1 - (1 + x) e^-x = P(2, x) (the regularized lower incomplete gamma
-    function, as Gamma(2) = 1) and 1 - e^-x = -expm1(-x), which stay
-    accurate to rounding at the large scales |u| (small x) that the
-    improper drivers reach.
+    function, as Gamma(2) = 1) and 1 - e^-x = -expm1(-x), and the second
+    moment takes its body as P(2, x) / x^2 (the series 1/2 - x/3 + x^2/8
+    below x = 1e-5), which never squares u; both stay accurate to rounding
+    at the large scales |u| (small x) that the improper drivers reach.
     """
 
     def __init__(self, shape, rate, direction):
-        if shape <= 0 or rate <= 0:
-            raise ValueError("shape and rate must be positive")
+        if not (0.0 < shape < INF and 0.0 < rate < INF):
+            raise ValueError("shape and rate must be positive and finite")
         direction = np.atleast_1d(np.asarray(direction, dtype=float))
-        self.shape = float(shape)
-        self.rate = float(rate)
-        self.direction = direction / np.linalg.norm(direction)
-        self.dim = self.direction.shape[0]
-        self._polar = RadialMeasure(self.direction[None, :], np.array([1.0]),
-                                    self._density(), validate=False)
-
-    def _density(self):
-        c, lam = self.shape, self.rate
-        return RadialDensity(lambda r: c * np.exp(-lam * r) / r,
-                             order_zero=-1.0, order_inf=-INF,
-                             decreasing_tail=True, label="gamma")
-
-    def as_radial(self):
-        return self._polar
-
-    def scaled_integral(self, h, us, lo=0.0, hi=INF):
-        return self._polar.scaled_integral(h, us, lo, hi)
+        norm = float(np.linalg.norm(direction))
+        if not (0.0 < norm < INF):
+            raise ValueError("direction must be a nonzero finite vector")
+        c = self.shape = float(shape)
+        lam = self.rate = float(rate)
+        self.direction = direction / norm
+        super().__init__(self.direction[None, :], np.array([1.0]),
+                         RadialDensity(lambda r: c * np.exp(-lam * r) / r,
+                                       order_zero=-1.0, order_inf=-INF, label="gamma"),
+                         validate=False)
 
     def clip2_scaled(self, us):
         from scipy.special import exp1, gammainc
         us = np.atleast_1d(np.asarray(us, dtype=float))
         au = np.abs(us)
-        lam = self.rate
         out = np.zeros(us.shape)
         nz = au > 0
-        with np.errstate(over="ignore"):
-            x = lam / au[nz]
-        body = gammainc(2.0, x) / (lam * lam)    # 1 - (1 + x) e^-x
-        out[nz] = self.shape * (au[nz] ** 2 * body + exp1(x))
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            x = self.rate / au[nz]
+            # u^2 P(2, x) / rate^2 = P(2, x) / x^2, by its series at small x
+            body = np.where(x < 1e-5, 0.5 - x / 3.0 + x * x / 8.0,
+                            gammainc(2.0, x) / (x * x))
+        out[nz] = self.shape * (body + exp1(x))
         return out
 
     def clip1_scaled(self, us):
@@ -769,25 +780,6 @@ class GammaMeasure(LevyMeasure):
                 - 1j * theta * np.sign(u) * _exp_arctan_transform(y))
         return out
 
-    def vector_weighted_scaled(self, w, us, lo=0.0, hi=INF):
-        return self._polar.vector_weighted_scaled(w, us, lo, hi)
-
-    def is_symmetric(self):
-        return False
-
-    def supported_in_orthant(self, signs):
-        signs = np.asarray(signs, dtype=float)
-        return bool(np.all(self.direction * signs >= 0))
-
-    def dual(self):
-        base = getattr(self, "_dual_of", None)
-        if base is not None:
-            return base
-        out = RadialMeasure(self.direction[None, :], np.array([1.0]),
-                            self._density().dual(), validate=False)
-        out._dual_of = self
-        return out
-
     def symmetrized(self):
         return SumMeasure([self, GammaMeasure(self.shape, self.rate,
                                               -self.direction)])
@@ -801,7 +793,7 @@ def gamma_measure(shape, rate, direction):
 _EULER_GAMMA = float(np.euler_gamma)
 
 
-class StableMeasure(LevyMeasure):
+class StableMeasure(RadialMeasure):
     """Polar stable Levy measure: radial density r^(-alpha-1) exactly.
 
     Closed forms are used for the clipped moments, the centering integral
@@ -812,42 +804,11 @@ class StableMeasure(LevyMeasure):
     def __init__(self, alpha, directions, weights):
         if not (0.0 < alpha < 2.0):
             raise ValueError("stability index must lie in (0, 2)")
-        dirs = np.atleast_2d(np.asarray(directions, dtype=float))
-        weights = np.asarray(weights, dtype=float)
-        if weights.shape != (dirs.shape[0],):
-            raise ValueError("one weight per direction required")
-        if np.any(weights <= 0):
-            raise ValueError("direction weights must be positive")
-        if np.any(np.abs(_norms(dirs) - 1.0) > 1e-9):
-            raise ValueError("directions must be unit vectors")
-        self.alpha = float(alpha)
-        self.directions = dirs
-        self.weights = weights
-        self.dim = dirs.shape[1]
-        # the exact density as a polar measure, for generic integrands
-        a = self.alpha
-        dens = RadialDensity(lambda r: r ** (-a - 1.0), order_zero=-a - 1.0,
-                             order_inf=-a - 1.0, decreasing_tail=True, label="stable")
-        self._polar = RadialMeasure(dirs, weights, dens, validate=False)
-
-    # exact radial power integral: int_lo^hi r^(m - alpha - 1) dr
-    def power_radial(self, m, lo=0.0, hi=INF):
-        e = m - self.alpha
-        if lo == 0.0 and hi == INF:
-            return INF
-        if lo == 0.0:
-            return hi ** e / e if e > 0 else INF
-        if hi == INF:
-            return lo ** e / (-e) if e < 0 else INF
-        if abs(e) < 1e-14:
-            return math.log(hi / lo)
-        return (hi ** e - lo ** e) / e
-
-    def weight_sum(self):
-        return float(self.weights.sum())
-
-    def as_radial(self):
-        return self._polar
+        a = self.alpha = float(alpha)
+        super().__init__(directions, weights,
+                         RadialDensity(lambda r: r ** (-a - 1.0), order_zero=-a - 1.0,
+                                       order_inf=-a - 1.0, label="stable"),
+                         validate=False)
 
     def _scale_factors(self, us):
         """|u|^alpha, 0 at u = 0."""
@@ -862,7 +823,7 @@ class StableMeasure(LevyMeasure):
         for sign in (1.0, -1.0):
             sel = np.sign(us) == sign
             if sel.any():
-                base = self._polar.scaled_integral(h, np.array([sign]), lo, hi)[0]
+                base = super().scaled_integral(h, np.array([sign]), lo, hi)[0]
                 out[sel] = self._scale_factors(us[sel]) * base
         return out
 
@@ -886,9 +847,6 @@ class StableMeasure(LevyMeasure):
         c = 1.0 / (1.0 - a) + 1.0 / a
         return self.weight_sum() * c * us ** a
 
-    def _direction_sum(self):
-        return np.einsum("k,kd->d", self.weights, self.directions)
-
     def centering_scaled(self, us):
         # int_0^inf r^(-alpha) (1/(1+u^2 r^2) - 1/(1+r^2)) dr
         #   = (pi / (2 cos(pi alpha / 2))) (|u|^(alpha-1) - 1)   for alpha != 1
@@ -904,7 +862,7 @@ class StableMeasure(LevyMeasure):
             else:
                 k = math.pi / (2.0 * math.cos(math.pi * a / 2.0))
                 vals = np.where(au > 0, k * (au ** (a - 1.0) - 1.0), 0.0)
-        return np.outer(vals, self._direction_sum())
+        return np.outer(vals, self.direction_sum())
 
     def cumulant_scaled(self, z, us):
         # transported centering: the exact scaling identity gives
@@ -926,34 +884,15 @@ class StableMeasure(LevyMeasure):
         out = np.zeros(us.shape + (self.dim,))
         nz = us != 0.0
         if nz.any():
-            base = self._polar.vector_weighted(w, lo, hi)
+            base = super().vector_weighted_scaled(w, _ONE, lo, hi)[0]
             out[nz] = np.outer(np.sign(us[nz]) * self._scale_factors(us[nz]), base)
         return out
 
-    def is_symmetric(self):
-        key = {tuple(np.round(d, 12)): w for d, w in zip(self.directions, self.weights)}
-        for d, w in zip(self.directions, self.weights):
-            w2 = key.get(tuple(np.round(-d, 12)))
-            if w2 is None or not math.isclose(w, w2, rel_tol=1e-12):
-                return False
-        return True
-
-    def supported_in_orthant(self, signs):
-        signs = np.asarray(signs, dtype=float)
-        return bool(np.all(self.directions * signs[None, :] >= 0))
-
-    def dual(self):
-        base = getattr(self, "_dual_of", None)
-        if base is not None:
-            return base
-        out = StableMeasure(2.0 - self.alpha, self.directions, self.weights)
-        out._dual_of = self
-        return out
+    def _dual(self):
+        return StableMeasure(2.0 - self.alpha, self.directions, self.weights)
 
     def symmetrized(self):
-        dirs = np.vstack([self.directions, -self.directions])
-        w = np.concatenate([self.weights, self.weights])
-        return StableMeasure(self.alpha, dirs, w)
+        return StableMeasure(self.alpha, *self._reflected())
 
 
 def _stable_exponent(alpha, theta):
@@ -1023,11 +962,11 @@ class SumMeasure(LevyMeasure):
             return True
         return None
 
-    def dual(self):
+    def _dual(self):
         return SumMeasure([p.dual() for p in self.parts])
 
     def symmetrized(self):
-        return SumMeasure([symmetrize_measure(p) for p in self.parts])
+        return SumMeasure([p.symmetrized() for p in self.parts])
 
 
 class SymmetrizedMeasure(LevyMeasure):
@@ -1069,17 +1008,9 @@ class SymmetrizedMeasure(LevyMeasure):
 
 
 def symmetrize_measure(nu):
-    """Reflection-sum of a Levy measure.
-
-    Atomic, radial, stable and gamma representations are materialized
-    exactly; anything else is wrapped lazily.
-    """
-    if isinstance(nu, ZeroMeasure):
-        return nu
-    if isinstance(nu, (AtomicMeasure, RadialMeasure, StableMeasure,
-                       GammaMeasure, SumMeasure)):
-        return nu.symmetrized()
-    return SymmetrizedMeasure(nu)
+    """Reflection-sum of a Levy measure: atomic and polar representations
+    are materialized exactly, anything else is wrapped lazily."""
+    return nu.symmetrized()
 
 
 def materialize_radial(nu, r_grid):

@@ -163,7 +163,7 @@ class TestDual:
 
     def test_radial_dual_cumulant_involution(self):
         dens = ic.RadialDensity(lambda r: np.exp(-r) / r, order_zero=-1.0,
-                                order_inf=-INF, decreasing_tail=True)
+                                order_inf=-INF)
         nu = ic.RadialMeasure([[1.0]], [1.0], dens)
         t = ic.Triplet(0.0, nu, [0.4])
         tt = ic.dual(ic.dual(t))
