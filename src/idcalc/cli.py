@@ -501,10 +501,6 @@ def build_parser():
             p.add_argument("--dist", help="distribution JSON file")
         if kernel:
             p.add_argument("--kernel", help="kernel JSON file or builtin name")
-        p.add_argument("--tol", type=float, default=1e-8,
-                       help="reporting tolerance (informational)")
-        p.add_argument("--budget-levels", type=int, default=48,
-                       help="window doubling budget (informational)")
         p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("classify", help="type A/B/C, drift and mean")

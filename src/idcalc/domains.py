@@ -31,11 +31,12 @@ from .kernels import (
     LogPower,
     PowerAtZero,
     PowerTail,
+    kernel_mass,
     kernel_window_integral,
 )
 from .measures import INF, StableMeasure, SumMeasure
-from .quadrature import adaptive_quad, improper_limit, improper_nonneg, slab_quad
-from .verdicts import Truth, Verdict, combine_all
+from .quadrature import improper_limit, improper_nonneg, slab_quad
+from .verdicts import Verdict, combine_all
 
 _ZERO_TOL = 1e-12
 
@@ -383,27 +384,16 @@ def default_r_grid(n=25):
     return np.logspace(-6, 0, n)
 
 
-def _kernel_mass(k, kind):
-    hookmap = {"plain": "abs_mass", "square": "square_mass",
-               "abs": "abs_mass", "clipped": "clipped_square",
-               "indicator": "indicator_mass"}
-    v = k.profile.get(hookmap[kind])
-    if v is not None:
-        return v, True
-    if kind == "indicator":
-        fn = lambda s: (np.abs(k(s)) > 0).astype(float)
-    elif kind == "clipped":
-        fn = lambda s: np.minimum(k(s) ** 2, 1.0)
-    elif kind == "square":
-        fn = lambda s: k(s) ** 2
-    else:
-        fn = lambda s: np.abs(k(s))
-    res = improper_nonneg(slab_quad(fn, rtol=1e-10), k.a, k.b)
+def _profile_mass(k, kind):
+    """A whole-interval kernel mass and whether a closed form gave it."""
+    res = kernel_mass(k, kind)
     if res.converged:
-        return float(np.max(res.value)), False
-    if res.diverged:
-        return INF, False
-    raise InconclusiveError(f"kernel {kind} mass not certified", res.evidence)
+        value = float(np.max(res.value))
+    elif res.diverged:
+        value = INF
+    else:
+        raise InconclusiveError(f"kernel {kind} mass not certified", res.evidence)
+    return value, res.evidence.get("rule") in ("profile", "hook")
 
 
 def _k_of_r_numeric(k, r):
@@ -422,8 +412,6 @@ def _k_of_r_numeric(k, r):
 
 def _h_of_r_numeric(k, r):
     thr = 1.0 / r
-    if k.level_upper is not None and k.nonnegative:
-        return k.level_upper(thr)
 
     def fn(s):
         return (np.abs(k(s)) > thr).astype(float)
@@ -440,29 +428,23 @@ def kernel_profile(k: Kernel, r_grid=None) -> KernelProfile:
     masses, the clipped square, and the small-level / large-level functions
     on a logarithmic grid in r."""
     r_grid = default_r_grid() if r_grid is None else np.asarray(r_grid, dtype=float)
-    certified = True
-    ind, c1 = _kernel_mass(k, "indicator")
-    ab, c2 = _kernel_mass(k, "abs")
-    sq, c3 = _kernel_mass(k, "square")
-    cl, c4 = _kernel_mass(k, "clipped")
-    certified = c1 and c2 and c3 and c4
+    masses = [_profile_mass(k, kind) for kind in ("indicator", "abs", "square", "clipped")]
     k_hook = k.profile.get("k_of_r")
     h_hook = k.profile.get("h_of_r")
-    k_map, h_map = {}, {}
-    for r in r_grid:
-        if k_hook is not None:
-            v = k_hook(float(r))
-            k_map[float(r)] = v if v is not None else _k_of_r_numeric(k, float(r))
-        else:
-            k_map[float(r)] = _k_of_r_numeric(k, float(r))
-            certified = False
-        if h_hook is not None:
-            v = h_hook(float(r))
-            h_map[float(r)] = v if v is not None else _h_of_r_numeric(k, float(r))
-        else:
-            h_map[float(r)] = _h_of_r_numeric(k, float(r))
-            certified = False
-    return KernelProfile(ind, ab, sq, cl, k_map, h_map, certified,
+    if h_hook is None and k.level_upper is not None and k.nonnegative:
+        # h(r) = Leb{f > 1/r} is the level function itself
+        h_hook = lambda x: k.level_upper(1.0 / x)
+    certified = all(c for _, c in masses) and k_hook is not None and h_hook is not None
+
+    def on_grid(hook, numeric):
+        # a hook may return None where it has no closed form
+        out = {}
+        for r in map(float, r_grid):
+            v = None if hook is None else hook(r)
+            out[r] = numeric(k, r) if v is None else v
+        return out
+    return KernelProfile(*(v for v, _ in masses), on_grid(k_hook, _k_of_r_numeric),
+                         on_grid(h_hook, _h_of_r_numeric), certified,
                          k.profile.get("locally_integrable"))
 
 

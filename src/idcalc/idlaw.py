@@ -113,6 +113,8 @@ def cumulant(t: Triplet, z):
     z = np.atleast_1d(np.asarray(z, dtype=float))
     if z.shape != (t.dim,):
         raise ValueError("argument dimension mismatch")
+    if not np.all(np.isfinite(z)):
+        raise ValueError("argument must be finite")
     quad = -0.5 * float(z @ t.A @ z)
     jump = complex(t.nu.cumulant_scaled(z, np.array([1.0]))[0])
     return quad + jump + 1j * float(t.gamma @ z)

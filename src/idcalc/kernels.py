@@ -2,12 +2,17 @@
 
 A kernel is a real-valued function f on (a, b) together with analytic
 metadata: monotonicity, asymptotic tags that unlock closed-form domain
-rules, and optional closed-form hooks (window integrals, level-set measure,
-occupation-measure builder) that the numeric drivers use when present.
+rules, and optional closed-form hooks (window integrals, the level function,
+the occupation density) that the numeric drivers use when present.
 
 The occupation measure ("tau measure") of f is the pushforward of Lebesgue
 measure on (a, b) under f; it carries exactly the information the essential
-and absolute domains of the induced transforms depend on.
+and absolute domains of the induced transforms depend on.  For a decreasing
+f it is fixed by the level function u -> Leb{f > u}: ``level_upper`` is the
+one source of the occupation measure's interval masses, of
+:func:`tau_of_interval` and of the large-level profile h(r) = Leb{f > 1/r}.
+Kernels without a closed-form level function get it from a numeric level
+boundary.
 """
 
 from __future__ import annotations
@@ -25,7 +30,15 @@ from .errors import (
     OutOfInterval,
     UnsupportedKernel,
 )
-from .quadrature import adaptive_quad, bisect_monotone, improper_nonneg, slab_quad
+from .quadrature import (
+    ImproperResult,
+    adaptive_quad,
+    bisect_monotone,
+    improper_limit,
+    improper_nonneg,
+    slab_quad,
+    window_schedule,
+)
 
 INF = math.inf
 
@@ -76,7 +89,7 @@ class Kernel:
     def __init__(self, name, a, b, fn, *, monotone_decreasing=False,
                  left_continuous=True, nonnegative=None, tag=None,
                  window_integral=None, window_square=None, window_abs=None,
-                 level_upper=None, tau_builder=None, profile=None,
+                 level_upper=None, tau_density=None, profile=None,
                  abs_bound=None):
         if not a < b:
             raise ValueError("empty interval")
@@ -90,9 +103,13 @@ class Kernel:
         self.tag = tag
         self.window_integral = window_integral      # closed form of int_p^q f
         self.window_square = window_square          # closed form of int_p^q f^2
+        if window_abs is None and nonnegative:
+            window_abs = window_integral
         self.window_abs = window_abs                # closed form of int_p^q |f|
         self.level_upper = level_upper              # Leb{s: f(s) > u}
-        self.tau_builder = tau_builder
+        # (occupation density or None, (inf f, sup f)); None density with a
+        # one-point range marks a constant kernel
+        self.tau_density = tau_density
         self.profile = profile or {}
         if abs_bound is None and monotone_decreasing and nonnegative:
             abs_bound = lambda p, q: float(self(np.array([p]))[0]) if p > self.a \
@@ -120,16 +137,81 @@ def eval_kernel(k: Kernel, s: float) -> float:
     return v
 
 
+# integrands of the window integrals, by kind, as functions of the values of f
+_INTEGRANDS = {"plain": lambda v: v, "square": lambda v: v ** 2, "abs": np.abs,
+               "clipped": lambda v: np.minimum(v ** 2, 1.0),
+               "indicator": lambda v: (np.abs(v) > 0).astype(float)}
+
+# profile constants of the whole-interval masses, by kind
+_PROFILE_MASS = {"square": "square_mass", "abs": "abs_mass",
+                 "clipped": "clipped_square", "indicator": "indicator_mass"}
+
+
+def _window_hook(k, kind):
+    return {"plain": k.window_integral, "square": k.window_square,
+            "abs": k.window_abs}.get(kind)
+
+
 def kernel_window_integral(k, p, q, kind="plain"):
-    """int_p^q of f, f^2 or |f| on a finite slab, using hooks when present."""
-    hook = {"plain": k.window_integral, "square": k.window_square,
-            "abs": k.window_abs}[kind]
+    """int_p^q of f, f^2, |f|, min(f^2, 1) or 1{f != 0} on a finite slab,
+    through the closed-form hook when the kernel has one."""
+    hook = _window_hook(k, kind)
     if hook is not None:
         return hook(p, q)
-    fn = {"plain": lambda s: k(s),
-          "square": lambda s: k(s) ** 2,
-          "abs": lambda s: np.abs(k(s))}[kind]
-    return adaptive_quad(fn, p, q, rtol=1e-10)[0]
+    g = _INTEGRANDS[kind]
+    return adaptive_quad(lambda s: g(k(s)), p, q, rtol=1e-10)[0]
+
+
+def hook_limit(k, kind="plain", scale=1.0):
+    """Improper window limit of ``scale`` times a window integral, read off
+    its closed-form hook at the interval endpoints, with the trace over the
+    standard window schedule.
+
+    Returns None when there is no hook or it does not extend continuously to
+    the endpoints (oscillation, or a blow-up into nan or an arithmetic error).
+    """
+    hook = _window_hook(k, kind)
+    if hook is None:
+        return None
+    try:
+        with np.errstate(all="ignore"):
+            v = float(hook(k.a, k.b))
+    except (ValueError, ZeroDivisionError, OverflowError):
+        return None
+    if math.isnan(v):
+        return None
+    trace = [(p, q, scale * np.atleast_1d(kernel_window_integral(k, p, q, kind)))
+             for (p, q) in window_schedule(k.a, k.b, 6)]
+    if math.isinf(v):
+        return ImproperResult("diverged", None, trace, {"rule": "hook"})
+    trace.append((k.a, k.b, scale * np.atleast_1d(v)))
+    return ImproperResult("converged", scale * v, trace, {"rule": "hook"})
+
+
+def kernel_mass(k, kind="plain"):
+    """int_a^b of f, f^2, |f|, min(f^2, 1) or 1{f != 0}, three-valued, as an
+    :class:`ImproperResult`.
+
+    The kernel's profile constant decides when it declares one (rule
+    ``"profile"``), then the window hook at the endpoints (rule ``"hook"``);
+    otherwise the window drivers run over :func:`kernel_window_integral`
+    slabs, the monotone one for a nonnegative integrand, which certifies the
+    slow divergences a Cauchy test cannot see.
+    """
+    v = k.profile.get(_PROFILE_MASS.get(kind))
+    if v is not None:
+        if math.isinf(v):
+            return ImproperResult("diverged", None, [], {"rule": "profile"})
+        return ImproperResult("converged", float(v), [], {"rule": "profile"})
+    res = hook_limit(k, kind)
+    if res is not None:
+        return res
+
+    def slab(p, q):
+        return kernel_window_integral(k, p, q, kind)
+    if kind != "plain" or k.nonnegative:
+        return improper_nonneg(slab, k.a, k.b)
+    return improper_limit(slab, k.a, k.b, rtol=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -139,20 +221,23 @@ def kernel_window_integral(k, p, q, kind="plain"):
 class TauMeasure:
     """Pushforward of Lebesgue measure on (a, b) under the kernel.
 
-    The continuous part can be carried as a density with closed-form
-    interval masses, or as a survival function u -> Leb{f > u} (the numeric
-    fallback for monotone kernels).  Atoms record flat stretches of f.
+    The continuous part is carried by one increasing function G on the
+    whole line with tau((u1, u2]) = G(u2) - G(u1) (for a decreasing kernel,
+    G = -Leb{f > u}, whose jumps are the flat stretches of f), and
+    optionally by a density, which moments and occupation mixtures
+    integrate and which gives the interval masses by quadrature when there
+    is no G.  Explicit atoms record point masses of a measure given by a
+    density or by atoms alone.
     """
 
     def __init__(self, *, atoms=(), density=None, density_support=None,
-                 interval_mass=None, survival=None, support=None, name="tau"):
+                 cumulative=None, support=None, name="tau"):
         self.atoms = [(float(u), float(m)) for (u, m) in atoms]
         if any(m <= 0 for _, m in self.atoms):
             raise ValueError("atom masses must be positive")
         self.density = density
         self.density_support = density_support
-        self.interval_mass = interval_mass
-        self.survival = survival
+        self.cumulative = cumulative
         self.name = name
         if support is not None:
             self.a_prime, self.b_prime = float(support[0]), float(support[1])
@@ -176,13 +261,16 @@ class TauMeasure:
     def _cont_mass(self, u1, u2):
         if u1 >= u2:
             return 0.0
-        if self.interval_mass is not None:
-            return float(self.interval_mass(u1, u2))
-        if self.survival is not None:
-            s1, s2 = self.survival(u1), self.survival(u2)
-            if math.isinf(s1) and math.isinf(s2):
-                raise InconclusiveError("interval mass between infinite survivals")
-            return float(s1 - s2)
+        if self.cumulative is not None:
+            # (u1, u2] misses the closed support
+            if u2 < self.a_prime or u1 >= self.b_prime:
+                return 0.0
+            g1, g2 = self.cumulative(u1), self.cumulative(u2)
+            if g1 == g2:
+                # infinite levels included: with a finite a, Leb{f > u2} = inf
+                # means f never falls to u2
+                return 0.0
+            return float(g2 - g1)
         if self.density is not None:
             lo, hi = self.density_support
             lo2, hi2 = max(u1, lo), min(u2, hi)
@@ -216,7 +304,11 @@ class TauMeasure:
     def total_nonzero(self):
         """Total mass off the origin, possibly infinite."""
         total = sum(m for u, m in self.atoms if u != 0.0)
-        if self.density is not None or self.interval_mass is not None:
+        if self.density is None and self.cumulative is not None:
+            # a flat stretch of f at an end of its range is a jump of G that
+            # the half-open pieces below would miss
+            raise InconclusiveError("total mass unavailable without a density")
+        if self.density is not None:
             lo, hi = self.a_prime, self.b_prime
             pieces = []
             if lo < 0.0:
@@ -228,8 +320,6 @@ class TauMeasure:
                 if c == INF:
                     return INF
                 total += c
-        elif self.survival is not None:
-            raise InconclusiveError("total mass unavailable for survival form")
         return total
 
     def moment(self, h):
@@ -248,7 +338,7 @@ class TauMeasure:
             else:
                 raise InconclusiveError("occupation moment not certified",
                                         res.evidence)
-        elif self.interval_mass is not None or self.survival is not None:
+        elif self.cumulative is not None:
             raise UnsupportedKernel("moments need a density representation")
         return total
 
@@ -258,28 +348,18 @@ def tau_exponential(rate=1.0):
     if not (0 < rate < INF):
         raise ValueError("rate must be positive and finite")
 
-    def im(u1, u2):
-        lo, hi = max(u1, 0.0), u2
-        if lo >= hi:
-            return 0.0
-        return math.exp(-rate * lo) - (0.0 if hi == INF else math.exp(-rate * hi))
-
     return TauMeasure(density=lambda u: rate * np.exp(-rate * u),
-                      density_support=(0.0, INF), interval_mass=im,
+                      density_support=(0.0, INF),
+                      cumulative=lambda u: -math.exp(-rate * max(u, 0.0)),
                       support=(0.0, INF), name=f"exponential({rate:g})")
 
 
 def tau_gaussian():
     """Standard Gaussian occupation measure."""
-
-    def im(u1, u2):
-        hi = 1.0 if u2 == INF else float(ndtr(u2))
-        lo = 0.0 if u1 == -INF else float(ndtr(u1))
-        return hi - lo
-
     dens = lambda u: np.exp(-0.5 * u * u) / math.sqrt(2.0 * math.pi)
     return TauMeasure(density=dens, density_support=(-INF, INF),
-                      interval_mass=im, support=(-INF, INF), name="gaussian")
+                      cumulative=lambda u: float(ndtr(u)), support=(-INF, INF),
+                      name="gaussian")
 
 
 def tau_from_atoms(atoms):
@@ -600,107 +680,84 @@ def _level_boundary(k: Kernel, u, f_top, f_bot):
         return k.b
     lo = k.a
     hi = k.b
+    # expand toward an infinite end: double away from the origin, after one
+    # step across it
     if math.isinf(hi):
         hi = (k.a if math.isfinite(k.a) else 0.0) + 1.0
         while float(k(np.array([hi]))[0]) > u:
-            hi = hi * 2.0 + 1.0
+            hi = hi + abs(hi) + 1.0
     if math.isinf(lo):
         lo = hi - 1.0
         while float(k(np.array([lo]))[0]) <= u:
-            lo = lo * 2.0 - 1.0
+            lo = lo - abs(lo) - 1.0
     g = lambda s: float(k(np.array([s]))[0])
     return bisect_monotone(g, u, lo, hi, increasing=False, tol=1e-14)
 
 
 def tau_of_interval(k: Kernel, u1, u2):
-    """Occupation mass of (u1, u2]: Lebesgue measure of {s : f(s) in (u1, u2]}.
-
-    Closed form through the level-measure hook when available, otherwise
-    numeric level-set bracketing for monotone kernels.
-    """
+    """Occupation mass of (u1, u2]: Lebesgue measure of {s : f(s) in (u1, u2]},
+    read off the occupation measure of a decreasing kernel."""
     if u1 >= u2:
         raise ValueError("u1 must be below u2")
-    if k.level_upper is not None:
-        l1, l2 = k.level_upper(u1), k.level_upper(u2)
-        if math.isinf(l1) and math.isinf(l2):
-            return _tau_between(k, u1, u2)
-        if math.isinf(l1):
-            return INF
-        return l1 - l2
-    if k.monotone_decreasing:
-        f_top, _ = _endpoint_limit(k, "lower")
-        f_bot, _ = _endpoint_limit(k, "upper")
-        s1 = _level_boundary(k, u1, f_top, f_bot)
-        s2 = _level_boundary(k, u2, f_top, f_bot)
-        if math.isinf(s1) and math.isinf(s2):
-            return 0.0
-        if math.isinf(s1):
-            return INF
-        return s1 - s2
-    raise InconclusiveError(
-        "level sets of a non-monotone kernel cannot be bracketed")
-
-
-def _tau_between(k, u1, u2):
-    # both level measures infinite: the slab between the levels still has
-    # finite measure when the kernel range misses (u1, u2]
-    f_top, _ = _endpoint_limit(k, "lower")
-    f_bot, _ = _endpoint_limit(k, "upper")
-    if u2 <= f_bot or u1 >= f_top:
-        return 0.0
-    s1 = _level_boundary(k, u1, f_top, f_bot)
-    s2 = _level_boundary(k, u2, f_top, f_bot)
-    return s1 - s2
+    if not k.monotone_decreasing:
+        raise InconclusiveError(
+            "level sets of a non-monotone kernel cannot be bracketed")
+    return tau_measure(k).mass(u1, u2)
 
 
 def tau_measure(k: Kernel) -> TauMeasure:
-    """Materialize the occupation measure of the kernel.
+    """Materialize the occupation measure of a decreasing kernel.
 
-    Built-in kernels supply a closed-form builder; other monotone kernels
-    get a survival-function representation; black-box non-monotone kernels
-    are unsupported (their occupation measure does not determine the
-    transform anyway).
+    Its continuous part is G = -Leb{f > u}: the closed-form level function
+    when the kernel has one, otherwise minus the numeric level boundary
+    (which differs from -Leb{f > u} by the constant a).  When a = -inf,
+    Leb{f > u} is infinite on the whole range, so the numeric boundary,
+    which stays finite, is used even when there is a level function.
+    Built-in kernels supply the occupation density and the range
+    (inf f, sup f); other kernels get the range from sampled endpoint
+    limits.  A constant kernel's measure is one atom.  Black-box
+    non-monotone kernels are unsupported (their occupation measure does not
+    determine the transform anyway).
     """
-    if k.tau_builder is not None:
-        return k.tau_builder()
-    if k.monotone_decreasing:
+    if not k.monotone_decreasing:
+        raise UnsupportedKernel(
+            f"occupation measure of non-monotone kernel {k.name!r} is not materialized")
+    if k.tau_density is not None:
+        density, (f_bot, f_top) = k.tau_density
+    else:
+        density = None
         f_top, _ = _endpoint_limit(k, "lower")
         f_bot, _ = _endpoint_limit(k, "upper")
-
-        def survival(u):
-            s = _level_boundary(k, u, f_top, f_bot)
-            if math.isinf(s):
-                return INF
-            return s - k.a if math.isfinite(k.a) else INF
-
-        return TauMeasure(survival=survival, support=(f_bot, f_top),
-                          name=f"tau({k.name})")
-    raise UnsupportedKernel(
-        f"occupation measure of non-monotone kernel {k.name!r} is not materialized")
+    name = f"tau({k.name})"
+    if f_bot == f_top:
+        return TauMeasure(atoms=[(f_top, k.b - k.a)], name=name)
+    if k.level_upper is not None and math.isfinite(k.a):
+        G = lambda u: -k.level_upper(u)
+    else:
+        G = lambda u: -_level_boundary(k, u, f_top, f_bot)
+    return TauMeasure(density=density,
+                      density_support=None if density is None else (f_bot, f_top),
+                      cumulative=G, support=(f_bot, f_top), name=name)
 
 
 # ---------------------------------------------------------------------------
 # built-in kernels
 # ---------------------------------------------------------------------------
 
+def _power_window(e):
+    """Window integral int_p^q s^(e - 1) ds of a power (log(q/p) at e = 0)."""
+    def w(p, q):
+        if abs(e) < 1e-14:
+            return math.log(q / p)
+        return (q ** e - p ** e) / e
+    return w
+
+
 def exp_kernel(rate=1.0):
     """f(s) = exp(-rate s) on (0, inf); the selfdecomposability integrand."""
     if not (0 < rate < INF):
         raise ValueError("rate must be positive and finite")
     r = float(rate)
-
-    def tau_builder():
-        def im(u1, u2):
-            hi = min(u2, 1.0)
-            if u1 <= 0.0:
-                return INF if hi > 0.0 else 0.0
-            lo = u1
-            if lo >= hi:
-                return 0.0
-            return math.log(hi / lo) / r
-        return TauMeasure(density=lambda u: 1.0 / (r * u),
-                          density_support=(0.0, 1.0), interval_mass=im,
-                          support=(0.0, 1.0), name="exp-kernel")
 
     def level(u):
         if u <= 0.0:
@@ -719,13 +776,10 @@ def exp_kernel(rate=1.0):
         monotone_decreasing=True, nonnegative=True, tag=ExpTail(1.0),
         window_integral=lambda p, q: (math.exp(-r * p) - math.exp(-r * q)) / r,
         window_square=lambda p, q: (math.exp(-2 * r * p) - math.exp(-2 * r * q)) / (2 * r),
-        window_abs=lambda p, q: (math.exp(-r * p) - math.exp(-r * q)) / r,
-        level_upper=level, tau_builder=tau_builder,
+        level_upper=level, tau_density=(lambda u: 1.0 / (r * u), (0.0, 1.0)),
         profile={"indicator_mass": INF, "abs_mass": 1.0 / r,
                  "square_mass": 0.5 / r, "clipped_square": 0.5 / r,
-                 "k_of_r": k_of_r,
-                 "h_of_r": lambda x: 0.0 if x <= 1.0 else math.log(x) / r,
-                 "locally_integrable": True})
+                 "k_of_r": k_of_r, "locally_integrable": True})
 
 
 def log_inverse_kernel():
@@ -744,9 +798,6 @@ def log_inverse_kernel():
             return 1.0
         return math.exp(-u)
 
-    def tau_builder():
-        return tau_exponential(1.0)
-
     def k_of_r(x):
         # int log^2(1/s) over {log(1/s) <= 1/x}
         t = 1.0 / x
@@ -755,12 +806,11 @@ def log_inverse_kernel():
     return Kernel(
         "log_inv", 0.0, 1.0, lambda s: np.log(1.0 / s),
         monotone_decreasing=True, nonnegative=True, tag=None,
-        window_integral=wint, window_square=wsq, window_abs=wint,
-        level_upper=level, tau_builder=tau_builder,
+        window_integral=wint, window_square=wsq,
+        level_upper=level, tau_density=(lambda u: np.exp(-u), (0.0, INF)),
         profile={"indicator_mass": 1.0, "abs_mass": 1.0, "square_mass": 2.0,
                  "clipped_square": 2.0 - 4.0 / math.e,
-                 "k_of_r": k_of_r, "h_of_r": lambda x: math.exp(-1.0 / x),
-                 "locally_integrable": True})
+                 "k_of_r": k_of_r, "locally_integrable": True})
 
 
 def power_tail_kernel(alpha):
@@ -768,18 +818,7 @@ def power_tail_kernel(alpha):
     if not (0 < alpha < INF):
         raise ValueError("tail index must be positive and finite")
     al = float(alpha)
-    e1 = 1.0 - 1.0 / al
-    e2 = 1.0 - 2.0 / al
-
-    def wint(p, q):
-        if abs(e1) < 1e-14:
-            return math.log(q / p)
-        return (q ** e1 - p ** e1) / e1
-
-    def wsq(p, q):
-        if abs(e2) < 1e-14:
-            return math.log(q / p)
-        return (q ** e2 - p ** e2) / e2
+    wsq = _power_window(1.0 - 2.0 / al)
 
     def level(u):
         if u <= 0.0:
@@ -788,40 +827,23 @@ def power_tail_kernel(alpha):
             return 0.0
         return u ** (-al) - 1.0
 
-    def tau_builder():
-        def im(u1, u2):
-            hi = min(u2, 1.0)
-            if u1 <= 0.0:
-                return INF if hi > 0.0 else 0.0
-            lo = u1
-            if lo >= hi:
-                return 0.0
-            return lo ** (-al) - hi ** (-al)
-        return TauMeasure(density=lambda u: al * u ** (-al - 1.0),
-                          density_support=(0.0, 1.0), interval_mass=im,
-                          support=(0.0, 1.0), name=f"power-tail({al:g})")
-
     square_mass = al / (2.0 - al) if al < 2.0 else INF
     abs_mass = al / (1.0 - al) if al < 1.0 else INF
 
     def k_of_r(x):
-        if x <= 1.0:
-            return square_mass
-        if al >= 2.0:
-            return INF
-        return (x ** (al - 2.0)) * al / (2.0 - al)
+        # int f^2 over {f <= 1/x} = {s >= x^alpha}
+        return square_mass if x <= 1.0 else wsq(x ** al, INF)
 
     return Kernel(
         "power", 1.0, INF, lambda s: s ** (-1.0 / al),
         monotone_decreasing=True, nonnegative=True,
         tag=PowerTail(al, exact_coefficient=1.0 if abs(al - 1.0) < 1e-12 else None),
-        window_integral=wint, window_square=wsq, window_abs=wint,
-        level_upper=level, tau_builder=tau_builder,
+        window_integral=_power_window(1.0 - 1.0 / al), window_square=wsq,
+        level_upper=level,
+        tau_density=(lambda u: al * u ** (-al - 1.0), (0.0, 1.0)),
         profile={"indicator_mass": INF, "abs_mass": abs_mass,
                  "square_mass": square_mass, "clipped_square": square_mass,
-                 "k_of_r": k_of_r,
-                 "h_of_r": lambda x: 0.0 if x <= 1.0 else x ** al - 1.0,
-                 "locally_integrable": True})
+                 "k_of_r": k_of_r, "locally_integrable": True})
 
 
 def power_at_zero_kernel(exponent, b=1.0):
@@ -835,61 +857,33 @@ def power_at_zero_kernel(exponent, b=1.0):
     e1 = 1.0 - q_
     e2 = 1.0 - 2.0 * q_
     f_min = bb ** (-q_)
-
-    def wint(p, q):
-        if abs(e1) < 1e-14:
-            return math.log(q / p)
-        return (q ** e1 - p ** e1) / e1
-
-    def wsq(p, q):
-        if abs(e2) < 1e-14:
-            return math.log(q / p)
-        return (q ** e2 - p ** e2) / e2
+    wsq = _power_window(e2)
 
     def level(u):
-        if u < f_min:
+        if u <= f_min:
             return bb
         return u ** (-1.0 / q_)
-
-    def tau_builder():
-        def im(u1, u2):
-            lo, hi = max(u1, f_min), u2
-            if lo >= hi:
-                return 0.0
-            top = 0.0 if hi == INF else hi ** (-1.0 / q_)
-            return lo ** (-1.0 / q_) - top
-        return TauMeasure(
-            density=lambda u: (1.0 / q_) * u ** (-1.0 / q_ - 1.0),
-            density_support=(f_min, INF), interval_mass=im,
-            support=(f_min, INF), name=f"power-at-zero({q_:g})")
 
     abs_mass = bb ** e1 / e1 if q_ < 1.0 else INF
     square_mass = bb ** e2 / e2 if q_ < 0.5 else INF
     # clipped square: f > 1 on s < 1 (for b <= 1 the whole interval)
     s_one = min(bb, 1.0)
-    if q_ < 0.5:
-        clipped = s_one + (bb ** e2 - s_one ** e2) / e2 if bb > 1.0 else bb
-    else:
-        clipped = s_one + (wsq(s_one, bb) if bb > s_one else 0.0)
+    clipped = s_one + (wsq(s_one, bb) if bb > s_one else 0.0)
 
     def k_of_r(x):
+        # int f^2 over {f <= 1/x} = {s >= x^(1/exponent)}
         lo = min(bb, x ** (1.0 / q_))
-        if lo >= bb:
-            return 0.0
-        if abs(e2) < 1e-14:
-            return math.log(bb / lo)
-        return (bb ** e2 - lo ** e2) / e2
+        return wsq(lo, bb) if lo < bb else 0.0
 
     return Kernel(
         "power_at_zero", 0.0, bb, lambda s: s ** (-q_),
         monotone_decreasing=True, nonnegative=True, tag=PowerAtZero(q_),
-        window_integral=wint, window_square=wsq, window_abs=wint,
-        level_upper=level, tau_builder=tau_builder,
+        window_integral=_power_window(e1), window_square=wsq,
+        level_upper=level,
+        tau_density=(lambda u: (1.0 / q_) * u ** (-1.0 / q_ - 1.0), (f_min, INF)),
         profile={"indicator_mass": bb, "abs_mass": abs_mass,
                  "square_mass": square_mass, "clipped_square": clipped,
-                 "k_of_r": k_of_r,
-                 "h_of_r": lambda x: min(bb, x ** (1.0 / q_)),
-                 "locally_integrable": True})
+                 "k_of_r": k_of_r, "locally_integrable": True})
 
 
 def double_exp_kernel():
@@ -903,28 +897,13 @@ def double_exp_kernel():
             return 0.0
         return math.log(math.log(1.0 / u))
 
-    def tau_builder():
-        def im(u1, u2):
-            hi = min(u2, f_max)
-            if u1 <= 0.0:
-                return INF if hi > 0.0 else 0.0
-            lo = u1
-            if lo >= hi:
-                return 0.0
-            return level(lo) - level(hi)
-        dens = lambda u: 1.0 / (u * np.log(1.0 / u))
-        return TauMeasure(density=dens, density_support=(0.0, f_max),
-                          interval_mass=im, support=(0.0, f_max),
-                          name="double-exp")
-
     return Kernel(
         "double_exp", 0.0, INF,
         lambda s: np.exp(-np.exp(np.minimum(s, 709.0))),
         monotone_decreasing=True, nonnegative=True, tag=DoubleExp(),
-        level_upper=level, tau_builder=tau_builder,
-        profile={"indicator_mass": INF,
-                 "h_of_r": lambda x: 0.0 if x <= 1.0 / f_max else math.log(math.log(x)),
-                 "locally_integrable": True})
+        level_upper=level,
+        tau_density=(lambda u: 1.0 / (u * np.log(1.0 / u)), (0.0, f_max)),
+        profile={"indicator_mass": INF, "locally_integrable": True})
 
 
 def log_power_kernel(beta, at_zero=False):
@@ -947,7 +926,7 @@ def log_power_kernel(beta, at_zero=False):
         abs_mass = 1.0 / (be - 1.0) if be > 1.0 else INF
         return Kernel("log_power", a, b, fn, monotone_decreasing=True,
                       nonnegative=True, tag=LogPower(be, at_zero=False),
-                      window_integral=wint, window_abs=wint,
+                      window_integral=wint,
                       profile={"indicator_mass": INF, "abs_mass": abs_mass,
                                "locally_integrable": True})
     bb = math.exp(-max(1.0, be))
@@ -970,7 +949,7 @@ def log_power_kernel(beta, at_zero=False):
         abs_mass = INF
     return Kernel("log_power_zero", 0.0, bb, fn, monotone_decreasing=True,
                   nonnegative=True, tag=LogPower(be, at_zero=True),
-                  window_integral=wint, window_abs=wint,
+                  window_integral=wint,
                   profile={"indicator_mass": bb, "abs_mass": abs_mass,
                            "square_mass": INF, "clipped_square": None,
                            "locally_integrable": True})
@@ -1014,16 +993,13 @@ def indicator_kernel(height=1.0, a=0.0, b=1.0):
     def level(u):
         return span if u < h else 0.0
 
-    def tau_builder():
-        return TauMeasure(atoms=[(h, span)], name="indicator")
-
     return Kernel(
         "indicator", a, b, lambda s: np.full_like(np.asarray(s, dtype=float), h),
         monotone_decreasing=True, nonnegative=h > 0, tag=None,
         window_integral=lambda p, q: h * (q - p),
         window_square=lambda p, q: h * h * (q - p),
         window_abs=lambda p, q: abs(h) * (q - p),
-        level_upper=level, tau_builder=tau_builder,
+        level_upper=level, tau_density=(None, (h, h)),
         profile={"indicator_mass": span, "abs_mass": abs(h) * span,
                  "square_mass": h * h * span,
                  "clipped_square": min(h * h, 1.0) * span,

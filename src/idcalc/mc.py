@@ -25,7 +25,7 @@ from .errors import (
     InfiniteActivityWithoutCutoff,
     TooFewSamples,
 )
-from .idlaw import Triplet, cumulant
+from .idlaw import Triplet
 from .kernels import Kernel
 from .measures import (
     INF,

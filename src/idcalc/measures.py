@@ -48,7 +48,7 @@ import math
 import numpy as np
 from scipy.special import gamma as gamma_fn
 
-from .errors import HasGaussianPart, IdcalcError, InconclusiveError
+from .errors import IdcalcError, InconclusiveError
 from .quadrature import adaptive_quad, improper_nonneg, improper_limit, slab_quad
 
 INF = math.inf
@@ -430,6 +430,11 @@ class RadialMeasure(LevyMeasure):
     def weight_sum(self):
         return float(self.weights.sum())
 
+    def _radial_law(self):
+        """Key of the radial law; polar measures with equal keys differ only
+        in their directions and weights."""
+        return self.density
+
     def direction_sum(self):
         """sum_k w_k xi_k."""
         return np.einsum("k,kd->d", self.weights, self.directions)
@@ -717,6 +722,9 @@ class GammaMeasure(RadialMeasure):
                                        order_zero=-1.0, order_inf=-INF, label="gamma"),
                          validate=False)
 
+    def _radial_law(self):
+        return ("gamma", self.shape, self.rate)
+
     def clip2_scaled(self, us):
         from scipy.special import exp1, gammainc
         us = np.atleast_1d(np.asarray(us, dtype=float))
@@ -809,6 +817,9 @@ class StableMeasure(RadialMeasure):
                          RadialDensity(lambda r: r ** (-a - 1.0), order_zero=-a - 1.0,
                                        order_inf=-a - 1.0, label="stable"),
                          validate=False)
+
+    def _radial_law(self):
+        return ("stable", self.alpha)
 
     def _scale_factors(self, us):
         """|u|^alpha, 0 at u = 0."""
@@ -952,7 +963,20 @@ class SumMeasure(LevyMeasure):
         return sum(p.vector_weighted_scaled(w, us, lo, hi) for p in self.parts)
 
     def is_symmetric(self):
-        return all(p.is_symmetric() for p in self.parts)
+        # parts may be reflections of each other (a symmetrized gamma is a
+        # gamma plus its mirror image): the directions of the polar parts of
+        # one radial law, and the atoms of the atomic parts, are pooled first
+        pools = {}
+        for p in self.parts:
+            if isinstance(p, RadialMeasure):
+                pools.setdefault(p._radial_law(), []).append((p.directions, p.weights))
+            elif isinstance(p, AtomicMeasure):
+                pools.setdefault(AtomicMeasure, []).append((p.points, p.masses))
+            elif not p.is_symmetric():
+                return False
+        return all(_reflection_symmetric(np.vstack([x for x, _ in pool]),
+                                         np.concatenate([w for _, w in pool]))
+                   for pool in pools.values())
 
     def supported_in_orthant(self, signs):
         answers = [p.supported_in_orthant(signs) for p in self.parts]

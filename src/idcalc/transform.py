@@ -44,7 +44,7 @@ from .errors import (
     UnsupportedTag,
 )
 from .idlaw import Triplet, TypeClass, classify_type, drift, mean
-from .kernels import Kernel, TauMeasure, kernel_window_integral
+from .kernels import Kernel, TauMeasure, hook_limit, kernel_mass, kernel_window_integral
 from .measures import INF, LevyMeasure, symmetrize_measure
 from .quadrature import (
     ImproperResult,
@@ -54,7 +54,7 @@ from .quadrature import (
     slab_quad,
     window_schedule,
 )
-from .verdicts import Truth, Verdict, combine_all
+from .verdicts import Verdict, combine_all
 
 
 class LocationMode(enum.Enum):
@@ -231,12 +231,6 @@ class TauMixtureMeasure(ScaleMixtureMeasure):
 # window-level operations
 # ---------------------------------------------------------------------------
 
-def _square_slab(k: Kernel):
-    def slab(p, q):
-        return kernel_window_integral(k, p, q, "square")
-    return slab
-
-
 def _gamma_slab(k: Kernel, t: Triplet):
     """Slab integral of the window location integrand
     f(s) gamma + int f(s) x (1/(1+|f(s)x|^2) - 1/(1+|x|^2)) nu(dx).
@@ -313,12 +307,7 @@ def _gaussian_condition(k: Kernel, t: Triplet) -> Verdict:
     """Total square-integrability of f when a Gaussian part is present."""
     if not t.has_gaussian_part:
         return Verdict.yes("no-gaussian-part")
-    sqm = k.profile.get("square_mass")
-    if sqm is not None:
-        if math.isfinite(sqm):
-            return Verdict.yes("square-mass-finite", value=float(sqm))
-        return Verdict.no("square-mass-divergent")
-    res = improper_nonneg(_square_slab(k), k.a, k.b)
+    res = kernel_mass(k, "square")
     if res.converged:
         return Verdict.yes("square-mass-finite", value=float(np.max(res.value)))
     if res.diverged:
@@ -446,13 +435,10 @@ def _result_measure(k: Kernel, t: Triplet):
 def _result_gaussian(k: Kernel, t: Triplet):
     if not t.has_gaussian_part:
         return np.zeros_like(t.A)
-    sqm = k.profile.get("square_mass")
-    if sqm is None:
-        res = improper_nonneg(_square_slab(k), k.a, k.b)
-        if not res.converged:
-            raise InconclusiveError("total square mass not certified")
-        sqm = float(np.max(res.value))
-    return float(sqm) * t.A
+    res = kernel_mass(k, "square")
+    if not res.converged:
+        raise InconclusiveError("total square mass not certified")
+    return float(np.max(res.value)) * t.A
 
 
 def _drive_gamma(k: Kernel, t: Triplet):
@@ -465,16 +451,9 @@ def _drive_gamma(k: Kernel, t: Triplet):
             trace = [(p, q, np.zeros(t.dim)) for (p, q) in sched]
             return ImproperResult("converged", np.zeros(t.dim), trace,
                                   {"rule": "zero-location"})
-        v = _hook_endpoint_value(k, "plain")
-        if v is not None:
-            sched = window_schedule(k.a, k.b, 6)
-            trace = [(p, q, t.gamma * float(kernel_window_integral(k, p, q, "plain")))
-                     for (p, q) in sched]
-            if math.isinf(v):
-                return ImproperResult("diverged", None, trace, {"rule": "hook"})
-            trace.append((k.a, k.b, t.gamma * v))
-            return ImproperResult("converged", t.gamma * v, trace,
-                                  {"rule": "hook"})
+        res = hook_limit(k, scale=t.gamma)
+        if res is not None:
+            return res
     return improper_limit(_gamma_slab(k, t), k.a, k.b, rtol=1e-8)
 
 
@@ -536,51 +515,6 @@ def phi_sym(k: Kernel, t: Triplet) -> TransformResult:
     return TransformResult(trip, LocationMode.FIXED, {"condition": cond.reason})
 
 
-def _hook_endpoint_value(k: Kernel, kind="plain"):
-    """Evaluate a closed-form window hook at the interval endpoints.
-
-    Returns the exact improper value when the hook extends continuously to
-    the endpoints, None when it does not (no hook, oscillation, blow-up
-    producing nan/inf arithmetic errors).
-    """
-    hook = {"plain": k.window_integral, "square": k.window_square,
-            "abs": k.window_abs}[kind]
-    if hook is None:
-        return None
-    try:
-        with np.errstate(all="ignore"):
-            v = float(hook(k.a, k.b))
-    except (ValueError, ZeroDivisionError, OverflowError):
-        return None
-    if math.isnan(v):
-        return None
-    return v
-
-
-def _kernel_mass_limit(k: Kernel):
-    """Improper limit of int f over nested windows, three-valued.
-
-    A closed-form window hook that extends to the endpoints gives the limit
-    exactly; otherwise nonnegative kernels go through the monotone driver,
-    which certifies the slow divergences a Cauchy test cannot see.
-    """
-    def slab(p, q):
-        return kernel_window_integral(k, p, q, "plain")
-
-    v = _hook_endpoint_value(k, "plain")
-    if v is not None:
-        sched = window_schedule(k.a, k.b, 6)
-        trace = [(p, q, np.atleast_1d(kernel_window_integral(k, p, q, "plain")))
-                 for (p, q) in sched]
-        if math.isinf(v):
-            return ImproperResult("diverged", None, trace, {"rule": "hook"})
-        trace.append((k.a, k.b, np.atleast_1d(v)))
-        return ImproperResult("converged", v, trace, {"rule": "hook"})
-    if k.nonnegative:
-        return improper_nonneg(slab, k.a, k.b)
-    return improper_limit(slab, k.a, k.b, rtol=1e-9)
-
-
 def phi_c(k: Kernel, t: Triplet) -> TransformResult:
     """Compensated transform.
 
@@ -594,7 +528,7 @@ def phi_c(k: Kernel, t: Triplet) -> TransformResult:
 
 def _phi_c(k: Kernel, t: Triplet, rules: dict, cond=None) -> TransformResult:
     cond = _gate(k, t, rules, "compensated", cond)
-    fres = _kernel_mass_limit(k)
+    fres = kernel_mass(k)
     gres = _drive_gamma(k, t)
     diag = {"condition": cond.reason, "kernel_mass": fres.status}
 
@@ -747,7 +681,7 @@ def phi_ab(k: Kernel, t: Triplet) -> TransformResult:
         f_total = 0.0
         mode_note = "drift-free"
     else:
-        fres = _kernel_mass_limit(k)
+        fres = kernel_mass(k)
         if fres.diverged:
             raise NotDefinable("drift-trace-divergent", fres.evidence)
         if not fres.converged:

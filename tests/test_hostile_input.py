@@ -1,8 +1,9 @@
-"""Non-finite and degenerate parameters are rejected when objects are built.
+"""Non-finite and degenerate parameters are rejected when objects are built,
+and non-finite arguments when a law is evaluated.
 
-Each case is checked twice: the API constructor raises ``ValueError``, and
-the CLI, given the same parameters as a schema-valid spec, exits 3 with an
-error report instead of a verdict.
+Each case is checked twice: the API call raises ``ValueError``, and the
+CLI, given the same parameters as a schema-valid spec, exits 3 with an error
+report instead of a verdict.
 """
 
 import json
@@ -83,6 +84,9 @@ CASES = [
      ("kernel", {"type": "log_power", "beta": NAN})),
     ("indicator-nan-height", lambda: indicator_kernel(NAN),
      ("kernel", {"type": "indicator", "height": NAN})),
+    # the CLI draws its own arguments
+    ("cumulant-nan-argument", lambda: ic.cumulant(
+        ic.Triplet(0.0, ic.StableMeasure(1.5, [[1.0]], [1.0]), [0.0]), NAN), None),
 ]
 
 

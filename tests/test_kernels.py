@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
+from scipy.special import ndtr, ndtri
 
 import idcalc as ic
 from idcalc.errors import (
@@ -36,6 +38,46 @@ from idcalc.kernels import (
 from idcalc.quadrature import adaptive_quad
 
 INF = math.inf
+
+
+def _level(f_bot, f_top, inside, below):
+    """Leb{f > u} of a decreasing kernel with range (f_bot, f_top), written
+    from the kernel's formula: ``below`` under the range, 0 above it."""
+    return lambda u: below if u <= f_bot else (0.0 if u >= f_top else inside(u))
+
+
+def _bisected_level(fn, a, b, f_bot, f_top):
+    # Leb{f > u} by root finding on the kernel itself, for kernels whose
+    # level sets have no closed form
+    def inside(u):
+        hi = b if math.isfinite(b) else a + 1.0
+        while math.isinf(b) and fn(hi) > u:
+            hi = a + 2.0 * (hi - a)
+        lo = math.nextafter(a, b) if a else 1e-300   # fn is singular at 0
+        return brentq(lambda s: fn(s) - u, lo, hi, xtol=1e-15, rtol=1e-15) - a
+    return _level(f_bot, f_top, inside, b - a)
+
+
+# built-in decreasing kernels with independent level functions Leb{f > u}
+BUILTIN_DECREASING = [
+    (exp_kernel, _level(0.0, 1.0, lambda u: math.log(1 / u), INF)),
+    (lambda: exp_kernel(2.5), _level(0.0, 1.0, lambda u: math.log(1 / u) / 2.5, INF)),
+    (log_inverse_kernel, _level(0.0, INF, lambda u: math.exp(-u), 1.0)),
+    (lambda: power_tail_kernel(0.5), _level(0.0, 1.0, lambda u: u ** -0.5 - 1, INF)),
+    (lambda: power_tail_kernel(1.5), _level(0.0, 1.0, lambda u: u ** -1.5 - 1, INF)),
+    (lambda: power_at_zero_kernel(0.8), _level(1.0, INF, lambda u: u ** -1.25, 1.0)),
+    (lambda: power_at_zero_kernel(0.3, 3.0),
+     _level(3.0 ** -0.3, INF, lambda u: u ** (-1 / 0.3), 3.0)),
+    (double_exp_kernel,
+     _level(0.0, 1 / math.e, lambda u: math.log(math.log(1 / u)), INF)),
+    (lambda: log_power_kernel(1.5),
+     _bisected_level(lambda s: 1 / (s * math.log(s) ** 1.5), math.e, INF, 0.0, 1 / math.e)),
+    (lambda: log_power_kernel(2.0, at_zero=True),
+     _bisected_level(lambda s: 1 / (s * math.log(1 / s) ** 2), 0.0, math.exp(-2.0),
+                     math.exp(2.0) / 4.0, INF)),
+    (lambda: indicator_kernel(2.0, 0.0, 3.0), lambda u: 3.0 if u < 2.0 else 0.0),
+    (lambda: indicator_kernel(-1.5, 1.0, 2.0), lambda u: 1.0 if u < -1.5 else 0.0),
+]
 
 
 class TestEval:
@@ -82,6 +124,42 @@ class TestTauOfInterval:
         with pytest.raises(InconclusiveError):
             tau_of_interval(bare_sinc, 0.1, 0.2)
 
+    @pytest.mark.parametrize("kfn, level", BUILTIN_DECREASING,
+                             ids=["exp", "exp-2.5", "log_inv", "power-0.5", "power-1.5",
+                                  "power_at_zero-0.8", "power_at_zero-0.3-b3",
+                                  "double_exp", "log_power-1.5", "log_power_zero-2",
+                                  "indicator-2", "indicator-neg"])
+    def test_masses_match_independent_levels(self, kfn, level):
+        # tau((u1, u2]) = Leb{f > u1} - Leb{f > u2} (0 when both are
+        # infinite) on a grid that reaches below and above the range and out
+        # to infinite ends, through both the measure and tau_of_interval
+        k = kfn()
+        tau = tau_measure(k)
+        edges = [-INF, -1.0, 0.0, 0.05, 0.2, 1 / math.e, 0.5, 0.9, 1.0, 2.0, 3.0, INF]
+        for i, u1 in enumerate(edges):
+            for u2 in edges[i + 1:]:
+                l1, l2 = level(u1), level(u2)
+                want = pytest.approx(0.0 if l1 == l2 else l1 - l2, rel=1e-10, abs=1e-12)
+                assert tau.mass(u1, u2) == want, (u1, u2)
+                assert tau_of_interval(k, u1, u2) == want, (u1, u2)
+
+    def test_flat_stretch_at_the_infimum(self):
+        # f = max(1 - s, 0) is 0 on [1, 2): an atom of mass 1 at inf f = 0
+        ramp = Kernel("ramp", 0.0, 2.0, lambda s: np.maximum(1.0 - s, 0.0),
+                      monotone_decreasing=True, nonnegative=True)
+        tau = tau_measure(ramp)
+        for (u1, u2, want) in [(-1.0, 0.0, 1.0), (0.0, 0.5, 0.5), (-INF, -1.0, 0.0),
+                               (-1.0, 0.5, 1.5), (-INF, INF, 2.0), (0.5, 3.0, 0.5)]:
+            assert tau_of_interval(ramp, u1, u2) == pytest.approx(want, abs=1e-12)
+            assert tau.mass(u1, u2) == pytest.approx(want, abs=1e-12)
+        with pytest.raises(InconclusiveError):
+            tau.total_nonzero()
+        # on (0, inf) the flat stretch is unbounded
+        long_ramp = Kernel("ramp", 0.0, INF, lambda s: np.maximum(1.0 - s, 0.0),
+                           monotone_decreasing=True, nonnegative=True)
+        assert tau_of_interval(long_ramp, -1.0, 0.0) == INF
+        assert tau_of_interval(long_ramp, 0.0, 0.5) == pytest.approx(0.5, abs=1e-12)
+
 
 class TestTauMeasure:
     def test_exp_kernel_density(self):
@@ -125,6 +203,23 @@ class TestTauMeasure:
     def test_black_box_unsupported(self):
         with pytest.raises(UnsupportedKernel):
             tau_measure(sinc_kernel())
+
+    @pytest.mark.parametrize("level_upper", [None, lambda u: INF if u < 1.0 else 0.0],
+                             ids=["numeric", "level_upper"])
+    def test_bare_kernel_on_the_whole_line(self, level_upper):
+        # f(s) = Phi(-s) on (-inf, inf): Leb{f > u} is infinite for every u
+        # in the range, yet every interval mass ndtri(u2) - ndtri(u1) is
+        # finite, with or without a closed-form level function
+        k = Kernel("gauss-tail", -INF, INF, lambda s: ndtr(-s),
+                   monotone_decreasing=True, nonnegative=True,
+                   level_upper=level_upper)
+        tau = tau_measure(k)
+        for (u1, u2) in [(0.1, 0.4), (0.2, 0.9), (0.5, 0.6)]:
+            want = pytest.approx(float(ndtri(u2) - ndtri(u1)), abs=1e-10)
+            assert tau.mass(u1, u2) == want
+            assert tau_of_interval(k, u1, u2) == want
+        assert tau.mass(-1.0, 0.0) == 0.0 and tau.mass(1.0, 2.0) == 0.0
+        assert tau.mass(0.3, INF) == INF and tau.mass(-INF, 0.3) == INF
 
 
 class TestGeneralizedInverse:

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 import idcalc as ic
-from idcalc.errors import InconclusiveError
 from idcalc.kernels import TauMeasure
 from idcalc.measures import INF, SymmetrizedMeasure, _stable_exponent
 from idcalc.transform import TauMixtureMeasure

@@ -111,11 +111,9 @@ def test_symmetric_collapse(nu, data):
     sym = nu.symmetrized()
     if isinstance(nu, ic.StableMeasure):
         assert isinstance(sym, ic.StableMeasure) and sym.alpha == nu.alpha
-    # a symmetrized gamma is a sum of two reflected gammas, which the
-    # part-wise test of a sum does not recognize as symmetric
-    parts = nu.parts if isinstance(nu, ic.SumMeasure) else [nu]
-    if not any(isinstance(p, ic.GammaMeasure) for p in parts):
-        assert sym.is_symmetric()
+    # a symmetrized gamma is a sum of two reflected gammas, which a sum
+    # recognizes by pooling the directions of its parts
+    assert sym.is_symmetric()
     us = np.array([1.0, -0.5])
     np.testing.assert_allclose(sym.centering_scaled(us), 0.0, atol=1e-12)
     z = np.array(data.draw(st.lists(st.floats(-2.0, 2.0), min_size=nu.dim,
@@ -133,5 +131,20 @@ def test_support_predicates_match_points(nu, data):
     assert nu.supported_in_orthant(signs) == bool(np.all(points * signs >= 0))
     assert nu.is_symmetric() == _reflection_invariant(points, masses)
     sym = nu.symmetrized()
-    if not isinstance(nu, ic.GammaMeasure):
+    if isinstance(nu, ic.GammaMeasure):
+        assert isinstance(sym, ic.SumMeasure) and sym.is_symmetric()
+    else:
         assert _reflection_invariant(*_points(sym))
+
+
+@SETTINGS
+@given(st.integers(1, 2).flatmap(lambda dim: st.tuples(
+    unit_vectors(dim), weights_st, weights_st)))
+def test_sum_of_reflected_gammas_is_symmetric(params):
+    xi, shape, rate = params
+    nu = ic.gamma_measure(shape, rate, xi)
+    assert ic.SumMeasure([nu, ic.gamma_measure(shape, rate, -xi)]).is_symmetric()
+    # a mirror image with another radial law does not pair up
+    assert not ic.SumMeasure([nu, ic.gamma_measure(shape, 2.0 * rate, -xi)]).is_symmetric()
+    t = ic.symmetrize_triplet(ic.Triplet(np.zeros((nu.dim, nu.dim)), nu, np.zeros(nu.dim)))
+    assert t.is_symmetric()
