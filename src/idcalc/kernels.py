@@ -115,6 +115,7 @@ class Kernel:
             abs_bound = lambda p, q: float(self(np.array([p]))[0]) if p > self.a \
                 else INF
         self.abs_bound = abs_bound                  # sup of |f| over [p, q]
+        self._tau = None                            # tau_measure(self), once built
 
     def __call__(self, s):
         s = np.asarray(s, dtype=float)
@@ -152,14 +153,20 @@ def _window_hook(k, kind):
             "abs": k.window_abs}.get(kind)
 
 
+def _window_slab(k, kind):
+    """Slab of f, f^2, |f|, min(f^2, 1) or 1{f != 0}: the closed-form hook
+    when the kernel has one, else quadrature."""
+    hook = _window_hook(k, kind)
+    if hook is not None:
+        return hook
+    g = _INTEGRANDS[kind]
+    return slab_quad(lambda s: g(k(s)), rtol=1e-10, atol=1e-13)
+
+
 def kernel_window_integral(k, p, q, kind="plain"):
     """int_p^q of f, f^2, |f|, min(f^2, 1) or 1{f != 0} on a finite slab,
     through the closed-form hook when the kernel has one."""
-    hook = _window_hook(k, kind)
-    if hook is not None:
-        return hook(p, q)
-    g = _INTEGRANDS[kind]
-    return adaptive_quad(lambda s: g(k(s)), p, q, rtol=1e-10)[0]
+    return _window_slab(k, kind)(p, q)
 
 
 def hook_limit(k, kind="plain", scale=1.0):
@@ -207,8 +214,7 @@ def kernel_mass(k, kind="plain"):
     if res is not None:
         return res
 
-    def slab(p, q):
-        return kernel_window_integral(k, p, q, kind)
+    slab = _window_slab(k, kind)
     if kind != "plain" or k.nonnegative:
         return improper_nonneg(slab, k.a, k.b)
     return improper_limit(slab, k.a, k.b, rtol=1e-9)
@@ -651,11 +657,19 @@ def kernel_from_tau(tau: TauMeasure, name=None) -> Kernel:
 # ---------------------------------------------------------------------------
 
 def _endpoint_limit(k: Kernel, end):
-    """Sampled limit of f at an endpoint; returns (value, finite?) with
-    value +-inf when the sampled sequence grows beyond bound."""
+    """Sampled limit of f at an endpoint; returns (value, flat?), the value
+    +-inf when the samples grow beyond bound.
+
+    Two samples must agree relative to their size, so a limit of 0 is
+    reached by an exact tie (an underflow), not by two tiny samples.  The
+    limit is flat (f sits at it on a stretch before the end) only when the
+    samples reach it without first creeping to within 1e-12 of it: a value
+    crept up to is the rounding of a limit that is not attained, as when
+    exp(-s) underflows to 0.
+    """
     a, b = k.a, k.b
     step0 = min(1.0, (b - a) / 2.0) if math.isfinite(b - a) else 1.0
-    prev = None
+    prev = before = None   # ``before``: the sample ahead of prev's run of ties
     for j in range(4, 44):
         if end == "lower":
             s = a + step0 * 2.0 ** (-j) if math.isfinite(a) else -(2.0 ** j)
@@ -666,17 +680,21 @@ def _endpoint_limit(k: Kernel, end):
         v = float(k(np.array([s]))[0])
         if abs(v) > 1e13:
             return (INF if v > 0 else -INF), False
-        if prev is not None and abs(v - prev) <= 1e-12 * max(1.0, abs(v)):
-            return v, True
+        if prev is not None and abs(v - prev) <= 1e-12 * abs(v):
+            lead = before if v == prev else prev
+            return v, lead is None or abs(lead - v) > 1e-12 * max(1.0, abs(v))
+        if v != prev:
+            before = prev
         prev = v
-    return prev, True
+    return prev, False
 
 
-def _level_boundary(k: Kernel, u, f_top, f_bot):
-    """For decreasing f: boundary point of {s : f(s) > u}."""
+def _level_boundary(k: Kernel, u, f_top, f_bot, flat_bot=True):
+    """For decreasing f: boundary point of {s : f(s) > u}; at u = inf f
+    it is b unless f is flat at its infimum."""
     if u >= f_top:
         return k.a
-    if u < f_bot:
+    if u < f_bot or (u == f_bot and not flat_bot):
         return k.b
     lo = k.a
     hi = k.b
@@ -717,24 +735,32 @@ def tau_measure(k: Kernel) -> TauMeasure:
     (inf f, sup f); other kernels get the range from sampled endpoint
     limits.  A constant kernel's measure is one atom.  Black-box
     non-monotone kernels are unsupported (their occupation measure does not
-    determine the transform anyway).
+    determine the transform anyway).  The measure depends only on the
+    kernel, so it is built once per kernel instance.
     """
     if not k.monotone_decreasing:
         raise UnsupportedKernel(
             f"occupation measure of non-monotone kernel {k.name!r} is not materialized")
+    if k._tau is None:
+        k._tau = _build_tau(k)
+    return k._tau
+
+
+def _build_tau(k: Kernel) -> TauMeasure:
     if k.tau_density is not None:
         density, (f_bot, f_top) = k.tau_density
+        flat_bot = True
     else:
         density = None
         f_top, _ = _endpoint_limit(k, "lower")
-        f_bot, _ = _endpoint_limit(k, "upper")
+        f_bot, flat_bot = _endpoint_limit(k, "upper")
     name = f"tau({k.name})"
     if f_bot == f_top:
         return TauMeasure(atoms=[(f_top, k.b - k.a)], name=name)
     if k.level_upper is not None and math.isfinite(k.a):
         G = lambda u: -k.level_upper(u)
     else:
-        G = lambda u: -_level_boundary(k, u, f_top, f_bot)
+        G = lambda u: -_level_boundary(k, u, f_top, f_bot, flat_bot)
     return TauMeasure(density=density,
                       density_support=None if density is None else (f_bot, f_top),
                       cumulative=G, support=(f_bot, f_top), name=name)

@@ -37,11 +37,34 @@ component is neither.  A signed vector with a divergent component has no
 limit: that component ends the run as diverged.  The evidence is that of
 the component decided last; with several components it also lists each
 component's own under ``"components"``.
+
+Block evaluation.  The slabs of a driver's levels are independent
+integrals, so a slab made by :func:`slab_quad` is handed the windows of a
+block of upcoming levels at once, and ``adaptive_quad`` integrates them all
+with one integrand call per refinement sweep.  Each window refines as it
+would alone, so for an integrand that treats each abscissa on its own every
+value is what the level-by-level drivers computed.  The drivers still apply
+their rules level by level and stop at the same level; the slabs past it
+are wasted work, which the lookahead bounds:
+
+* a block holds ``_LOOKAHEAD`` levels (the first one also the anchor
+  window), or ``consec`` minus the shortest stable run once every open
+  component is in one, the most levels the run can still take if it
+  stabilizes;
+* a block whose call raises (a quadrature failure, an inconclusive inner
+  limit, a floating-point error) or warns is redone one level at a time,
+  as the driver reaches each level, so an exception or a warning comes
+  only from a level the driver reaches.
+
+Any other slab (a closed-form window hook, say) is called one window at a
+time.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,6 +72,9 @@ import numpy as np
 from .errors import QuadratureFailure
 
 INF = math.inf
+
+# window levels whose slabs the drivers hand a batched slab in one call
+_LOOKAHEAD = 8
 
 # 15-point Kronrod extension of 7-point Gauss on [-1, 1].
 _KRONROD_NODES = np.array([
@@ -72,22 +98,24 @@ _GAUSS_WEIGHTS = np.array([
     0.417959183673469,
     0.381830050505119, 0.279705391489277, 0.129484966168870,
 ])
-_GAUSS_IDX = np.arange(1, 15, 2)
 
 
-def _panel(fn, a, b):
-    """One Gauss-Kronrod panel; returns (value, per-component error)."""
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    x = mid + half * _KRONROD_NODES
+def _panels(fn, lo, hi):
+    """Gauss-Kronrod panels on [lo[i], hi[i]], all in one ``fn`` call;
+    returns (values, per-component errors) stacked along the first axis."""
+    half = 0.5 * (hi - lo)
+    mid = 0.5 * (lo + hi)
+    x = (mid[:, None] + half[:, None] * _KRONROD_NODES).reshape(-1)
     y = np.asarray(fn(x))
-    if y.shape[0] != 15:
+    if y.shape[:1] != x.shape:
         raise QuadratureFailure("integrand must be vectorized over abscissae")
-    shape_tail = y.shape[1:]
-    wk = _KRONROD_WEIGHTS.reshape((15,) + (1,) * len(shape_tail))
-    wg = _GAUSS_WEIGHTS.reshape((7,) + (1,) * len(shape_tail))
-    vk = half * (wk * y).sum(axis=0)
-    vg = half * (wg * y[_GAUSS_IDX]).sum(axis=0)
+    y = y.reshape((len(lo), 15) + y.shape[1:])
+    tail = (1,) * (y.ndim - 2)
+    half = half.reshape((-1,) + tail)
+    vk = half * (_KRONROD_WEIGHTS.reshape((15,) + tail) * y).sum(axis=1)
+    # a slice, not an index array, keeps the product in C order, so each
+    # panel's Gauss sum adds its terms in the order a lone panel's does
+    vg = half * (_GAUSS_WEIGHTS.reshape((7,) + tail) * y[:, 1::2]).sum(axis=1)
     return vk, np.abs(vk - vg)
 
 
@@ -102,49 +130,101 @@ def _error_weights(total, rtol, atol):
     return tol.min() / tol
 
 
+def _per_window(flags):
+    """Whether any component is flagged, per window (leading axis)."""
+    return flags.any(axis=tuple(range(1, flags.ndim)))
+
+
+class _Refining:
+    """A window of :func:`adaptive_quad` still refining: its heap of panels,
+    worst first, their count, and its value and error."""
+
+    def __init__(self, a, b, value, err):
+        self.heap = [(0.0, 0, a, b, value, err)]
+        self.panels = 1
+        self.value = value
+        self.err = err
+
+    def split(self, lo, mid, hi, v0, e0, v1, e1, v2, e2, rtol, atol):
+        """Replace the panel [lo, hi] by its halves."""
+        self.value = self.value - v0 + v1 + v2
+        self.err = self.err - e0 + e1 + e2
+        weight = _error_weights(self.value, rtol, atol)
+        n = self.panels  # the panel count doubles as the heap tiebreaker
+        heapq.heappush(self.heap, (-float((e1 * weight).max()), n, lo, mid, v1, e1))
+        heapq.heappush(self.heap, (-float((e2 * weight).max()), n + 1, mid, hi, v2, e2))
+        self.panels = n + 2
+
+
 def adaptive_quad(fn, a, b, *, rtol=1e-10, atol=1e-13, max_panels=16384):
-    """Integrate ``fn`` over the finite interval [a, b].
+    """Integrate ``fn`` over the finite interval [a, b], or over each window
+    [a[i], b[i]] when the endpoints are 1-d arrays.
 
     Returns ``(value, error_estimate)``, the estimate being the largest
-    component error; raises :class:`QuadratureFailure` when the panel budget
-    is exhausted before every component meets its tolerance.
-    """
-    import heapq
+    component error; for arrays of endpoints both are stacked over the
+    windows.  Raises :class:`QuadratureFailure` when a window exhausts its
+    panel budget before every component meets its tolerance.
 
-    a = float(a)
-    b = float(b)
-    if not (math.isfinite(a) and math.isfinite(b)):
+    The windows share ``fn`` calls: one on the first panels of them all,
+    then one per refinement sweep, in which every unfinished window splits
+    its own worst panel.  So each window refines as it would alone, and for
+    an integrand that treats each abscissa on its own, its value does not
+    depend on the other windows.
+    """
+    scalar = np.ndim(a) == 0 and np.ndim(b) == 0
+    a, b = np.broadcast_arrays(np.atleast_1d(np.asarray(a, dtype=float)),
+                               np.atleast_1d(np.asarray(b, dtype=float)))
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise QuadratureFailure("adaptive_quad needs finite endpoints")
-    if a == b:
-        probe = np.asarray(fn(np.array([a])))
-        return np.zeros(probe.shape[1:], dtype=probe.dtype), 0.0
-    val, err = _panel(fn, a, b)
-    counter = 0  # heap tiebreaker
-    heap = [(0.0, counter, a, b, val, err)]
-    total = np.array(val, copy=True)
-    total_err = np.array(err, copy=True)
-    n = 1
-    while (total_err > atol + rtol * np.abs(total)).any() and n < max_panels:
-        _, _, lo, hi, v0, e0 = heapq.heappop(heap)
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:  # interval at floating-point resolution
-            total_err = total_err - e0
-            continue
-        v1, e1 = _panel(fn, lo, mid)
-        v2, e2 = _panel(fn, mid, hi)
-        total = total - v0 + v1 + v2
-        total_err = total_err - e0 + e1 + e2
-        weight = _error_weights(total, rtol, atol)
-        counter += 1
-        heapq.heappush(heap, (-float((e1 * weight).max()), counter, lo, mid, v1, e1))
-        counter += 1
-        heapq.heappush(heap, (-float((e2 * weight).max()), counter, mid, hi, v2, e2))
-        n += 2
-    if np.any(total_err > 10.0 * (atol + rtol * np.maximum(np.abs(total), 1e-300))):
+    live = np.flatnonzero(a != b)
+    if live.size:
+        vals, errs = _panels(fn, a[live], b[live])
+    else:
+        probe = np.asarray(fn(a[:1]))
+        vals = np.zeros((0,) + probe.shape[1:], dtype=probe.dtype)
+        errs = np.zeros(vals.shape)
+    total = np.zeros((len(a),) + vals.shape[1:], dtype=vals.dtype)
+    total_err = np.zeros(total.shape)
+    total[live] = vals
+    total_err[live] = errs
+    unmet = _per_window(errs > atol + rtol * np.abs(vals))
+    todo = {w: _Refining(a[w], b[w], vals[i], errs[i])
+            for i, w in enumerate(live) if unmet[i]}
+    while todo:
+        # every unfinished window pops its worst panel that can still split
+        picks = []
+        for w, r in todo.items():
+            while (r.err > atol + rtol * np.abs(r.value)).any() and r.panels < max_panels:
+                _, _, lo, hi, v0, e0 = heapq.heappop(r.heap)
+                mid = 0.5 * (lo + hi)
+                if mid <= lo or mid >= hi:  # interval at floating-point resolution
+                    r.err = r.err - e0
+                    continue
+                picks.append((w, lo, mid, hi, v0, e0))
+                break
+            else:  # the window is done
+                total[w] = r.value
+                total_err[w] = r.err
+        if not picks:
+            break
+        ends = np.array([(lo, mid, hi) for (_, lo, mid, hi, _, _) in picks])
+        v, e = _panels(fn, ends[:, :2].reshape(-1), ends[:, 1:].reshape(-1))
+        # a copy per panel, so that a split panel's memory is freed
+        v, e = [x.copy() for x in v], [x.copy() for x in e]
+        for i, (w, lo, mid, hi, v0, e0) in enumerate(picks):
+            todo[w].split(lo, mid, hi, v0, e0, v[2 * i], e[2 * i],
+                          v[2 * i + 1], e[2 * i + 1], rtol, atol)
+        todo = {w: todo[w] for (w, *_) in picks}
+    failed = np.flatnonzero(_per_window(
+        total_err > 10.0 * (atol + rtol * np.maximum(np.abs(total), 1e-300))))
+    if failed.size:
+        w = failed[0]
         raise QuadratureFailure(
-            f"panel budget exhausted: err={float(np.max(total_err)):.3g}"
-            f" over [{a:g},{b:g}]")
-    return total, float(np.max(total_err))
+            f"panel budget exhausted: err={float(np.max(total_err[w])):.3g}"
+            f" over [{a[w]:g},{b[w]:g}]")
+    if scalar:
+        return total[0], float(np.max(total_err[0]))
+    return total, total_err.max(axis=tuple(range(1, total_err.ndim)), initial=0.0)
 
 
 @dataclass
@@ -233,6 +313,67 @@ def window_schedule(a, b, levels, p0=None, q0=None):
     return out
 
 
+class _LevelSlabs:
+    """Slab values of each level of a window schedule, left window first.
+
+    A batched slab (one from :func:`slab_quad`) is called on the windows of
+    a block of levels at once; any other slab on one window at a time.  A
+    block whose call raises or warns is redone one level at a time, as the
+    driver reaches each level, so an exception or a warning comes only from
+    a level the driver reaches.
+    """
+
+    def __init__(self, slab, sched):
+        self.slab = slab
+        self.sched = sched
+        self.batched = getattr(slab, "batched", False)
+        self.ready = {}
+        self.solo_until = 0
+
+    def windows(self, n):
+        if n == 0:
+            return [self.sched[0]]
+        (p_prev, q_prev), (p, q) = self.sched[n - 1], self.sched[n]
+        return [w for w, new in (((p, p_prev), p < p_prev), ((q_prev, q), q > q_prev))
+                if new]
+
+    def values(self, n, span):
+        """Slab values of level ``n``.  When a block is due it holds ``span``
+        levels from ``n`` on; the anchor window's level 0 rides along with
+        the first block."""
+        if n in self.ready:
+            return self.ready.pop(n)
+        if self.batched and n >= self.solo_until:
+            block = range(n, min(n + span + (n == 0), len(self.sched)))
+            wins = [self.windows(m) for m in block]
+            flat = [w for ws in wins for w in ws]
+            try:
+                with warnings.catch_warnings(record=True) as caught:
+                    vals = self.slab(np.array([w[0] for w in flat]),
+                                     np.array([w[1] for w in flat]))
+                clean = not caught
+            except Exception:  # raised again below if a reached level raises it
+                clean = False
+            if clean:
+                i = 0
+                for m, ws in zip(block, wins):
+                    self.ready[m] = list(vals[i:i + len(ws)])
+                    i += len(ws)
+                return self.ready.pop(n)
+            self.solo_until = block.stop
+        return [self.slab(lo, hi) for (lo, hi) in self.windows(n)]
+
+
+def _lookahead(stable, open_, consec):
+    """Levels to evaluate from the current one on: the lookahead, or fewer
+    once every open component is in a stable run, since the run may then
+    end ``consec`` minus the shortest run's length levels on."""
+    runs = [stable[c] for c in open_]
+    if runs and min(runs) > 0:
+        return min(_LOOKAHEAD, consec - min(runs))
+    return _LOOKAHEAD
+
+
 def improper_limit(slab, a, b, *, rtol=1e-8, atol=1e-12, diverge=1e10,
                    levels=48, consec=5, p0=None, q0=None):
     """Drive lim over windows of a signed (possibly vector) integral.
@@ -244,22 +385,20 @@ def improper_limit(slab, a, b, *, rtol=1e-8, atol=1e-12, diverge=1e10,
     the first component past ``diverge`` ends the run as diverged.
     """
     sched = window_schedule(a, b, levels, p0=p0, q0=q0)
-    p_prev, q_prev = sched[0]
+    slabs = _LevelSlabs(slab, sched)
     try:
-        value = np.array(np.asarray(slab(p_prev, q_prev)), copy=True)
+        value = np.array(np.asarray(slabs.values(0, _LOOKAHEAD)[0]), copy=True)
     except QuadratureFailure as e:
         return ImproperResult("inconclusive", None, [],
                               {"rule": "slab-quadrature-failure", "detail": str(e)})
-    trace = [(p_prev, q_prev, np.array(value, copy=True))]
+    trace = [(*sched[0], np.array(value, copy=True))]
     comps = _Components(value.size)
     stable = [0] * value.size
-    for (p, q) in sched[1:]:
+    for n, (p, q) in enumerate(sched[1:], 1):
         inc = 0.0
         try:
-            if p < p_prev:
-                inc = inc + np.asarray(slab(p, p_prev))
-            if q > q_prev:
-                inc = inc + np.asarray(slab(q_prev, q))
+            for v in slabs.values(n, _lookahead(stable, comps.open(), consec)):
+                inc = inc + np.asarray(v)
         except QuadratureFailure as e:
             return ImproperResult("inconclusive", value, trace,
                                   {"rule": "slab-quadrature-failure",
@@ -269,7 +408,6 @@ def improper_limit(slab, a, b, *, rtol=1e-8, atol=1e-12, diverge=1e10,
         delta = np.abs(new_value - value).reshape(-1)
         value = new_value
         trace.append((p, q, np.array(value, copy=True)))
-        p_prev, q_prev = p, q
         mags = np.abs(value).reshape(-1)
         for c in comps.open():
             if mags[c] > diverge:
@@ -321,25 +459,23 @@ def improper_nonneg(slab, a, b, *, rtol=1e-9, atol=1e-13, blowup=1e12,
     component of a vector integrand is certified on its own.
     """
     sched = window_schedule(a, b, levels, p0=p0, q0=q0)
-    p_prev, q_prev = sched[0]
+    slabs = _LevelSlabs(slab, sched)
     try:
-        first = np.asarray(slab(p_prev, q_prev))
+        first = np.asarray(slabs.values(0, _LOOKAHEAD)[0])
     except QuadratureFailure as e:
         return ImproperResult("inconclusive", None, [],
                               {"rule": "slab-quadrature-failure", "detail": str(e)})
     total = np.array(first, dtype=float, copy=True)
     windows = []          # per-level added mass of each component
-    trace = [(p_prev, q_prev, float(np.max(total)))]
+    trace = [(*sched[0], float(np.max(total)))]
     comps = _Components(total.size)
     stable = [0] * total.size
     growing = [0] * total.size
-    for (p, q) in sched[1:]:
+    for n, (p, q) in enumerate(sched[1:], 1):
         inc = np.zeros_like(total)
         try:
-            if p < p_prev:
-                inc = inc + np.asarray(slab(p, p_prev))
-            if q > q_prev:
-                inc = inc + np.asarray(slab(q_prev, q))
+            for v in slabs.values(n, _lookahead(stable, comps.open(), consec)):
+                inc = inc + np.asarray(v)
         except QuadratureFailure as e:
             return ImproperResult("inconclusive", total, trace,
                                   {"rule": "slab-quadrature-failure",
@@ -351,7 +487,6 @@ def improper_nonneg(slab, a, b, *, rtol=1e-9, atol=1e-13, blowup=1e12,
         total = total + inc
         windows.append(inc.reshape(-1).tolist())
         trace.append((p, q, float(np.max(total))))
-        p_prev, q_prev = p, q
         tot = total.reshape(-1)
         for c in comps.open():
             w = windows[-1][c]
@@ -419,9 +554,13 @@ def improper_nonneg(slab, a, b, *, rtol=1e-9, atol=1e-13, blowup=1e12,
 
 
 def slab_quad(fn, *, rtol=1e-10, atol=1e-14):
-    """Make a slab callable for the improper drivers from a vectorized fn."""
+    """Make a slab callable for the improper drivers from a vectorized fn.
+
+    The slab takes one window or arrays of windows, so the drivers evaluate
+    a block of levels in one :func:`adaptive_quad` call."""
     def slab(lo, hi):
         return adaptive_quad(fn, lo, hi, rtol=rtol, atol=atol)[0]
+    slab.batched = True
     return slab
 
 

@@ -169,10 +169,8 @@ class PushforwardMeasure(ScaleMixtureMeasure):
         self.dim = base.dim
 
     def _mix(self, per_scale, nonneg=False, label=None, atol=1e-13):
-        def slab(w1, w2):
-            fn = lambda s: per_scale(np.atleast_1d(self.kernel(s)))
-            return adaptive_quad(fn, w1, w2, rtol=1e-9, atol=atol)[0]
-
+        slab = slab_quad(lambda s: per_scale(np.atleast_1d(self.kernel(s))),
+                         rtol=1e-9, atol=atol)
         if self.proper:
             return slab(self.p, self.q)
         if nonneg:
@@ -239,19 +237,14 @@ def _gamma_slab(k: Kernel, t: Triplet):
     identically, so the slab reduces to the kernel's window integral and
     oscillatory kernels stay exact through their closed-form hooks.
     """
-    reduces = t.nu.is_zero() or t.nu.is_symmetric()
+    if t.nu.is_zero() or t.nu.is_symmetric():
+        return lambda p, q: t.gamma * kernel_window_integral(k, p, q, "plain")
 
-    def slab(p, q):
-        if reduces:
-            return t.gamma * kernel_window_integral(k, p, q, "plain")
-
-        def fn(s):
-            us = np.atleast_1d(k(s))
-            cent = np.asarray(t.nu.centering_scaled(us))
-            return np.outer(us, t.gamma) + us[:, None] * cent
-        return adaptive_quad(fn, p, q, rtol=1e-10, atol=1e-12)[0]
-
-    return slab
+    def fn(s):
+        us = np.atleast_1d(k(s))
+        cent = np.asarray(t.nu.centering_scaled(us))
+        return np.outer(us, t.gamma) + us[:, None] * cent
+    return slab_quad(fn, rtol=1e-10, atol=1e-12)
 
 
 def locally_integrable(k: Kernel, t: Triplet, p: float, q: float) -> Verdict:
@@ -326,15 +319,18 @@ def _jump_condition(k: Kernel, t: Triplet) -> Verdict:
     from .measures import AtomicMeasure
     atomic_fast = (isinstance(nu, AtomicMeasure) and k.abs_bound is not None
                    and k.window_square is not None)
+    quad = slab_quad(lambda s: nu.clip2_scaled(np.atleast_1d(k(s))),
+                     rtol=1e-8, atol=1e-11)
     if atomic_fast:
         rmax = float(np.max(nu.radii))
         m2 = float((nu.masses * nu.radii ** 2).sum())
 
-    def slab(p, q):
-        if atomic_fast and k.abs_bound(p, q) * rmax <= 1.0:
-            return m2 * kernel_window_integral(k, p, q, "square")
-        fn = lambda s: nu.clip2_scaled(np.atleast_1d(k(s)))
-        return adaptive_quad(fn, p, q, rtol=1e-8, atol=1e-11)[0]
+        def slab(p, q):
+            if k.abs_bound(p, q) * rmax <= 1.0:
+                return m2 * kernel_window_integral(k, p, q, "square")
+            return quad(p, q)
+    else:
+        slab = quad
 
     res = improper_nonneg(slab, k.a, k.b)
     if res.converged:
@@ -621,19 +617,16 @@ def absolutely_definable(k: Kernel, t: Triplet, use_rules=True) -> Verdict:
         # the location integrand vanishes identically
         return override(base if base.is_unknown else
                         Verdict.yes("symmetric-collapse"))
-    nu_zero = t.nu.is_zero()
-
-    def slab(p, q):
-        if nu_zero:
-            return kernel_window_integral(k, p, q, "abs") * float(
-                np.linalg.norm(t.gamma))
-
+    if t.nu.is_zero():
+        norm = float(np.linalg.norm(t.gamma))
+        slab = lambda p, q: kernel_window_integral(k, p, q, "abs") * norm
+    else:
         def fn(s):
             us = np.atleast_1d(k(s))
             cent = np.asarray(t.nu.centering_scaled(us))
             vec = np.outer(us, t.gamma) + us[:, None] * cent
             return np.sqrt((vec * vec).sum(axis=1))
-        return adaptive_quad(fn, p, q, rtol=1e-8, atol=1e-11)[0]
+        slab = slab_quad(fn, rtol=1e-8, atol=1e-11)
 
     res = improper_nonneg(slab, k.a, k.b)
     if res.diverged:
@@ -661,9 +654,8 @@ def phi_ab(k: Kernel, t: Triplet) -> TransformResult:
     if t.nu.is_zero():
         clip_ok = Verdict.yes("no-jump-part")
     else:
-        def slab(p, q):
-            fn = lambda s: t.nu.clip1_scaled(np.atleast_1d(k(s)))
-            return adaptive_quad(fn, p, q, rtol=1e-8, atol=1e-11)[0]
+        slab = slab_quad(lambda s: t.nu.clip1_scaled(np.atleast_1d(k(s))),
+                         rtol=1e-8, atol=1e-11)
         res = improper_nonneg(slab, k.a, k.b)
         if res.diverged:
             clip_ok = Verdict.no("clipped-linear-divergent", **res.evidence)
@@ -711,9 +703,8 @@ def psi(tau_or_kernel, nu: LevyMeasure):
     if isinstance(tau_or_kernel, Kernel):
         k = tau_or_kernel
 
-        def slab(p, q):
-            fn = lambda s: nu.clip2_scaled(np.atleast_1d(k(s)))
-            return adaptive_quad(fn, p, q, rtol=1e-9)[0]
+        slab = slab_quad(lambda s: nu.clip2_scaled(np.atleast_1d(k(s))),
+                         rtol=1e-9, atol=1e-13)
         res = improper_nonneg(slab, k.a, k.b)
         if res.diverged:
             raise NotInDomain("clipped-quadratic-divergent", res.evidence)
@@ -765,9 +756,8 @@ def direct_exponent(k: Kernel, t: Triplet, z, p=None, q=None):
                 val = val + zaz * kernel_window_integral(k, w1, w2, "square")
             return val
     else:
-        def slab(w1, w2):
-            fn = lambda s: base_exponent_scaled(t, z, k(s))
-            return adaptive_quad(fn, w1, w2, rtol=1e-10)[0]
+        slab = slab_quad(lambda s: base_exponent_scaled(t, z, k(s)),
+                         rtol=1e-10, atol=1e-13)
 
     if p is not None and q is not None:
         return complex(slab(p, q))

@@ -221,6 +221,30 @@ class TestTauMeasure:
         assert tau.mass(-1.0, 0.0) == 0.0 and tau.mass(1.0, 2.0) == 0.0
         assert tau.mass(0.3, INF) == INF and tau.mass(-INF, 0.3) == INF
 
+    def test_bare_exp_kernel_reaches_its_infimum(self):
+        # the sampled infimum of exp(-s) must be 0 (an underflow), not the
+        # first tiny sample: levels far below 1 are inside the range
+        k = Kernel("bare-exp", 0.0, INF, lambda s: np.exp(-s),
+                   monotone_decreasing=True, nonnegative=True)
+        tau = tau_measure(k)
+        assert tau.a_prime == 0.0
+        for (u1, u2) in [(1e-30, 1e-20), (1e-300, 1e-3), (0.2, 0.7)]:
+            want = pytest.approx(math.log(u2 / u1), rel=1e-10)
+            assert tau.mass(u1, u2) == want
+            assert tau_of_interval(k, u1, u2) == want
+        # f never reaches 0, though it underflows to it: no atom there, nor
+        # at 3 for 3 + exp(-s), whose tail rounds to 3
+        assert tau.mass(-1.0, 0.0) == 0.0 and tau.mass(-1.0, 1e-20) == INF
+        shifted = Kernel("shifted-exp", 0.0, INF, lambda s: 3.0 + np.exp(-s),
+                         monotone_decreasing=True, nonnegative=True)
+        assert tau_of_interval(shifted, 2.0, 3.0) == 0.0
+        assert tau_of_interval(shifted, 3.5, 3.9) == pytest.approx(math.log(9.0 / 5.0))
+
+    def test_built_once_per_kernel(self):
+        k = kernel_from_tau(tau_exponential())
+        assert tau_measure(k) is tau_measure(k)
+        assert tau_measure(exp_kernel()) is not tau_measure(exp_kernel())
+
 
 class TestGeneralizedInverse:
     def test_identity(self):

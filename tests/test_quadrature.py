@@ -1,9 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from idcalc.errors import QuadratureFailure
+from idcalc.errors import InconclusiveError, QuadratureFailure
 from idcalc.quadrature import (
     adaptive_quad,
     bisect_monotone,
@@ -168,3 +169,163 @@ class TestComponentwiseCertification:
     def test_all_diverged_is_diverged(self):
         res = improper_nonneg(lambda p, q: np.array([q - p, 2.0 * (q - p)]), 1.0, INF)
         assert res.diverged and res.value is None
+
+
+class TestBlockEvaluation:
+    """The drivers hand a batched slab the windows of several levels in one
+    call; every window must come out as it would alone, and every result as
+    the level-by-level drivers give it."""
+
+    @staticmethod
+    def level_by_level(slab):
+        # a plain callable: the drivers evaluate it one window at a time
+        return lambda p, q: slab(p, q)
+
+    @staticmethod
+    def assert_same(got, want):
+        assert got.status == want.status
+        assert got.evidence == want.evidence
+        if want.value is None:
+            assert got.value is None
+        else:
+            assert np.array_equal(got.value, want.value)
+        assert len(got.trace) == len(want.trace)
+        for (p1, q1, v1), (p2, q2, v2) in zip(got.trace, want.trace):
+            assert (p1, q1) == (p2, q2) and np.array_equal(v1, v2)
+
+    @pytest.mark.parametrize("name, fn, rtol, max_panels", [
+        ("smooth", lambda x: np.exp(-x * x), 1e-10, 16384),
+        ("peak", lambda x: 1.0 / (1e-4 + (x - 0.3) ** 2), 1e-11, 16384),
+        ("complex", lambda x: np.exp(7j * x) / (1.0 + x * x), 1e-11, 16384),
+        ("vector", lambda x: np.stack([np.sin(x), 1e-8 / (1e-3 + (x - 0.7) ** 2),
+                                       np.abs(x - 0.2)], axis=1), 1e-9, 16384),
+        ("budget", lambda x: np.abs(x - 0.3) ** -0.9, 1e-12, 41),
+    ])
+    def test_windows_equal_lone_runs(self, name, fn, rtol, max_panels):
+        rng = np.random.default_rng(7)
+        a = rng.uniform(-2.0, 2.0, 12)
+        b = a + rng.exponential(2.0, 12) * rng.choice([1e-3, 1.0, 30.0], 12)
+        b[3] = a[3]   # a degenerate window
+        solo = []
+        for lo, hi in zip(a, b):
+            try:
+                solo.append(adaptive_quad(fn, lo, hi, rtol=rtol, max_panels=max_panels))
+            except QuadratureFailure as e:
+                solo.append(str(e))
+        failures = [s for s in solo if isinstance(s, str)]
+        if failures:
+            with pytest.raises(QuadratureFailure) as exc:
+                adaptive_quad(fn, a, b, rtol=rtol, max_panels=max_panels)
+            assert str(exc.value) == failures[0]
+            return
+        vals, errs = adaptive_quad(fn, a, b, rtol=rtol, max_panels=max_panels)
+        assert vals.shape[0] == errs.shape[0] == len(a)
+        for i, (v, e) in enumerate(solo):
+            assert np.array_equal(vals[i], v) and errs[i] == e
+
+    # case: (driver, integrand, a, b, options, exit rule); the rule of a
+    # vector case is None: its components are decided at different levels
+    # or by different rules
+    DRIVES = {
+        "stabilized": (improper_nonneg, lambda r: np.exp(-r * r), -INF, INF, {},
+                       "stabilized"),
+        "geometric-tail": (improper_nonneg, lambda r: r ** -1.5, 1.0, INF, {},
+                           "geometric-tail"),
+        "nonneg-tight": (improper_nonneg, lambda r: r ** -1.0365, 1.0, INF, {},
+                         "tight-geometric-extrapolation"),
+        "nondecreasing": (improper_nonneg, lambda r: r ** -0.8, 1.0, INF, {},
+                          "nondecreasing-windows"),
+        "non-vanishing": (improper_nonneg, lambda r: 1.0 / r, 1.0, INF, {},
+                          "non-vanishing-windows"),
+        "threshold": (improper_nonneg, lambda r: np.exp(r), 0.0, INF, {"blowup": 1e6},
+                      "threshold"),
+        "nonneg-budget": (improper_nonneg,
+                          lambda r: (1.0 + 0.3 * np.sin(2.0 * np.log(r))) * r ** -1.03,
+                          1.0, INF, {"levels": 20}, "budget"),
+        "nonneg-components": (improper_nonneg, lambda r: np.stack(
+            [r ** -1.5, r ** -0.8, np.exp(-r), r ** -1.02], axis=1), 1.0, INF, {}, None),
+        "cauchy": (improper_limit, lambda s: np.sin(s) / (1.0 + s * s), -INF, INF, {},
+                   "cauchy"),
+        "limit-tight": (improper_limit, lambda s: s ** -1.5, 1.0, INF, {},
+                        "tight-geometric-extrapolation"),
+        "magnitude": (improper_limit, lambda s: np.stack([s ** -1.5, s ** 0.5], axis=1),
+                      1.0, INF, {"diverge": 1e6}, "magnitude"),
+        "limit-budget": (improper_limit, lambda s: s ** -1.001, 1.0, INF, {"levels": 32},
+                         "budget"),
+        "limit-components": (improper_limit, lambda s: np.stack(
+            [np.exp(-s), s ** -2.5, np.exp(-0.01 * s) + 0j], axis=1), 0.5, INF, {}, None),
+        "limit-anchored": (improper_limit, lambda s: 1.0 / (1.0 + s * s), -INF, INF,
+                           {"p0": -3.0, "q0": 0.5}, "cauchy"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(DRIVES))
+    def test_drivers_equal_level_by_level(self, case):
+        driver, fn, a, b, kw, rule = self.DRIVES[case]
+        slab = slab_quad(fn, rtol=1e-10)
+        want = driver(self.level_by_level(slab), a, b, **kw)
+        self.assert_same(driver(slab, a, b, **kw), want)
+        if rule is None:
+            comps = want.evidence["components"]
+            assert len({str(c) for c in comps}) == len(comps)
+        else:
+            # a convergence without a rule label is the Cauchy test's
+            assert want.evidence.get("rule", "cauchy") == rule
+
+    # drivers that stop in the middle of their second block of levels:
+    # 1/r at level 10, r^0.5 past 1e6 at level 13
+    STOPPING = [(improper_nonneg, lambda r: 1.0 / r, {}, 10),
+                (improper_limit, lambda r: r ** 0.5, {"diverge": 1e6}, 13)]
+
+    @pytest.mark.parametrize("error", [QuadratureFailure, InconclusiveError])
+    @pytest.mark.parametrize("driver, f, kw, stop", STOPPING)
+    def test_failures_beyond_the_stopping_level(self, error, driver, f, kw, stop):
+        last = window_schedule(1.0, INF, stop)[-1][1]
+
+        def fn(r):
+            if np.any(r > last):
+                raise error("beyond the stopping level")
+            return f(r)
+
+        want = driver(self.level_by_level(slab_quad(f)), 1.0, INF, **kw)
+        assert len(want.trace) == stop + 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            self.assert_same(driver(slab_quad(fn), 1.0, INF, **kw), want)
+
+    @pytest.mark.parametrize("reached", [False, True])
+    @pytest.mark.parametrize("driver, f, kw, stop", STOPPING)
+    def test_warnings_only_from_reached_levels(self, driver, f, kw, stop, reached):
+        # the integrand overflows past the last window the driver reaches,
+        # or past the one two levels before it
+        edge = window_schedule(1.0, INF, stop)[-3 if reached else -1][1]
+
+        def fn(r):
+            with np.errstate(over="warn"):
+                big = np.exp(r - edge + 700.0)
+            return f(r) + 0.0 * np.minimum(big, 1.0)
+
+        runs = []
+        for slab in (self.level_by_level(slab_quad(fn)), slab_quad(fn)):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                runs.append((driver(slab, 1.0, INF, **kw), len(caught)))
+        (want, warned), (got, got_warned) = runs
+        self.assert_same(got, want)
+        assert (got_warned > 0) == (warned > 0) == reached
+
+    def test_fn_calls_per_driver(self):
+        # windows on both ends of (0, inf), each slab exact on its first panel
+        # band: both tails decay geometrically, so the run takes all 32 levels
+        calls = []
+
+        def fn(r):
+            calls.append(len(r))
+            return 1.0 / (r ** 0.9 + r ** 1.1)
+
+        res = improper_nonneg(slab_quad(fn), 0.0, INF, levels=32)
+        assert len(res.trace) == 33 and res.evidence["rule"] == "geometric-tail"
+        assert len(calls) <= math.ceil(32 / 8) + 2
+        block = len(calls)
+        calls.clear()
+        improper_nonneg(self.level_by_level(slab_quad(fn)), 0.0, INF, levels=32)
+        assert len(calls) >= 64 > block
