@@ -204,20 +204,9 @@ def _oscillation_verdicts(t, s0, side):
                          for x in np.atleast_1d(s)])
 
     lim = improper_limit(slab_quad(fn_signed, rtol=1e-9), a, b, rtol=1e-8)
-    if lim.converged:
-        v_lim = Verdict.yes("log-scale-compensation-convergent")
-    elif lim.diverged:
-        v_lim = Verdict.no("log-scale-compensation-divergent")
-    else:
-        v_lim = Verdict.unknown("log-scale-compensation-uncertified")
     ab = improper_nonneg(slab_quad(fn_abs, rtol=1e-9), a, b)
-    if ab.converged:
-        v_abs = Verdict.yes("log-scale-compensation-absolutely-finite")
-    elif ab.diverged:
-        v_abs = Verdict.no("log-scale-compensation-absolutely-divergent")
-    else:
-        v_abs = Verdict.unknown("log-scale-compensation-uncertified")
-    return v_lim, v_abs
+    return (lim.verdict("log-scale-compensation"),
+            ab.verdict("log-scale-compensation-absolutely"))
 
 
 def _mean_zero_verdict(t):
@@ -387,40 +376,28 @@ def default_r_grid(n=25):
 def _profile_mass(k, kind):
     """A whole-interval kernel mass and whether a closed form gave it."""
     res = kernel_mass(k, kind)
-    if res.converged:
-        value = float(np.max(res.value))
-    elif res.diverged:
-        value = INF
-    else:
-        raise InconclusiveError(f"kernel {kind} mass not certified", res.evidence)
+    value = float(np.max(res.certified(f"kernel {kind} mass")))
     return value, res.evidence.get("rule") in ("profile", "hook")
 
 
-def _k_of_r_numeric(k, r):
+# the level functions of the profile at threshold 1/r: the square of f below
+# it (k of r) and the indicator of f above it (h of r)
+_LEVEL_INTEGRANDS = {
+    "k_of_r": lambda v, thr: np.where(np.abs(v) <= thr, v * v, 0.0),
+    "h_of_r": lambda v, thr: (np.abs(v) > thr).astype(float),
+}
+
+
+def _level_numeric(k, kind, r):
+    """The level function ``kind`` at r by the window driver, None when it
+    is not certified."""
+    g = _LEVEL_INTEGRANDS[kind]
     thr = 1.0 / r
-
-    def fn(s):
-        v = k(s)
-        return np.where(np.abs(v) <= thr, v * v, 0.0)
-    res = improper_nonneg(slab_quad(fn, rtol=1e-8), k.a, k.b)
-    if res.converged:
-        return float(np.max(res.value))
-    if res.diverged:
-        return INF
-    return None
-
-
-def _h_of_r_numeric(k, r):
-    thr = 1.0 / r
-
-    def fn(s):
-        return (np.abs(k(s)) > thr).astype(float)
-    res = improper_nonneg(slab_quad(fn, rtol=1e-8), k.a, k.b)
-    if res.converged:
-        return float(np.max(res.value))
-    if res.diverged:
-        return INF
-    return None
+    res = improper_nonneg(slab_quad(lambda s: g(k(s), thr), rtol=1e-8), k.a, k.b)
+    try:
+        return float(np.max(res.certified(kind)))
+    except InconclusiveError:
+        return None
 
 
 def kernel_profile(k: Kernel, r_grid=None) -> KernelProfile:
@@ -436,15 +413,15 @@ def kernel_profile(k: Kernel, r_grid=None) -> KernelProfile:
         h_hook = lambda x: k.level_upper(1.0 / x)
     certified = all(c for _, c in masses) and k_hook is not None and h_hook is not None
 
-    def on_grid(hook, numeric):
+    def on_grid(hook, kind):
         # a hook may return None where it has no closed form
         out = {}
         for r in map(float, r_grid):
             v = None if hook is None else hook(r)
-            out[r] = numeric(k, r) if v is None else v
+            out[r] = _level_numeric(k, kind, r) if v is None else v
         return out
-    return KernelProfile(*(v for v, _ in masses), on_grid(k_hook, _k_of_r_numeric),
-                         on_grid(h_hook, _h_of_r_numeric), certified,
+    return KernelProfile(*(v for v, _ in masses), on_grid(k_hook, "k_of_r"),
+                         on_grid(h_hook, "h_of_r"), certified,
                          k.profile.get("locally_integrable"))
 
 

@@ -189,10 +189,12 @@ def hook_limit(k, kind="plain", scale=1.0):
         return None
     trace = [(p, q, scale * np.atleast_1d(kernel_window_integral(k, p, q, kind)))
              for (p, q) in window_schedule(k.a, k.b, 6)]
+    nonneg = kind != "plain"
     if math.isinf(v):
-        return ImproperResult("diverged", None, trace, {"rule": "hook"})
+        return ImproperResult("diverged", INF if nonneg else None, trace,
+                              {"rule": "hook"}, nonneg)
     trace.append((k.a, k.b, scale * np.atleast_1d(v)))
-    return ImproperResult("converged", scale * v, trace, {"rule": "hook"})
+    return ImproperResult("converged", scale * v, trace, {"rule": "hook"}, nonneg)
 
 
 def kernel_mass(k, kind="plain"):
@@ -207,9 +209,11 @@ def kernel_mass(k, kind="plain"):
     """
     v = k.profile.get(_PROFILE_MASS.get(kind))
     if v is not None:
+        nonneg = kind != "plain"
         if math.isinf(v):
-            return ImproperResult("diverged", None, [], {"rule": "profile"})
-        return ImproperResult("converged", float(v), [], {"rule": "profile"})
+            return ImproperResult("diverged", INF if nonneg else None, [],
+                                  {"rule": "profile"}, nonneg)
+        return ImproperResult("converged", float(v), [], {"rule": "profile"}, nonneg)
     res = hook_limit(k, kind)
     if res is not None:
         return res
@@ -286,11 +290,7 @@ class TauMeasure:
             if math.isfinite(lo2) and math.isfinite(hi2) and lo2 > lo and hi2 < hi:
                 return adaptive_quad(fn, lo2, hi2, rtol=1e-11)[0]
             res = improper_nonneg(slab_quad(fn, rtol=1e-11), lo2, hi2)
-            if res.converged:
-                return float(np.max(res.value))
-            if res.diverged:
-                return INF
-            raise InconclusiveError("interval mass not certified", res.evidence)
+            return float(np.max(res.certified("interval mass")))
         return 0.0
 
     def mass(self, u1, u2, include_left=False, include_right=True):
@@ -337,13 +337,7 @@ class TauMeasure:
             lo, hi = self.density_support
             fn = lambda u: np.asarray(h(u), dtype=float) * np.asarray(self.density(u), dtype=float)
             res = improper_nonneg(slab_quad(fn, rtol=1e-11), lo, hi)
-            if res.converged:
-                total += float(np.max(res.value))
-            elif res.diverged:
-                return INF
-            else:
-                raise InconclusiveError("occupation moment not certified",
-                                        res.evidence)
+            total += float(np.max(res.certified("occupation moment")))
         elif self.cumulative is not None:
             raise UnsupportedKernel("moments need a density representation")
         return total

@@ -477,16 +477,9 @@ class RadialMeasure(LevyMeasure):
         slab = slab_quad(fn, rtol=1e-11)
         if signed:
             res = improper_limit(slab, slo, shi, rtol=1e-10, p0=p0, q0=q0)
-            if res.converged:
-                return res.value
-            raise InconclusiveError("signed radial integral did not stabilize",
-                                    res.evidence)
+            return res.certified("signed radial integral")
         res = improper_nonneg(slab, slo, shi, p0=p0, q0=q0)
-        if res.converged:
-            return res.value
-        if res.diverged:
-            return INF
-        raise InconclusiveError("radial integral not certified", res.evidence)
+        return res.certified("radial integral")
 
     def _batched(self, us, lo, hi):
         """The nonzero scales, and whether one radial driver serves them all:
@@ -597,22 +590,16 @@ class RadialMeasure(LevyMeasure):
         if math.isfinite(shi):
             if slo > 0:
                 return adaptive_quad(fn, slo, shi, rtol=1e-10)[0]
-            slab = slab_quad(fn, rtol=1e-10)
-            res = improper_limit(slab, slo, shi, rtol=1e-10)
-            if res.converged:
-                return res.value
-            raise InconclusiveError("cumulant radial integral did not stabilize")
+            res = improper_limit(slab_quad(fn, rtol=1e-10), slo, shi, rtol=1e-10)
+            return res.certified("cumulant radial integral")
         # unbounded support: integrate to R, bound the tail
         R = max(8.0, slo * 4 if slo > 0 else 8.0)
         total = None
         for _ in range(40):
             lo_end = slo if slo > 0 else 1e-300
             if slo == 0.0:
-                slab = slab_quad(fn, rtol=1e-10)
-                res = improper_limit(slab, 0.0, R, q0=min(1.0, R / 2))
-                if not res.converged:
-                    raise InconclusiveError("cumulant radial integral (origin end)")
-                total = res.value
+                res = improper_limit(slab_quad(fn, rtol=1e-10), 0.0, R, q0=min(1.0, R / 2))
+                total = res.certified("cumulant radial integral (origin end)")
             else:
                 total = adaptive_quad(fn, lo_end, R, rtol=1e-10)[0]
             # tail of the -1 - centering part is smooth: extend by windows;

@@ -32,11 +32,24 @@ certification policy, per component:
 
 A nonnegative result is converged when every component is certified and
 at least one converged, with ``+inf`` in each diverged component; diverged
-(value ``None``) when every component diverged; and inconclusive when any
-component is neither.  A signed vector with a divergent component has no
-limit: that component ends the run as diverged.  The evidence is that of
-the component decided last; with several components it also lists each
-component's own under ``"components"``.
+(``+inf`` in every component) when every component diverged; and
+inconclusive when any component is neither.  A signed vector with a
+divergent component has no limit: that component ends the run as diverged,
+with value ``None``.  The evidence is that of the component decided last;
+with several components it also lists each component's own under
+``"components"``.
+
+Callers read a result through one of its two readers, so the decision is
+read the same way everywhere:
+
+* :meth:`ImproperResult.certified` gives the value: the limit when
+  converged, ``+inf`` when a nonnegative integral diverged; a signed
+  divergence or an inconclusive run raises
+  ``InconclusiveError("<what> not certified", evidence)``;
+* :meth:`ImproperResult.verdict` gives the three-valued verdict
+  ``<stem>-finite`` (nonnegative, with the value as witness) or
+  ``<stem>-convergent`` (signed), ``<stem>-divergent`` or
+  ``<stem>-uncertified``, the last two with the driver's evidence.
 
 Block evaluation.  The slabs of a driver's levels are independent
 integrals, so a slab made by :func:`slab_quad` is handed the windows of a
@@ -69,7 +82,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import QuadratureFailure
+from .errors import InconclusiveError, QuadratureFailure
+from .verdicts import Verdict
 
 INF = math.inf
 
@@ -233,6 +247,7 @@ class ImproperResult:
     value: object = None             # limit (+inf in diverged components) or None
     trace: list = field(default_factory=list)
     evidence: dict = field(default_factory=dict)
+    nonneg: bool = False             # the integrand is nonnegative
 
     @property
     def converged(self):
@@ -242,14 +257,33 @@ class ImproperResult:
     def diverged(self):
         return self.status == "diverged"
 
+    def certified(self, what):
+        """The limit, +inf for a diverged nonnegative integral; raises
+        :class:`InconclusiveError` naming ``what`` otherwise."""
+        if self.converged or (self.diverged and self.nonneg):
+            return self.value
+        raise InconclusiveError(f"{what} not certified", self.evidence)
+
+    def verdict(self, stem):
+        """The three-valued verdict ``<stem>-finite`` / ``-convergent``,
+        ``<stem>-divergent`` or ``<stem>-uncertified``."""
+        if self.converged:
+            if self.nonneg:
+                return Verdict.yes(f"{stem}-finite", value=float(np.max(self.value)))
+            return Verdict.yes(f"{stem}-convergent")
+        if self.diverged:
+            return Verdict.no(f"{stem}-divergent", **self.evidence)
+        return Verdict.unknown(f"{stem}-uncertified", **self.evidence)
+
 
 class _Components:
     """Outcome of each component of an improper driver's value."""
 
-    def __init__(self, n):
+    def __init__(self, n, nonneg):
         self.status = ["open"] * n
         self.evidence = [None] * n
         self.last = None
+        self.nonneg = nonneg
 
     def open(self):
         return [c for c, s in enumerate(self.status) if s == "open"]
@@ -273,13 +307,16 @@ class _Components:
         value."""
         if "open" in self.status:
             return ImproperResult("inconclusive", value, trace,
-                                  self.with_components(budget))
+                                  self.with_components(budget), self.nonneg)
         if "converged" not in self.status:
-            return ImproperResult("diverged", None, trace, self.with_components(self.last))
+            return ImproperResult("diverged",
+                                  np.full(np.shape(value), INF) if self.nonneg else None,
+                                  trace, self.with_components(self.last), self.nonneg)
         if "diverged" in self.status:
             diverged = np.array([s == "diverged" for s in self.status])
             value = np.where(diverged.reshape(np.shape(value)), INF, value)
-        return ImproperResult("converged", value, trace, self.with_components(self.last))
+        return ImproperResult("converged", value, trace, self.with_components(self.last),
+                              self.nonneg)
 
 
 def default_anchor(a, b):
@@ -392,7 +429,7 @@ def improper_limit(slab, a, b, *, rtol=1e-8, atol=1e-12, diverge=1e10,
         return ImproperResult("inconclusive", None, [],
                               {"rule": "slab-quadrature-failure", "detail": str(e)})
     trace = [(*sched[0], np.array(value, copy=True))]
-    comps = _Components(value.size)
+    comps = _Components(value.size, False)
     stable = [0] * value.size
     for n, (p, q) in enumerate(sched[1:], 1):
         inc = 0.0
@@ -464,11 +501,11 @@ def improper_nonneg(slab, a, b, *, rtol=1e-9, atol=1e-13, blowup=1e12,
         first = np.asarray(slabs.values(0, _LOOKAHEAD)[0])
     except QuadratureFailure as e:
         return ImproperResult("inconclusive", None, [],
-                              {"rule": "slab-quadrature-failure", "detail": str(e)})
+                              {"rule": "slab-quadrature-failure", "detail": str(e)}, True)
     total = np.array(first, dtype=float, copy=True)
     windows = []          # per-level added mass of each component
     trace = [(*sched[0], float(np.max(total)))]
-    comps = _Components(total.size)
+    comps = _Components(total.size, True)
     stable = [0] * total.size
     growing = [0] * total.size
     for n, (p, q) in enumerate(sched[1:], 1):
@@ -479,7 +516,7 @@ def improper_nonneg(slab, a, b, *, rtol=1e-9, atol=1e-13, blowup=1e12,
         except QuadratureFailure as e:
             return ImproperResult("inconclusive", total, trace,
                                   {"rule": "slab-quadrature-failure",
-                                   "detail": str(e)})
+                                   "detail": str(e)}, True)
         # a decided component keeps the value of the level that decided it
         inc = np.where(comps.open_mask(total.shape), inc, 0.0)
         if np.any(inc < -1e-12 * np.maximum(1.0, np.abs(total))):

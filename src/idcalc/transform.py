@@ -45,7 +45,7 @@ from .errors import (
 )
 from .idlaw import Triplet, TypeClass, classify_type, drift, mean
 from .kernels import Kernel, TauMeasure, hook_limit, kernel_mass, kernel_window_integral
-from .measures import INF, LevyMeasure, symmetrize_measure
+from .measures import _ONE, INF, LevyMeasure, symmetrize_measure
 from .quadrature import (
     ImproperResult,
     adaptive_quad,
@@ -72,81 +72,88 @@ class TransformResult:
 
 
 class ScaleMixtureMeasure(LevyMeasure):
-    """The scale mixture nu~(B) = int nu(B/u) m(du) of a base Levy measure.
+    """The scale mixture nu~(B) = int nu(B/v) m(dv) of a base Levy measure.
 
-    Every functional of nu~ is the matching functional of the base measure
-    at scale u, mixed over m; the base answers for all the scales of an
-    outer quadrature panel in one call.  A subclass supplies m through one
-    hook, ``_mix(per_scale, nonneg, label, atol)``: it integrates the
-    per-scale values (vectorized over an array of scales) against m,
-    returns INF for a certified divergence when ``nonneg``, and may name
-    ``label`` in its error and use ``atol`` as its absolute panel tolerance.
+    Every functional of nu~ at scale u is the matching functional of the
+    base measure at scale u v, mixed over m, except the centering: over
+    y = v x the weight 1/(1+|y|^2) sits at scale v, so the mixed per-scale
+    centering is v (c(u v) - c(v)).  A call hands the mixing every scale
+    (or radius) it asks for as the components of one vector integrand, so
+    it makes one mixing driver call however many there are; the base
+    answers for all the scales of an outer quadrature panel in one call.
+    Zero scales give 0 without mixing.
+
+    A subclass supplies m through one hook, ``_mix(fn, nonneg, label,
+    atol)``: it integrates the vectorized ``fn`` against m and reads the
+    result with :meth:`ImproperResult.certified`, so a certified divergence
+    of a nonnegative mixture is +inf; it names ``label`` in its error and
+    uses ``atol`` as its absolute panel tolerance.
     """
 
     base: LevyMeasure
 
-    def _mix(self, per_scale, nonneg=False, label=None, atol=1e-13):
+    def _mix(self, fn, nonneg=False, label="integral", atol=1e-13):
         raise NotImplementedError
 
-    def _per_u(self, us, value, shape=(), dtype=float):
-        """Evaluate ``value(u)`` at each scale of the array ``us``."""
+    def _mixed(self, us, per_scale, nonneg=False, label="integral", shape=(),
+               dtype=float):
+        """Mix over m, for every nonzero scale u of ``us`` at once, the base
+        values ``per_scale(w, vs)`` at the scales w = v u of the mixing
+        abscissae vs (one row of w per v, flattened)."""
         us = np.atleast_1d(np.asarray(us, dtype=float))
-        out = np.empty(us.shape + shape, dtype=dtype)
-        for i, u in enumerate(us):
-            out[i] = value(u)
+        out = np.zeros(us.shape + shape, dtype=dtype)
+        nz = us != 0.0
+        if nz.any():
+            u = us[nz]
+            out[nz] = self._mix(lambda vs: np.reshape(
+                per_scale(np.outer(vs, u).reshape(-1), vs), (vs.size, u.size) + shape),
+                nonneg, label)
         return out
 
     def scaled_integral(self, h, us, lo=0.0, hi=INF):
         if self.base.is_zero():
             return np.zeros(np.atleast_1d(us).shape)
-        return self._per_u(us, lambda u: 0.0 if u == 0.0 else float(np.max(self._mix(
-            lambda vs: self.base.scaled_integral(h, u * vs, lo, hi), nonneg=True))))
+        return self._mixed(us, lambda w, vs: self.base.scaled_integral(h, w, lo, hi),
+                           nonneg=True)
 
     def clip2_scaled(self, us):
-        return self._per_u(us, lambda u: 0.0 if u == 0.0 else self._mix(
-            lambda vs: self.base.clip2_scaled(u * vs), nonneg=True))
+        return self._mixed(us, lambda w, vs: self.base.clip2_scaled(w), nonneg=True)
 
     def clip1_scaled(self, us):
-        def value(u):
-            if u == 0.0:
-                return 0.0
-            try:
-                return self._mix(lambda vs: self.base.clip1_scaled(u * vs),
-                                 nonneg=True)
-            except QuadratureFailure:
-                return INF
-        return self._per_u(us, value)
+        if math.isinf(self.base.clip1_scaled(_ONE)[0]):
+            # min(|v x|, 1) lies within a factor max(|v|, 1/|v|) of
+            # min(|x|, 1): the base moment is infinite at every nonzero
+            # scale, and the mixture wherever m has mass off 0
+            off_zero = self._mix(lambda vs: (vs != 0.0).astype(float), nonneg=True)
+            us = np.atleast_1d(np.asarray(us, dtype=float))
+            return np.where((us != 0.0) & (off_zero > 0.0), INF, 0.0)
+        return self._mixed(us, lambda w, vs: self.base.clip1_scaled(w), nonneg=True)
 
     def centering_scaled(self, us):
-        return self._per_u(us, lambda u: self._mix(
-            lambda vs: self.base.centering_scaled(u * vs), label="centering"),
-            shape=(self.dim,))
+        def per_scale(w, vs):
+            c = self.base.centering_scaled(np.concatenate([w, vs]))
+            cw = c[:w.size].reshape(vs.size, -1, self.dim)
+            return vs[:, None, None] * (cw - c[w.size:][:, None, :])
+        return self._mixed(us, per_scale, label="centering", shape=(self.dim,))
 
     def cumulant_scaled(self, z, us):
         z = np.asarray(z, dtype=float)
-        return self._per_u(us, lambda u: self._mix(
-            lambda vs: self.base.cumulant_scaled(z, u * vs), label="exponent"),
-            dtype=complex)
+        return self._mixed(us, lambda w, vs: self.base.cumulant_scaled(z, w),
+                           label="exponent", dtype=complex)
 
     def tail_mass(self, rs):
         rs = np.atleast_1d(np.asarray(rs, dtype=float))
-        out = np.empty(rs.shape)
-        for i, r in enumerate(rs):
-            def per_scale(vs, r=float(r)):
-                vs = np.abs(vs)
-                vals = np.zeros(vs.shape)
-                nz = vs > 0
-                if np.any(nz):
-                    with np.errstate(over="ignore"):
-                        vals[nz] = self.base.tail_mass(r / vs[nz])
-                return vals
-            out[i] = float(np.max(self._mix(per_scale, nonneg=True, atol=1e-12)))
-        return out
+
+        def per_radius(vs):
+            vs = np.abs(vs)[:, None]
+            with np.errstate(over="ignore"):
+                vals = self.base.tail_mass((rs / np.where(vs > 0, vs, 1.0)).reshape(-1))
+            return np.where(vs > 0, vals.reshape(vs.size, rs.size), 0.0)
+        return np.asarray(self._mix(per_radius, nonneg=True, atol=1e-12), dtype=float)
 
     def vector_weighted_scaled(self, w, us, lo=0.0, hi=INF):
-        return self._per_u(us, lambda u: 0.0 if u == 0.0 else self._mix(
-            lambda vs: self.base.vector_weighted_scaled(w, u * vs, lo, hi),
-            label="moment vector"), shape=(self.dim,))
+        return self._mixed(us, lambda ws, vs: self.base.vector_weighted_scaled(
+            w, ws, lo, hi), label="moment vector", shape=(self.dim,))
 
     def is_symmetric(self):
         return self.base.is_symmetric()
@@ -168,23 +175,14 @@ class PushforwardMeasure(ScaleMixtureMeasure):
         self.proper = self.p > kernel.a and self.q < kernel.b
         self.dim = base.dim
 
-    def _mix(self, per_scale, nonneg=False, label=None, atol=1e-13):
-        slab = slab_quad(lambda s: per_scale(np.atleast_1d(self.kernel(s))),
+    def _mix(self, fn, nonneg=False, label="integral", atol=1e-13):
+        slab = slab_quad(lambda s: fn(np.atleast_1d(self.kernel(s))),
                          rtol=1e-9, atol=atol)
         if self.proper:
             return slab(self.p, self.q)
-        if nonneg:
-            res = improper_nonneg(slab, self.p, self.q)
-            if res.converged:
-                return res.value
-            if res.diverged:
-                return INF
-            raise InconclusiveError("pushforward integral not certified",
-                                    res.evidence)
-        res = improper_limit(slab, self.p, self.q, rtol=1e-9)
-        if not res.converged:
-            raise InconclusiveError(f"pushforward {label} not certified")
-        return res.value
+        res = improper_nonneg(slab, self.p, self.q) if nonneg else \
+            improper_limit(slab, self.p, self.q, rtol=1e-9)
+        return res.certified(f"pushforward {label}")
 
 
 class TauMixtureMeasure(ScaleMixtureMeasure):
@@ -198,30 +196,22 @@ class TauMixtureMeasure(ScaleMixtureMeasure):
         self.base = base
         self.dim = base.dim
 
-    def _mix(self, per_scale, nonneg=False, label=None, atol=1e-13):
-        total = None
+    def _mix(self, fn, nonneg=False, label="integral", atol=1e-13):
+        total = 0.0
         for u, m in self.tau.atoms:
-            v = m * np.asarray(per_scale(np.array([u]))[0])
-            total = v if total is None else total + v
+            total = total + m * np.asarray(fn(np.array([u]))[0])
         if self.tau.density is not None:
             lo, hi = self.tau.density_support
 
-            def fn(u):
-                vals = np.asarray(per_scale(u))
+            def weighted(u):
+                vals = np.asarray(fn(u))
                 dens = np.asarray(self.tau.density(u), dtype=float)
-                return vals * (dens if vals.ndim == 1 else dens[:, None])
+                return vals * dens.reshape((-1,) + (1,) * (vals.ndim - 1))
 
-            slab = slab_quad(fn, rtol=1e-10, atol=1e-13)
-            if nonneg:
-                res = improper_nonneg(slab, lo, hi, rtol=1e-10)
-                if res.diverged:
-                    return INF
-            else:
-                res = improper_limit(slab, lo, hi, rtol=1e-9)
-            if not res.converged:
-                raise InconclusiveError("occupation mixture not certified",
-                                        res.evidence)
-            total = res.value if total is None else total + res.value
+            slab = slab_quad(weighted, rtol=1e-10, atol=1e-13)
+            res = improper_nonneg(slab, lo, hi, rtol=1e-10) if nonneg else \
+                improper_limit(slab, lo, hi, rtol=1e-9)
+            total = total + res.certified("occupation mixture")
         return total
 
 
@@ -229,9 +219,19 @@ class TauMixtureMeasure(ScaleMixtureMeasure):
 # window-level operations
 # ---------------------------------------------------------------------------
 
+def _location(k: Kernel, t: Triplet):
+    """The window location integrand
+    f(s) gamma + int f(s) x (1/(1+|f(s)x|^2) - 1/(1+|x|^2)) nu(dx),
+    vectorized in s with one row per abscissa."""
+    def fn(s):
+        us = np.atleast_1d(k(s))
+        cent = np.asarray(t.nu.centering_scaled(us))
+        return np.outer(us, t.gamma) + us[:, None] * cent
+    return fn
+
+
 def _gamma_slab(k: Kernel, t: Triplet):
-    """Slab integral of the window location integrand
-    f(s) gamma + int f(s) x (1/(1+|f(s)x|^2) - 1/(1+|x|^2)) nu(dx).
+    """Slab integral of the window location integrand.
 
     For a reflection-symmetric jump measure the inner vector vanishes
     identically, so the slab reduces to the kernel's window integral and
@@ -239,12 +239,7 @@ def _gamma_slab(k: Kernel, t: Triplet):
     """
     if t.nu.is_zero() or t.nu.is_symmetric():
         return lambda p, q: t.gamma * kernel_window_integral(k, p, q, "plain")
-
-    def fn(s):
-        us = np.atleast_1d(k(s))
-        cent = np.asarray(t.nu.centering_scaled(us))
-        return np.outer(us, t.gamma) + us[:, None] * cent
-    return slab_quad(fn, rtol=1e-10, atol=1e-12)
+    return slab_quad(_location(k, t), rtol=1e-10, atol=1e-12)
 
 
 def locally_integrable(k: Kernel, t: Triplet, p: float, q: float) -> Verdict:
@@ -259,22 +254,14 @@ def locally_integrable(k: Kernel, t: Triplet, p: float, q: float) -> Verdict:
                 return Verdict.yes("window-square-integrable", value=float(sq))
             return Verdict.no("window-square-divergent")
         # purely non-Gaussian: clipped-quadratic and location clauses
-        def fn2(s):
-            return t.nu.clip2_scaled(np.atleast_1d(k(s)))
-        v2 = adaptive_quad(fn2, p, q, rtol=1e-9)[0]
-        if not math.isfinite(float(np.max(v2))):
+        v2 = float(PushforwardMeasure(k, t.nu, p, q).clip2_scaled(_ONE)[0])
+        if not math.isfinite(v2):
             return Verdict.no("window-clipped-quadratic-divergent")
-
-        def fn3(s):
-            us = np.atleast_1d(k(s))
-            cent = np.asarray(t.nu.centering_scaled(us))
-            vec = np.outer(us, t.gamma) + us[:, None] * cent
-            return np.sqrt((vec * vec).sum(axis=1))
-        v3 = adaptive_quad(fn3, p, q, rtol=1e-9)[0]
+        loc = _location(k, t)
+        v3 = adaptive_quad(lambda s: np.linalg.norm(loc(s), axis=1), p, q, rtol=1e-9)[0]
         if not math.isfinite(float(v3)):
             return Verdict.no("window-location-divergent")
-        return Verdict.yes("window-integrable",
-                           clipped_quadratic=float(np.max(v2)),
+        return Verdict.yes("window-integrable", clipped_quadratic=v2,
                            location_mass=float(v3))
     except (QuadratureFailure, InconclusiveError) as e:
         return Verdict.unknown("window-quadrature-failed", detail=str(e))
@@ -300,12 +287,7 @@ def _gaussian_condition(k: Kernel, t: Triplet) -> Verdict:
     """Total square-integrability of f when a Gaussian part is present."""
     if not t.has_gaussian_part:
         return Verdict.yes("no-gaussian-part")
-    res = kernel_mass(k, "square")
-    if res.converged:
-        return Verdict.yes("square-mass-finite", value=float(np.max(res.value)))
-    if res.diverged:
-        return Verdict.no("square-mass-divergent", **res.evidence)
-    return Verdict.unknown("square-mass-uncertified", **res.evidence)
+    return kernel_mass(k, "square").verdict("square-mass")
 
 
 def _jump_condition(k: Kernel, t: Triplet) -> Verdict:
@@ -332,13 +314,7 @@ def _jump_condition(k: Kernel, t: Triplet) -> Verdict:
     else:
         slab = quad
 
-    res = improper_nonneg(slab, k.a, k.b)
-    if res.converged:
-        return Verdict.yes("clipped-quadratic-finite",
-                           value=float(np.max(res.value)))
-    if res.diverged:
-        return Verdict.no("clipped-quadratic-divergent", **res.evidence)
-    return Verdict.unknown("clipped-quadratic-uncertified", **res.evidence)
+    return improper_nonneg(slab, k.a, k.b).verdict("clipped-quadratic")
 
 
 def _rules(k: Kernel, t: Triplet, use_rules=True) -> dict:
@@ -398,12 +374,7 @@ def definable_verdict(k: Kernel, t: Triplet, use_rules=True) -> Verdict:
     cond = _essential(k, t, rules)
     if not cond.is_yes:
         return cond
-    res = _drive_gamma(k, t)
-    if res.converged:
-        return Verdict.yes("location-trace-convergent")
-    if res.diverged:
-        return Verdict.no("location-trace-divergent", **res.evidence)
-    return Verdict.unknown("location-trace-uncertified", **res.evidence)
+    return _drive_gamma(k, t).verdict("location-trace")
 
 
 def compensated_verdict(k: Kernel, t: Triplet, use_rules=True) -> Verdict:
@@ -431,10 +402,7 @@ def _result_measure(k: Kernel, t: Triplet):
 def _result_gaussian(k: Kernel, t: Triplet):
     if not t.has_gaussian_part:
         return np.zeros_like(t.A)
-    res = kernel_mass(k, "square")
-    if not res.converged:
-        raise InconclusiveError("total square mass not certified")
-    return float(np.max(res.value)) * t.A
+    return float(np.max(kernel_mass(k, "square").certified("total square mass"))) * t.A
 
 
 def _drive_gamma(k: Kernel, t: Triplet):
@@ -621,22 +589,10 @@ def absolutely_definable(k: Kernel, t: Triplet, use_rules=True) -> Verdict:
         norm = float(np.linalg.norm(t.gamma))
         slab = lambda p, q: kernel_window_integral(k, p, q, "abs") * norm
     else:
-        def fn(s):
-            us = np.atleast_1d(k(s))
-            cent = np.asarray(t.nu.centering_scaled(us))
-            vec = np.outer(us, t.gamma) + us[:, None] * cent
-            return np.sqrt((vec * vec).sum(axis=1))
-        slab = slab_quad(fn, rtol=1e-8, atol=1e-11)
-
-    res = improper_nonneg(slab, k.a, k.b)
-    if res.diverged:
-        numeric = Verdict.no("absolute-location-divergent", **res.evidence)
-    elif res.converged:
-        numeric = combine_all(base, Verdict.yes("absolute-location-finite",
-                                                value=float(np.max(res.value))))
-    else:
-        numeric = Verdict.unknown("absolute-location-uncertified", **res.evidence)
-    return override(numeric)
+        loc = _location(k, t)
+        slab = slab_quad(lambda s: np.linalg.norm(loc(s), axis=1), rtol=1e-8, atol=1e-11)
+    numeric = improper_nonneg(slab, k.a, k.b).verdict("absolute-location")
+    return override(combine_all(base, numeric) if numeric.is_yes else numeric)
 
 
 def phi_ab(k: Kernel, t: Triplet) -> TransformResult:
@@ -656,14 +612,7 @@ def phi_ab(k: Kernel, t: Triplet) -> TransformResult:
     else:
         slab = slab_quad(lambda s: t.nu.clip1_scaled(np.atleast_1d(k(s))),
                          rtol=1e-8, atol=1e-11)
-        res = improper_nonneg(slab, k.a, k.b)
-        if res.diverged:
-            clip_ok = Verdict.no("clipped-linear-divergent", **res.evidence)
-        elif res.converged:
-            clip_ok = Verdict.yes("clipped-linear-finite",
-                                  value=float(np.max(res.value)))
-        else:
-            clip_ok = Verdict.unknown("clipped-linear-uncertified", **res.evidence)
+        clip_ok = improper_nonneg(slab, k.a, k.b).verdict("clipped-linear")
     if clip_ok.is_no:
         raise NotDefinable(clip_ok.reason, clip_ok.witness)
     if clip_ok.is_unknown:
@@ -701,21 +650,11 @@ def psi(tau_or_kernel, nu: LevyMeasure):
     raises :class:`NotInDomain` / :class:`InconclusiveError`.
     """
     if isinstance(tau_or_kernel, Kernel):
-        k = tau_or_kernel
-
-        slab = slab_quad(lambda s: nu.clip2_scaled(np.atleast_1d(k(s))),
-                         rtol=1e-9, atol=1e-13)
-        res = improper_nonneg(slab, k.a, k.b)
-        if res.diverged:
-            raise NotInDomain("clipped-quadratic-divergent", res.evidence)
-        if not res.converged:
-            raise InconclusiveError("membership test not certified", res.evidence)
-        return PushforwardMeasure(k, nu)
-    tau = tau_or_kernel
-    out = TauMixtureMeasure(tau, nu)
-    # membership: mixed clipped-quadratic mass must be finite
-    val = out.clip2_scaled(np.array([1.0]))[0]
-    if not math.isfinite(float(val)):
+        out = PushforwardMeasure(tau_or_kernel, nu)
+    else:
+        out = TauMixtureMeasure(tau_or_kernel, nu)
+    # membership: the mixed clipped-quadratic mass must be finite
+    if not math.isfinite(float(out.clip2_scaled(_ONE)[0])):
         raise NotInDomain("clipped-quadratic-divergent")
     return out
 
@@ -761,8 +700,4 @@ def direct_exponent(k: Kernel, t: Triplet, z, p=None, q=None):
 
     if p is not None and q is not None:
         return complex(slab(p, q))
-    res = improper_limit(slab, k.a, k.b, rtol=1e-9)
-    if not res.converged:
-        raise InconclusiveError("direct exponent window limit unresolved",
-                                res.evidence)
-    return complex(res.value)
+    return complex(improper_limit(slab, k.a, k.b, rtol=1e-9).certified("direct exponent"))

@@ -96,6 +96,52 @@ def test_slab_failure_is_inconclusive():
     assert res.status == "inconclusive"
 
 
+
+class TestReaders:
+    """Every caller reads a driver result through ``certified`` (a value) or
+    ``verdict`` (three-valued), so each outcome must read one way."""
+
+    def test_converged(self):
+        res = improper_nonneg(slab_quad(lambda r: r ** -1.5), 1.0, INF)
+        assert res.certified("tail") is res.value
+        assert abs(float(res.certified("tail")) - 2.0) < 1e-7
+        v = res.verdict("tail")
+        assert v.is_yes and v.reason == "tail-finite"
+        assert v.witness == {"value": float(np.max(res.value))}
+        res = improper_limit(slab_quad(lambda s: np.exp(-s)), 0.0, INF)
+        assert abs(float(res.certified("mass")) - 1.0) < 1e-7
+        v = res.verdict("mass")
+        assert v.is_yes and v.reason == "mass-convergent" and v.witness == {}
+
+    def test_nonnegative_divergence_is_infinite(self):
+        res = improper_nonneg(slab_quad(lambda r: r ** -1.0), 1.0, INF)
+        assert res.diverged and res.nonneg
+        assert float(res.certified("tail")) == INF
+        v = res.verdict("tail")
+        assert v.is_no and v.reason == "tail-divergent" and v.witness == res.evidence
+
+    def test_signed_divergence_raises(self):
+        res = improper_limit(lambda p, q: q - p, 0.0, INF, diverge=1e6)
+        assert res.diverged and not res.nonneg
+        with pytest.raises(InconclusiveError, match="^trace not certified$") as e:
+            res.certified("trace")
+        assert e.value.evidence == res.evidence and res.evidence["rule"] == "magnitude"
+        v = res.verdict("trace")
+        assert v.is_no and v.reason == "trace-divergent" and v.witness == res.evidence
+
+    @pytest.mark.parametrize("driver", [improper_nonneg, improper_limit])
+    def test_inconclusive_raises_with_evidence(self, driver):
+        def bad_slab(p, q):
+            raise QuadratureFailure("boom")
+        res = driver(bad_slab, 0.0, INF)
+        with pytest.raises(InconclusiveError, match="^slab not certified$") as e:
+            res.certified("slab")
+        assert e.value.evidence == {"rule": "slab-quadrature-failure", "detail": "boom"}
+        v = res.verdict("slab")
+        assert v.is_unknown and v.reason == "slab-uncertified"
+        assert v.witness == e.value.evidence
+
+
 def test_bisect_monotone_decreasing():
     s = bisect_monotone(lambda x: math.exp(-x), 0.3, 0.0, 10.0, increasing=False)
     assert abs(s - math.log(1 / 0.3)) < 1e-10
@@ -167,8 +213,9 @@ class TestComponentwiseCertification:
         assert len(both.trace) == len(solo.trace)
 
     def test_all_diverged_is_diverged(self):
+        # a diverged nonnegative integral carries +inf in every component
         res = improper_nonneg(lambda p, q: np.array([q - p, 2.0 * (q - p)]), 1.0, INF)
-        assert res.diverged and res.value is None
+        assert res.diverged and np.array_equal(res.value, [INF, INF])
 
 
 class TestBlockEvaluation:

@@ -16,14 +16,17 @@ from idcalc.kernels import (
     exp_kernel,
     indicator_kernel,
     kernel_from_tau,
+    log_inverse_kernel,
     power_at_zero_kernel,
     power_tail_kernel,
     sinc_kernel,
     tau_from_atoms,
     tau_measure,
 )
+from idcalc.quadrature import improper_nonneg
 from idcalc.transform import (
     LocationMode,
+    PushforwardMeasure,
     absolutely_definable,
     base_exponent_scaled,
     compensated_verdict,
@@ -338,6 +341,93 @@ class TestPsi:
         clip = lambda x: np.minimum((x * x).sum(axis=1), 1.0)
         assert via_kernel.integral(clip) == pytest.approx(
             via_tau.integral(clip), rel=1e-7)
+
+
+
+def _via(route, kernel):
+    """What psi takes on each route: the kernel, or its occupation measure."""
+    return kernel if route == "kernel" else tau_measure(kernel)
+
+
+class TestOneMixingDriver:
+    """A mixture functional makes one mixing driver call for all its scales
+    or radii, which is what makes iterated transforms affordable."""
+
+    STABLE = ic.StableMeasure(1.5, [[1.0]], [1.0])
+
+    @pytest.mark.parametrize("route", ["kernel", "tau"])
+    @pytest.mark.parametrize("n", [1, 3, 8])
+    def test_one_driver_call(self, monkeypatch, route, n):
+        import idcalc.transform as transform
+        out = psi(_via(route, exp_kernel()), self.STABLE)
+        calls = []
+
+        def counting(*a, **kw):
+            calls.append(1)
+            return improper_nonneg(*a, **kw)
+        monkeypatch.setattr(transform, "improper_nonneg", counting)
+        xs = np.linspace(0.5, 4.0, n)
+        for fn in (out.tail_mass, out.clip2_scaled):
+            calls.clear()
+            vals = fn(xs)
+            assert len(calls) == 1 and vals.shape == (n,)
+            # each component is the functional at that scale or radius alone
+            np.testing.assert_allclose(vals, [fn([x])[0] for x in xs], rtol=1e-8)
+
+    @pytest.mark.parametrize("route", ["kernel", "tau"])
+    def test_stable_shrinks_twice(self, route):
+        # psi(exp) divides a stable measure by its index, so twice by alpha^2
+        s, a2 = self.STABLE, self.STABLE.alpha ** 2
+        out = psi(_via(route, exp_kernel()),
+                  psi(_via(route, exp_kernel()), s))
+        us, rs = np.array([1.0, 0.3]), np.array([1.0, 2.0])
+        np.testing.assert_allclose(out.clip2_scaled(us), s.clip2_scaled(us) / a2,
+                                   rtol=0.0, atol=1e-8)
+        np.testing.assert_allclose(out.tail_mass(rs), s.tail_mass(rs) / a2,
+                                   rtol=0.0, atol=1e-8)
+
+    @pytest.mark.parametrize("nu", [STABLE, ic.gamma_measure(1.0, 1.0, [1.0])],
+                             ids=["stable1.5", "gamma"])
+    def test_transforms_commute(self, nu):
+        e, li = tau_measure(exp_kernel()), tau_measure(log_inverse_kernel())
+        ab, ba = psi(e, psi(li, nu)), psi(li, psi(e, nu))
+        us, rs = np.array([1.0, 0.5]), np.array([1.0, 2.0])
+        np.testing.assert_allclose(ab.clip2_scaled(us), ba.clip2_scaled(us), rtol=1e-9)
+        np.testing.assert_allclose(ab.tail_mass(rs), ba.tail_mass(rs), rtol=1e-9)
+
+    @pytest.mark.parametrize("route", ["kernel", "tau"])
+    def test_infinite_clipped_first_moment(self, route):
+        # stable 1.5 has no clipped first moment at any nonzero scale; the
+        # exact rule answers without mixing inf - inf
+        out = psi(_via(route, exp_kernel()), self.STABLE)
+        assert out.clip1_scaled([1.0, 0.0, 2.0]).tolist() == [INF, 0.0, INF]
+
+
+class TestMixtureCentering:
+    """The centering of a scale mixture, checked by the identity
+    C(u z) = C_u(z) + i u <c(u), z> between its own functionals."""
+
+    ATOMS = ic.AtomicMeasure([[1.0], [-0.4]], [1.0, 0.5])
+
+    @staticmethod
+    def defect(nu, u=2.0, z=np.array([0.7])):
+        lhs = nu.cumulant_scaled(u * z, [1.0])[0]
+        rhs = nu.cumulant_scaled(z, [u])[0] + 1j * u * (nu.centering_scaled([u])[0] @ z)
+        return abs(lhs - rhs)
+
+    def test_window_pushforward(self):
+        out = PushforwardMeasure(exp_kernel(), ic.AtomicMeasure([[1.0]], [1.0]), 0.1, 2.0)
+        # c(2) = int x (1/(1+4|x|^2) - 1/(1+|x|^2)) over the pushed atom
+        want = (out.vector_weighted(lambda r: 1.0 / (1.0 + 4.0 * r * r))
+                - out.vector_weighted(lambda r: 1.0 / (1.0 + r * r)))
+        np.testing.assert_allclose(out.centering_scaled([2.0])[0], want, rtol=1e-10)
+        assert self.defect(PushforwardMeasure(exp_kernel(), self.ATOMS, 0.1, 2.0)) < 1e-12
+
+    @pytest.mark.parametrize("route", ["kernel", "tau"])
+    @pytest.mark.parametrize("nu", [ATOMS, ic.gamma_measure(1.0, 1.0, [1.0])],
+                             ids=["atoms", "gamma"])
+    def test_psi_routes(self, route, nu):
+        assert self.defect(psi(_via(route, exp_kernel()), nu)) < 1e-9
 
 
 class TestCumulantIdentity:
