@@ -31,6 +31,7 @@ from .kernels import (
     LogPower,
     PowerAtZero,
     PowerTail,
+    default_grid,
     kernel_mass,
     kernel_window_integral,
 )
@@ -369,8 +370,8 @@ class KernelProfile:
     locally_integrable: bool | None = None
 
 
-def default_r_grid(n=25):
-    return np.logspace(-6, 0, n)
+# the r grid of the level functions k(r) and h(r)
+_R_GRID = np.logspace(-6, 0, 25)
 
 
 def _profile_mass(k, kind):
@@ -400,11 +401,10 @@ def _level_numeric(k, kind, r):
         return None
 
 
-def kernel_profile(k: Kernel, r_grid=None) -> KernelProfile:
+def kernel_profile(k: Kernel) -> KernelProfile:
     """Integral profile of the kernel: support mass, absolute and square
     masses, the clipped square, and the small-level / large-level functions
     on a logarithmic grid in r."""
-    r_grid = default_r_grid() if r_grid is None else np.asarray(r_grid, dtype=float)
     masses = [_profile_mass(k, kind) for kind in ("indicator", "abs", "square", "clipped")]
     k_hook = k.profile.get("k_of_r")
     h_hook = k.profile.get("h_of_r")
@@ -416,7 +416,7 @@ def kernel_profile(k: Kernel, r_grid=None) -> KernelProfile:
     def on_grid(hook, kind):
         # a hook may return None where it has no closed form
         out = {}
-        for r in map(float, r_grid):
+        for r in map(float, _R_GRID):
             v = None if hook is None else hook(r)
             out[r] = _level_numeric(k, kind, r) if v is None else v
         return out
@@ -521,9 +521,9 @@ def largeness_conditions(k: Kernel, profile: KernelProfile | None = None):
     return ev, prof
 
 
-def classify_largeness(k: Kernel, r_grid=None):
+def classify_largeness(k: Kernel):
     """Strongest largeness class with its evidence dictionary."""
-    prof = kernel_profile(k, r_grid)
+    prof = kernel_profile(k)
     ev, _ = largeness_conditions(k, prof)
     ladder = [
         ("all-id", LargenessClass.ALL_ID),
@@ -578,7 +578,7 @@ def cone_largeness(k: Kernel, orthant_signs=None):
     Returns (label, evidence) where label is the strongest of
     'preserving', 'essential-cover', 'none'.
     """
-    samples = np.asarray(k(default_probe(k)), dtype=float)
+    samples = np.asarray(k(default_grid(k, 512)), dtype=float)
     if np.any(samples < 0):
         raise NonnegativeRequired("cone statements need a nonnegative kernel")
     ev, prof = largeness_conditions(k)
@@ -588,11 +588,6 @@ def cone_largeness(k: Kernel, orthant_signs=None):
     }
     label = next((name for name, v in out.items() if v.is_yes), "none")
     return label, out
-
-
-def default_probe(k: Kernel, n=512):
-    from .kernels import default_grid
-    return default_grid(k, n)
 
 
 def psi_largeness(k: Kernel):

@@ -12,7 +12,10 @@ f it is fixed by the level function u -> Leb{f > u}: ``level_upper`` is the
 one source of the occupation measure's interval masses, of
 :func:`tau_of_interval` and of the large-level profile h(r) = Leb{f > 1/r}.
 Kernels without a closed-form level function get it from a numeric level
-boundary.
+boundary.  One sampled endpoint limit, which extrapolates steady geometric
+steps, gives the ranges of a bare kernel and of the mass that
+:func:`kernel_from_tau` inverts; one crossing search finds both the level
+boundaries and the values of the generalized inverse.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from .errors import (
 from .quadrature import (
     ImproperResult,
     adaptive_quad,
-    bisect_monotone,
+    geometric_ratio,
     improper_limit,
     improper_nonneg,
     slab_quad,
@@ -87,7 +90,7 @@ class Kernel:
     """Real integrand on an open interval (a, b) with analytic metadata."""
 
     def __init__(self, name, a, b, fn, *, monotone_decreasing=False,
-                 left_continuous=True, nonnegative=None, tag=None,
+                 nonnegative=None, tag=None,
                  window_integral=None, window_square=None, window_abs=None,
                  level_upper=None, tau_density=None, profile=None,
                  abs_bound=None):
@@ -98,7 +101,6 @@ class Kernel:
         self.b = float(b)
         self.fn = fn
         self.monotone_decreasing = monotone_decreasing
-        self.left_continuous = left_continuous
         self.nonnegative = nonnegative
         self.tag = tag
         self.window_integral = window_integral      # closed form of int_p^q f
@@ -112,14 +114,17 @@ class Kernel:
         self.tau_density = tau_density
         self.profile = profile or {}
         if abs_bound is None and monotone_decreasing and nonnegative:
-            abs_bound = lambda p, q: float(self(np.array([p]))[0]) if p > self.a \
-                else INF
+            abs_bound = lambda p, q: self.value(p) if p > self.a else INF
         self.abs_bound = abs_bound                  # sup of |f| over [p, q]
         self._tau = None                            # tau_measure(self), once built
 
     def __call__(self, s):
         s = np.asarray(s, dtype=float)
         return np.asarray(self.fn(s), dtype=float)
+
+    def value(self, s):
+        """f at one point, as a float."""
+        return float(self(np.array([s]))[0])
 
     def __repr__(self):
         return f"Kernel({self.name} on ({self.a:g}, {self.b:g}))"
@@ -132,7 +137,7 @@ def eval_kernel(k: Kernel, s: float) -> float:
     """Evaluate the kernel at one interior point."""
     if not (k.a < s < k.b):
         raise OutOfInterval(f"{s} outside ({k.a}, {k.b})")
-    v = float(k(np.array([s]))[0])
+    v = k.value(s)
     if not math.isfinite(v):
         raise OutOfInterval(f"kernel value not finite at {s}")
     return v
@@ -293,14 +298,13 @@ class TauMeasure:
             return float(np.max(res.certified("interval mass")))
         return 0.0
 
-    def mass(self, u1, u2, include_left=False, include_right=True):
-        """Mass of an interval; defaults to the half-open (u1, u2]."""
+    def mass(self, u1, u2):
+        """Mass of the half-open interval (u1, u2]."""
         if u1 > u2:
             raise ValueError("u1 must not exceed u2")
         total = self._cont_mass(u1, u2)
         for u, m in self.atoms:
-            if (u1 < u < u2) or (include_left and u == u1) \
-                    or (include_right and u == u2):
+            if u1 < u <= u2:
                 total += m
         return total
 
@@ -367,6 +371,96 @@ def tau_from_atoms(atoms):
 
 
 # ---------------------------------------------------------------------------
+# endpoint limits and level crossings of monotone functions
+# ---------------------------------------------------------------------------
+
+_END_SAMPLES = 64    # samples of an endpoint limit
+_BISECTIONS = 300    # halvings of a crossing bracket
+
+
+def _geometric_tail(d):
+    """Sum of the steps after the steps d by :func:`geometric_ratio`, or None."""
+    rho = geometric_ratio(d) if len(d) == 5 else None
+    return None if rho is None else d[-1] * rho / (1.0 - rho)
+
+
+def _end_limit(g, lo, hi, end):
+    """Sampled limit of a monotone scalar function g at one end of (lo, hi):
+    (value, flat?), the value +-inf when g runs off.
+
+    The samples double toward the end: s = +-1, +-2, ... on an infinite end,
+    min(1, half the span) times 1, 1/2, ... off a finite one.  They stop when
+    two agree relative to their size, the geometric tail of the last five
+    steps added, or when that tail cancels the sample to 1e-12 (limit 0, as
+    for a power-law approach to 0).  Out of samples (64, or the end's next
+    float), the tail is still added, steps that shrink at ratios below 0.97
+    keep the last sample, and other steps diverge (log(log(1/u)) does).  The
+    limit is flat (g sits at it on a stretch before the end) only when the
+    samples reach it without creeping to within 1e-12 of it first.
+    """
+    edge, sign = (lo, -1.0) if end == "lower" else (hi, 1.0)
+    step0 = min(1.0, (hi - lo) / 2.0) if math.isfinite(hi - lo) else 1.0
+    vals = []
+    before = None   # the sample ahead of the last one's run of ties
+    for j in range(1024):
+        s = edge - sign * step0 * 2.0 ** -j if math.isfinite(edge) else sign * 2.0 ** j
+        if s == edge or len(vals) == _END_SAMPLES:
+            break
+        if not lo < s < hi:
+            continue
+        v = float(g(s))
+        if math.isinf(v):
+            return v, False
+        tail = _geometric_tail([y - x for x, y in zip(vals[-5:], vals[-4:] + [v])])
+        if vals and abs(v - vals[-1]) <= 1e-12 * abs(v):
+            lead = before if v == vals[-1] else vals[-1]
+            return v + (tail or 0.0), lead is None or abs(lead - v) > 1e-12 * max(1.0, abs(v))
+        if tail is not None and abs(v + tail) <= 1e-12 * abs(v):
+            return 0.0, False
+        if vals and v != vals[-1]:
+            before = vals[-1]
+        vals.append(v)
+    d = [y - x for x, y in zip(vals[-6:-1], vals[-5:])]
+    tail = _geometric_tail(d)
+    if tail is None and not all(0.0 < y / x < 0.97 for x, y in zip(d, d[1:])):
+        return math.copysign(INF, d[-1]), False
+    return vals[-1] + (tail or 0.0), False
+
+
+def _crossing(right, lo, hi, tol):
+    """Where a monotone predicate turns true on (lo, hi): the upper end of a
+    bracket with ``right`` false at its lower end and true at its upper end.
+    An infinite end is bracketed by doubling from +-1 (or from one past the
+    other end); the bracket is then bisected to a width below ``tol``
+    relative to its ends, so a crossing near zero keeps its precision.  A
+    split at 0 also splits at the floats next to 0, so a crossing at 0 ends
+    there instead of halving toward it.
+    """
+    if math.isinf(hi):
+        hi = max(1.0, lo + 1.0)
+        while not right(hi):
+            hi *= 2.0
+            if math.isinf(hi):
+                raise OutOfInterval("no crossing toward the upper end")
+    if math.isinf(lo):
+        lo = min(-1.0, hi - 1.0)
+        while right(lo):
+            lo *= 2.0
+            if math.isinf(lo):
+                raise OutOfInterval("no crossing toward the lower end")
+    for _ in range(_BISECTIONS):
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        for m in (mid, -5e-324, 5e-324) if mid == 0.0 else (mid,):
+            if lo < m < hi:
+                lo, hi = (lo, m) if right(m) else (m, hi)
+        if hi - lo < tol * max(abs(lo), abs(hi), 1e-300):
+            break
+    return hi
+
+
+# ---------------------------------------------------------------------------
 # generalized inverse
 # ---------------------------------------------------------------------------
 
@@ -375,7 +469,7 @@ class GeneralizedInverse:
 
     For an increasing right-continuous G on (A', B'), F(s) is the smallest u
     with G(u) > s; F is (A', B')-valued, increasing and right-continuous on
-    (A, B) where A and B are the infimum and supremum of G.
+    (A, B), the infimum and supremum of G (sampled unless given).
     """
 
     def __init__(self, G, a_prime, b_prime, A=None, B=None, tol=1e-13):
@@ -387,8 +481,9 @@ class GeneralizedInverse:
         vals = [G(u) for u in probe]
         if max(vals) - min(vals) <= 0.0:
             raise ConstantFunctionError("function has no increase on its domain")
-        self.A = float(A) if A is not None else self._limit("lower")
-        self.B = float(B) if B is not None else self._limit("upper")
+        limit = lambda end: _end_limit(G, self.a_prime, self.b_prime, end)[0]
+        self.A = float(A) if A is not None else limit("lower")
+        self.B = float(B) if B is not None else limit("upper")
         if not self.A < self.B:
             raise ConstantFunctionError("degenerate range")
 
@@ -401,60 +496,10 @@ class GeneralizedInverse:
         span = hi - lo
         return [lo + span * t for t in (0.05, 0.25, 0.5, 0.75, 0.95)]
 
-    def _limit(self, side):
-        # sampling-based endpoint limit of G; exact when G stabilizes (the
-        # usual case), declared unbounded when deep probes keep moving
-        out = None
-        for k in range(6, 53):
-            if side == "lower":
-                u = (self.a_prime + 2.0 ** (-k) if math.isfinite(self.a_prime)
-                     else -(2.0 ** k))
-            else:
-                u = (self.b_prime - 2.0 ** (-k) if math.isfinite(self.b_prime)
-                     else 2.0 ** k)
-            v = self.G(u)
-            if out is not None and abs(v - out) < 1e-12 * max(1.0, abs(v)):
-                return v
-            out = v
-            if abs(v) > 1e12:
-                return -INF if side == "lower" else INF
-        return -INF if side == "lower" else INF
-
     def __call__(self, s):
         if not (self.A < s < self.B):
             raise OutOfInterval(f"{s} outside ({self.A}, {self.B})")
-        lo, hi = self.a_prime, self.b_prime
-        # establish finite bracket [ulo, uhi] with G(ulo) <= s < G(uhi)
-        if math.isinf(lo):
-            lo = min(-1.0, hi - 1.0 if math.isfinite(hi) else -1.0)
-            for _ in range(200):
-                if self.G(lo) <= s:
-                    break
-                lo *= 2.0
-            else:
-                raise OutOfInterval("bracket expansion failed (lower)")
-        if math.isinf(hi):
-            hi = max(1.0, lo + 1.0)
-            for _ in range(200):
-                if self.G(hi) > s:
-                    break
-                hi *= 2.0
-            else:
-                raise OutOfInterval("bracket expansion failed (upper)")
-        ulo, uhi = lo, hi
-        for _ in range(300):
-            mid = 0.5 * (ulo + uhi)
-            if mid <= ulo or mid >= uhi:
-                break
-            if self.G(mid) > s:
-                uhi = mid
-            else:
-                ulo = mid
-            # bracket width relative to the value scale, so inverses decaying
-            # toward zero keep full relative precision
-            if uhi - ulo < self.tol * max(abs(ulo), abs(uhi), 1e-300):
-                break
-        return uhi
+        return _crossing(lambda u: self.G(u) > s, self.a_prime, self.b_prime, self.tol)
 
 
 def generalized_inverse(G, a_prime, b_prime, **kw) -> GeneralizedInverse:
@@ -519,14 +564,13 @@ def default_grid(k: Kernel, n=4096):
     return g[(g > a) & (g < b)]
 
 
-def check_condition_A(k: Kernel, grid=None):
+def check_condition_A(k: Kernel):
     """Sampled check that the kernel is decreasing, left-continuous,
     nonconstant and strictly between its endpoint limits.
 
-    The verdict is grid-based and flagged as such in the witness.
+    The verdict is on :func:`default_grid` and flagged as such in the witness.
     """
-    s = default_grid(k) if grid is None else np.asarray(grid, dtype=float)
-    s = np.sort(s[(s > k.a) & (s < k.b)])
+    s = default_grid(k)
     v = k(s)
     scale = max(1.0, float(np.max(np.abs(v))))
     witness = {"sampled": True}
@@ -549,7 +593,7 @@ def check_condition_A(k: Kernel, grid=None):
             step = d * max(1.0, abs(s0))
             if s0 - step <= k.a:
                 continue
-            gaps.append(abs(float(k(np.array([s0 - step]))[0]) - float(v[i + 1])))
+            gaps.append(abs(k.value(s0 - step) - float(v[i + 1])))
         if gaps and gaps[-1] > 1e-6 * scale and gaps[-1] >= 0.5 * gaps[0]:
             witness.update(clause="not-left-continuous", s=s0, gap=gaps[-1])
             return False, witness
@@ -585,8 +629,9 @@ def kernel_from_tau(tau: TauMeasure, name=None) -> Kernel:
     """Decreasing left-continuous kernel whose occupation measure is tau.
 
     The construction centers the signed cumulative mass at an interior point
-    c, forms its generalized inverse, and reflects: f(s) = F(-s).  Fails
-    with :class:`ConditionBViolated` when tau cannot arise this way.
+    c, inverts it (F, on its sampled range (A, B)) and reflects: f(s) = F(-s)
+    on (-B, -A), with tau's support as its range.  Fails with
+    :class:`ConditionBViolated` when tau cannot arise this way.
     """
     ok, witness = check_condition_B(tau)
     if not ok:
@@ -602,86 +647,20 @@ def kernel_from_tau(tau: TauMeasure, name=None) -> Kernel:
     else:
         c = b1 - 1.0
 
-    def G(u):
-        if u >= c:
-            return tau.mass(c, u)
-        return -tau.mass(u, c)
-
-    # signed cumulative mass can be unbounded toward either support end;
-    # slow (logarithmic) accumulation shows up as a non-vanishing difference
-    # between deep refinement levels
-    def _end_mass(side):
-        vals = []
-        for k in (10, 25, 40, 55):
-            if side == "upper":
-                q = b1 - 2.0 ** (-k) if math.isfinite(b1) else 2.0 ** k
-                if q <= c:
-                    vals.append(0.0)
-                    continue
-                v = tau.mass(c, q)
-            else:
-                p = a1 + 2.0 ** (-k) if math.isfinite(a1) else -(2.0 ** k)
-                if p >= c:
-                    vals.append(0.0)
-                    continue
-                v = tau.mass(p, c)
-            if v > 1e13:
-                return INF
-            vals.append(v)
-        if abs(vals[-1] - vals[-2]) > 1e-10 * max(1.0, abs(vals[-1])):
-            return INF
-        return vals[-1]
-
-    B = _end_mass("upper")
-    A = -_end_mass("lower")
-    F = GeneralizedInverse(G, a1, b1, A=A, B=B)
-    a, b = -B, -A
+    F = GeneralizedInverse(lambda u: tau.mass(c, u) if u >= c else -tau.mass(u, c), a1, b1)
 
     def fn(s):
         s = np.atleast_1d(np.asarray(s, dtype=float))
         return np.array([F(-x) for x in s])
 
-    return Kernel(name or f"from_tau({tau.name})", a, b, fn,
-                  monotone_decreasing=True, left_continuous=True,
-                  nonnegative=tau.a_prime >= 0.0)
+    return Kernel(name or f"from_tau({tau.name})", -F.B, -F.A, fn,
+                  monotone_decreasing=True, nonnegative=a1 >= 0.0,
+                  tau_density=(None, (a1, b1)))
 
 
 # ---------------------------------------------------------------------------
 # occupation-measure queries on kernels
 # ---------------------------------------------------------------------------
-
-def _endpoint_limit(k: Kernel, end):
-    """Sampled limit of f at an endpoint; returns (value, flat?), the value
-    +-inf when the samples grow beyond bound.
-
-    Two samples must agree relative to their size, so a limit of 0 is
-    reached by an exact tie (an underflow), not by two tiny samples.  The
-    limit is flat (f sits at it on a stretch before the end) only when the
-    samples reach it without first creeping to within 1e-12 of it: a value
-    crept up to is the rounding of a limit that is not attained, as when
-    exp(-s) underflows to 0.
-    """
-    a, b = k.a, k.b
-    step0 = min(1.0, (b - a) / 2.0) if math.isfinite(b - a) else 1.0
-    prev = before = None   # ``before``: the sample ahead of prev's run of ties
-    for j in range(4, 44):
-        if end == "lower":
-            s = a + step0 * 2.0 ** (-j) if math.isfinite(a) else -(2.0 ** j)
-        else:
-            s = b - step0 * 2.0 ** (-j) if math.isfinite(b) else 2.0 ** j
-        if not (a < s < b):
-            continue
-        v = float(k(np.array([s]))[0])
-        if abs(v) > 1e13:
-            return (INF if v > 0 else -INF), False
-        if prev is not None and abs(v - prev) <= 1e-12 * abs(v):
-            lead = before if v == prev else prev
-            return v, lead is None or abs(lead - v) > 1e-12 * max(1.0, abs(v))
-        if v != prev:
-            before = prev
-        prev = v
-    return prev, False
-
 
 def _level_boundary(k: Kernel, u, f_top, f_bot, flat_bot=True):
     """For decreasing f: boundary point of {s : f(s) > u}; at u = inf f
@@ -690,20 +669,7 @@ def _level_boundary(k: Kernel, u, f_top, f_bot, flat_bot=True):
         return k.a
     if u < f_bot or (u == f_bot and not flat_bot):
         return k.b
-    lo = k.a
-    hi = k.b
-    # expand toward an infinite end: double away from the origin, after one
-    # step across it
-    if math.isinf(hi):
-        hi = (k.a if math.isfinite(k.a) else 0.0) + 1.0
-        while float(k(np.array([hi]))[0]) > u:
-            hi = hi + abs(hi) + 1.0
-    if math.isinf(lo):
-        lo = hi - 1.0
-        while float(k(np.array([lo]))[0]) <= u:
-            lo = lo - abs(lo) - 1.0
-    g = lambda s: float(k(np.array([s]))[0])
-    return bisect_monotone(g, u, lo, hi, increasing=False, tol=1e-14)
+    return _crossing(lambda s: k.value(s) <= u, k.a, k.b, 1e-14)
 
 
 def tau_of_interval(k: Kernel, u1, u2):
@@ -746,8 +712,8 @@ def _build_tau(k: Kernel) -> TauMeasure:
         flat_bot = True
     else:
         density = None
-        f_top, _ = _endpoint_limit(k, "lower")
-        f_bot, flat_bot = _endpoint_limit(k, "upper")
+        f_top, _ = _end_limit(k.value, k.a, k.b, "lower")
+        f_bot, flat_bot = _end_limit(k.value, k.a, k.b, "upper")
     name = f"tau({k.name})"
     if f_bot == f_top:
         return TauMeasure(atoms=[(f_top, k.b - k.a)], name=name)

@@ -36,6 +36,7 @@ from .measures import (
     ZeroMeasure,
 )
 from .quadrature import adaptive_quad, bisect_monotone
+from .transform import base_exponent_scaled, direct_exponent
 
 
 @dataclass
@@ -307,7 +308,7 @@ def sample_integral(k: Kernel, t: Triplet, p: float, q: float,
     exact = None   # the exact window exponents, computed at the first check
     while mesh * 2 <= cfg.max_mesh_points:
         if exact is None:
-            exact = [_window_exponent_value(k, t, p, q, z) for z in probe]
+            exact = [direct_exponent(k, t, z, p, q) for z in probe]
         if _mesh_bias(k, t, p, q, mesh, probe, exact) <= target:
             break
         mesh *= 2
@@ -328,7 +329,6 @@ def _probe_grid(dim, m=6):
 def _mesh_bias(k, t, p, q, mesh, zs, exact):
     """Characteristic-function gap of the midpoint-frozen integrand, against
     the exact window exponents ``exact`` at the arguments ``zs``."""
-    from .transform import base_exponent_scaled
     ds = (q - p) / mesh
     mids = p + (np.arange(mesh) + 0.5) * ds
     fvals = np.asarray(k(mids), dtype=float)
@@ -337,13 +337,6 @@ def _mesh_bias(k, t, p, q, mesh, zs, exact):
         frozen = ds * np.sum(base_exponent_scaled(t, z, fvals))
         gap = max(gap, abs(np.exp(frozen) - np.exp(ex)))
     return gap
-
-
-def _window_exponent_value(k, t, p, q, z):
-    from .transform import base_exponent_scaled
-    fn = lambda s: base_exponent_scaled(t, z, k(s))
-    val, _ = adaptive_quad(fn, p, q, rtol=1e-10)
-    return complex(val)
 
 
 # ---------------------------------------------------------------------------
@@ -407,6 +400,4 @@ def ecf_check(samples, analytic_exponent, z_grid, batches=16) -> EcfReport:
 def window_exponent(k: Kernel, t: Triplet, p: float, q: float):
     """Analytic exponent of the window integral via the base law's
     characteristic exponent composed with the kernel."""
-    def exponent(z):
-        return _window_exponent_value(k, t, p, q, np.asarray(z, dtype=float))
-    return exponent
+    return lambda z: direct_exponent(k, t, z, p, q)

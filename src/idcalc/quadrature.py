@@ -89,6 +89,11 @@ INF = math.inf
 
 # window levels whose slabs the drivers hand a batched slab in one call
 _LOOKAHEAD = 8
+# improper_nonneg: the run of (near-)nondecreasing window masses that
+# certifies divergence, and the share of the total below which a window mass
+# is no divergence evidence
+_GROW_CONSEC = 7
+_FLOOR = 1e-13
 
 # 15-point Kronrod extension of 7-point Gauss on [-1, 1].
 _KRONROD_NODES = np.array([
@@ -411,6 +416,15 @@ def _lookahead(stable, open_, consec):
     return _LOOKAHEAD
 
 
+def geometric_ratio(seq):
+    """Mean ratio of consecutive terms that shrink at a ratio below 0.998
+    steady to 1e-4 (exactly geometric, as a pure power's windows), else None."""
+    r = [y / x for x, y in zip(seq, seq[1:])] if 0.0 not in seq else [0.0]
+    lo, hi = min(r), max(r)
+    steady = 0.0 < lo <= hi < 0.998 and (hi - lo) / lo < 1e-4
+    return float(np.mean(r)) if steady else None
+
+
 def improper_limit(slab, a, b, *, rtol=1e-8, atol=1e-12, diverge=1e10,
                    levels=48, consec=5, p0=None, q0=None):
     """Drive lim over windows of a signed (possibly vector) integral.
@@ -469,14 +483,12 @@ def improper_limit(slab, a, b, *, rtol=1e-8, atol=1e-12, diverge=1e10,
                 for i in range(len(trace) - 1)][-6:]
         norms = [float(np.linalg.norm(v)) for v in incs]
         if len(norms) >= 5 and min(norms) > 0:
-            ratios = [norms[i + 1] / norms[i] for i in range(len(norms) - 1)]
-            spread = (max(ratios) - min(ratios)) / max(min(ratios), 1e-300)
+            rho = geometric_ratio(norms)
             aligned = all(
                 float(np.real(np.vdot(incs[i], incs[i + 1]))) >
                 0.999 * norms[i] * norms[i + 1]
                 for i in range(len(incs) - 1))
-            if max(ratios) < 0.998 and spread < 1e-4 and aligned:
-                rho = float(np.mean(ratios))
+            if rho is not None and aligned:
                 tails.reshape(-1)[c] = incs[-1][0] * rho / (1.0 - rho)
                 comps.decide(c, "converged", {"rule": "tight-geometric-extrapolation",
                                               "ratio": rho})
@@ -486,8 +498,7 @@ def improper_limit(slab, a, b, *, rtol=1e-8, atol=1e-12, diverge=1e10,
 
 
 def improper_nonneg(slab, a, b, *, rtol=1e-9, atol=1e-13, blowup=1e12,
-                    levels=48, consec=4, grow_consec=7, floor=1e-13,
-                    p0=None, q0=None):
+                    levels=48, consec=4, p0=None, q0=None):
     """Three-valued improper integral of a nonnegative integrand.
 
     Returns :class:`ImproperResult`; on ``"converged"`` the value includes a
@@ -542,11 +553,11 @@ def improper_nonneg(slab, a, b, *, rtol=1e-9, atol=1e-13, blowup=1e12,
             if len(windows) >= 2:
                 # only (near-)nondecreasing window masses are divergence
                 # evidence; geometric decay however slow is not
-                if w >= 0.999 * windows[-2][c] and w > floor * scale:
+                if w >= 0.999 * windows[-2][c] and w > _FLOOR * scale:
                     growing[c] += 1
                 else:
                     growing[c] = 0
-                if growing[c] >= grow_consec:
+                if growing[c] >= _GROW_CONSEC:
                     comps.decide(c, "diverged", {"rule": "nondecreasing-windows",
                                                  "window": w, "count": growing[c]})
                     continue
@@ -556,7 +567,7 @@ def improper_nonneg(slab, a, b, *, rtol=1e-9, atol=1e-13, blowup=1e12,
                 # and a rising transient fails the narrow-band requirement
                 lagged = windows[-6][c]
                 recent = [v[c] for v in windows[-3:]]
-                if lagged > floor * scale and min(recent) > floor * scale \
+                if lagged > _FLOOR * scale and min(recent) > _FLOOR * scale \
                         and all(0.90 * lagged <= v <= 1.02 * lagged for v in recent) \
                         and max(recent) <= 1.05 * min(recent):
                     comps.decide(c, "diverged", {"rule": "non-vanishing-windows",
@@ -569,9 +580,7 @@ def improper_nonneg(slab, a, b, *, rtol=1e-9, atol=1e-13, blowup=1e12,
         tail = [v[c] for v in windows[-6:] if v[c] > 0]
         if len(tail) < 4:
             continue
-        ratios = [tail[i + 1] / tail[i] for i in range(len(tail) - 1)]
-        rho = max(ratios)
-        spread = (max(ratios) - min(ratios)) / max(min(ratios), 1e-300)
+        rho = max(tail[i + 1] / tail[i] for i in range(len(tail) - 1))
         if rho < 0.97:
             bound = tail[-1] * rho / (1.0 - rho)
             bounds.reshape(-1)[c] = bound
@@ -579,8 +588,7 @@ def improper_nonneg(slab, a, b, *, rtol=1e-9, atol=1e-13, blowup=1e12,
                                           "ratio": rho})
         # exactly geometric decay (pure power integrands): the extrapolated
         # tail is exact up to the quadrature noise in the ratio estimate
-        elif rho < 0.998 and spread < 1e-4:
-            rho_hat = float(np.mean(ratios))
+        elif (rho_hat := geometric_ratio(tail)) is not None:
             bound = tail[-1] * rho_hat / (1.0 - rho_hat)
             bounds.reshape(-1)[c] = bound
             comps.decide(c, "converged", {"rule": "tight-geometric-extrapolation",
@@ -601,7 +609,7 @@ def slab_quad(fn, *, rtol=1e-10, atol=1e-14):
     return slab
 
 
-def bisect_monotone(fn, target, lo, hi, *, increasing, tol=1e-13, max_iter=200):
+def bisect_monotone(fn, target, lo, hi, *, increasing, tol=1e-13):
     """Locate the level-crossing abscissa of a monotone function.
 
     Returns s with ``fn(s) ~ target`` maintaining the bracket invariant; the
@@ -610,7 +618,7 @@ def bisect_monotone(fn, target, lo, hi, *, increasing, tol=1e-13, max_iter=200):
     """
     lo = float(lo)
     hi = float(hi)
-    for _ in range(max_iter):
+    for _ in range(200):
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break

@@ -80,6 +80,26 @@ BUILTIN_DECREASING = [
 ]
 
 
+BUILTIN_IDS = ["exp", "exp-2.5", "log_inv", "power-0.5", "power-1.5", "power_at_zero-0.8",
+               "power_at_zero-0.3-b3", "double_exp", "log_power-1.5", "log_power_zero-2",
+               "indicator-2", "indicator-neg"]
+
+# levels below and above every range, and out to infinite ends
+EDGES = [-INF, -1.0, 0.0, 0.05, 0.2, 1 / math.e, 0.5, 0.9, 1.0, 2.0, 3.0, INF]
+
+
+def _assert_masses_match(k, level, edges):
+    # tau((u1, u2]) = Leb{f > u1} - Leb{f > u2} (0 when both are infinite),
+    # through both the measure and tau_of_interval
+    tau = tau_measure(k)
+    for i, u1 in enumerate(edges):
+        for u2 in edges[i + 1:]:
+            l1, l2 = level(u1), level(u2)
+            want = pytest.approx(0.0 if l1 == l2 else l1 - l2, rel=1e-10, abs=1e-12)
+            assert tau.mass(u1, u2) == want, (u1, u2)
+            assert tau_of_interval(k, u1, u2) == want, (u1, u2)
+
+
 class TestEval:
     def test_values(self):
         assert eval_kernel(exp_kernel(), 0.5) == pytest.approx(math.exp(-0.5))
@@ -124,24 +144,47 @@ class TestTauOfInterval:
         with pytest.raises(InconclusiveError):
             tau_of_interval(bare_sinc, 0.1, 0.2)
 
-    @pytest.mark.parametrize("kfn, level", BUILTIN_DECREASING,
-                             ids=["exp", "exp-2.5", "log_inv", "power-0.5", "power-1.5",
-                                  "power_at_zero-0.8", "power_at_zero-0.3-b3",
-                                  "double_exp", "log_power-1.5", "log_power_zero-2",
-                                  "indicator-2", "indicator-neg"])
+    @pytest.mark.parametrize("kfn, level", BUILTIN_DECREASING, ids=BUILTIN_IDS)
     def test_masses_match_independent_levels(self, kfn, level):
-        # tau((u1, u2]) = Leb{f > u1} - Leb{f > u2} (0 when both are
-        # infinite) on a grid that reaches below and above the range and out
-        # to infinite ends, through both the measure and tau_of_interval
+        _assert_masses_match(kfn(), level, EDGES)
+
+    @pytest.mark.parametrize("kfn, level", BUILTIN_DECREASING, ids=BUILTIN_IDS)
+    def test_bare_masses_match_independent_levels(self, kfn, level):
+        # the same kernels from their values alone: the range comes from the
+        # sampled endpoint limits and the levels from the crossing search,
+        # also at levels near an infimum of 0
         k = kfn()
+        bare = Kernel(f"{k.name}-bare", k.a, k.b, k.fn, monotone_decreasing=True,
+                      nonnegative=k.nonnegative)
+        _assert_masses_match(bare, level, sorted(EDGES + [1e-12, 1e-6]))
+
+    def test_power_approach_to_zero_reaches_its_infimum(self):
+        # 1/(1+s) tends to 0 like a power: the sampled infimum must be 0,
+        # not the last of finitely many samples, so far-out levels keep their
+        # mass Leb{f > u} = 1/u - 1
+        k = Kernel("inv", 0.0, INF, lambda s: 1.0 / (1.0 + s),
+                   monotone_decreasing=True, nonnegative=True)
+        assert tau_of_interval(k, 1e-20, 1e-15) == pytest.approx(1e20 - 1e15, rel=1e-9)
+
+    def test_slow_divergence_is_an_infinite_end(self):
+        # -ndtri(s) runs off like sqrt(2 log(1/s)) at 0 and 1: its steps
+        # shrink, but not at a steady ratio, so the range is the whole line
+        probit = Kernel("probit", 0.0, 1.0, lambda s: -ndtri(s), monotone_decreasing=True)
+        tau = tau_measure(probit)
+        assert (tau.a_prime, tau.b_prime) == (-INF, INF)
+        assert tau_of_interval(probit, -1.0, 1.0) == pytest.approx(ndtr(1.0) - ndtr(-1.0),
+                                                                   rel=1e-12)
+
+    def test_crossing_at_zero_ends_next_to_zero(self):
+        # f = -s on (-1, 1) crosses the level 0 at s = 0: the crossing search
+        # stops at the float next to 0 instead of halving toward it
+        calls = []
+        k = Kernel("line", -1.0, 1.0, lambda s: calls.append(s) or -np.asarray(s),
+                   monotone_decreasing=True)
         tau = tau_measure(k)
-        edges = [-INF, -1.0, 0.0, 0.05, 0.2, 1 / math.e, 0.5, 0.9, 1.0, 2.0, 3.0, INF]
-        for i, u1 in enumerate(edges):
-            for u2 in edges[i + 1:]:
-                l1, l2 = level(u1), level(u2)
-                want = pytest.approx(0.0 if l1 == l2 else l1 - l2, rel=1e-10, abs=1e-12)
-                assert tau.mass(u1, u2) == want, (u1, u2)
-                assert tau_of_interval(k, u1, u2) == want, (u1, u2)
+        calls.clear()
+        assert tau.mass(-0.5, 0.0) == 0.5
+        assert len(calls) < 60
 
     def test_flat_stretch_at_the_infimum(self):
         # f = max(1 - s, 0) is 0 on [1, 2): an atom of mass 1 at inf f = 0
@@ -382,6 +425,22 @@ class TestKernelFromTau:
             ok, witness = check_condition_A(kernel_from_tau(tau))
             assert ok, witness
 
+    def test_interval_is_minus_the_range_of_the_centered_mass(self):
+        # (a, b) = (-sup G, -inf G) for the mass G centered at c: c = 1/2 for
+        # the exponential measure, c = 0 for the Gaussian
+        e = math.exp(-0.5)
+        a, b = kernel_from_tau(tau_exponential()).interval()
+        assert a == pytest.approx(-e, abs=1e-15) and b == pytest.approx(1.0 - e, abs=1e-15)
+        a, b = kernel_from_tau(tau_gaussian()).interval()
+        assert a == pytest.approx(-0.5, abs=1e-15) and b == pytest.approx(0.5, abs=1e-15)
+
+    def test_reconstruction_range_is_the_support(self):
+        # the range of f = F(-s) is the support of tau, not a sampled guess
+        for tau, support in ((tau_exponential(), (0.0, INF)),
+                             (tau_gaussian(), (-INF, INF))):
+            tm = tau_measure(kernel_from_tau(tau))
+            assert (tm.a_prime, tm.b_prime) == support
+
     def test_exponential_kernel_is_log_reciprocal_shifted(self):
         # the decreasing rearrangement of the exponential occupation measure
         # is log(1/s) up to an interval shift
@@ -407,6 +466,15 @@ class TestKernelFromTau:
         for (u1, u2) in [(0.05, 0.3), (0.2, 0.8), (0.5, 0.95)]:
             assert tau_of_interval(k, u1, u2) == pytest.approx(
                 tau.mass(u1, u2), rel=1e-9)
+
+    def test_double_exp_tau_roundtrip_keeps_the_infinite_end(self):
+        # the centered mass of tau(double_exp) falls like -log(log(1/u)) at 0:
+        # its steps shrink ever more slowly, a divergence, not a last sample
+        tau = tau_measure(double_exp_kernel())
+        k = kernel_from_tau(tau)
+        assert k.interval()[1] == INF
+        for (u1, u2) in [(1e-12, 1e-6), (0.05, 0.3)]:
+            assert tau_of_interval(k, u1, u2) == pytest.approx(tau.mass(u1, u2), rel=1e-9)
 
     def test_condition_b_violation_raises(self):
         tau = TauMeasure(atoms=[(2.0, 1.0)],

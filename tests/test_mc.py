@@ -200,19 +200,19 @@ def test_mesh_choice_computes_exact_exponents_once(monkeypatch):
     import dataclasses
     import idcalc.mc as mc
     calls = []
-    original = mc._window_exponent_value
+    original = mc.direct_exponent
 
     def counted(*args):
         calls.append(1)
         return original(*args)
-    monkeypatch.setattr(mc, "_window_exponent_value", counted)
+    monkeypatch.setattr(mc, "direct_exponent", counted)
     k, t = exp_kernel(), cp_unit()
     cfg = SimConfig(mesh_points=8, n_paths=20_000, seed=3)
     samples = sample_integral(k, t, 0.0, 8.0, cfg)
     probe = mc._probe_grid(1)
     assert len(calls) == len(probe)
     # the chosen mesh is the first doubling whose gap meets the target
-    exact = [original(k, t, 0.0, 8.0, z) for z in probe]
+    exact = [original(k, t, z, 0.0, 8.0) for z in probe]
     target = 0.5 / math.sqrt(cfg.n_paths)
     meshes = [8 * 2 ** i for i in range(12)]
     gaps = [mc._mesh_bias(k, t, 0.0, 8.0, m, probe, exact) for m in meshes]
