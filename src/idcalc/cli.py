@@ -24,6 +24,7 @@ from jsonschema.validators import validator_for
 
 from . import schemas
 from .errors import (
+    ConditionBViolated,
     IdcalcError,
     InconclusiveError,
     NotDefinable,
@@ -175,7 +176,7 @@ def kernel_from_spec(spec) -> Kernel:
         raise SchemaError(f"kernel spec invalid: {e.message}")
     try:
         return _kernel_from_spec(spec)
-    except ValueError as e:
+    except (ValueError, ConditionBViolated) as e:
         raise SchemaError(f"kernel spec invalid: {e}") from e
 
 
@@ -344,6 +345,11 @@ def _cmd_largeness(args, inputs, report):
 
 
 def _cmd_tau(args, inputs, report):
+    if not (math.isfinite(args.tau_lo) and math.isfinite(args.tau_hi)
+            and args.tau_lo < args.tau_hi):
+        raise SchemaError("tau grid needs finite --tau-lo < --tau-hi")
+    if args.tau_cells < 1:
+        raise SchemaError("tau grid needs at least one cell")
     k = _load_kernel(args, inputs)
     tau = tau_measure(k)
     ok, witness = check_condition_B(tau)

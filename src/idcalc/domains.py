@@ -1,10 +1,14 @@
 """Closed-form domain rules and kernel largeness classification.
 
 Kernels tagged with an asymptotic class admit closed-form membership rules
-for the four transform domains, phrased as moment tests on the Levy measure
-(plus mean/drift side conditions).  Separately, integral profiles of the
-kernel alone decide how large the domains are: everything, all finite
-activity/variation laws, or nothing but point masses.
+for the four transform domains, phrased as tail-moment tests on the Levy
+measure (plus a mean side condition).  A kernel that blows up at its left
+endpoint is decided on the dual law: the inversion x -> x/|x|^2 sends
+|x|^m nu(dx) near 0 to |y|^(2-m) in the tail and the drift to minus the
+mean, so its rule is the matching tail rule on ``idlaw.dual(t)``.
+Separately, integral profiles of the kernel alone decide how large the
+domains are: everything, all finite activity/variation laws, or nothing but
+point masses.
 """
 
 from __future__ import annotations
@@ -16,14 +20,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
+    IdcalcError,
     InconclusiveError,
-    NoDrift,
     NoMean,
     NonnegativeRequired,
     QuadratureFailure,
     UnsupportedTag,
 )
-from .idlaw import Triplet, TypeClass, classify_type, drift, mean
+from .idlaw import Triplet, TypeClass, classify_type, drift, dual, mean
 from .kernels import (
     DoubleExp,
     ExpTail,
@@ -46,38 +50,22 @@ _ZERO_TOL = 1e-12
 # radial moment functionals of a Levy measure
 # ---------------------------------------------------------------------------
 
-def _stable_power_log_finite(alpha, m, c, end):
-    """Exact convergence decision for int r^m (log-ish)^c against the stable
-    radial density near one end ('tail' from some positive lo, 'body' to 0)."""
-    if end == "tail":
-        if m < alpha - 1e-12:
-            return True
-        if m > alpha + 1e-12:
-            return False
-        return c < -1.0
-    else:
-        if m > alpha + 1e-12:
-            return True
-        if m < alpha - 1e-12:
-            return False
-        return c < -1.0
-
-
 def radial_moment(nu, g, lo=0.0, hi=INF, stable_power=None, stable_log=0.0):
     """int g(|x|) nu(dx) over the radius region [lo, hi).
 
     ``stable_power``/``stable_log`` describe g as r^m (log factor)^c so the
-    stable family can be decided by the exact exponent test instead of
-    window certification.
+    stable family can be decided on a tail region (hi = inf, lo > 0) by the
+    exact exponent test instead of window certification.
     """
     if isinstance(nu, SumMeasure):
         parts = [radial_moment(p, g, lo, hi, stable_power, stable_log)
                  for p in nu.parts]
         return INF if any(v == INF for v in parts) else float(sum(parts))
-    if isinstance(nu, StableMeasure) and stable_power is not None:
-        end = "tail" if hi == INF else "body"
-        ok = _stable_power_log_finite(nu.alpha, stable_power, stable_log, end)
-        if not ok:
+    if isinstance(nu, StableMeasure) and stable_power is not None and hi == INF:
+        # int^inf r^m (log r)^c r^(-alpha-1) dr: finite iff m < alpha, or
+        # m = alpha and c < -1
+        m, al = stable_power, nu.alpha
+        if not (m < al if abs(m - al) > 1e-12 else stable_log < -1.0):
             return INF
         dens = lambda r: r ** (-nu.alpha - 1.0)
         fn = lambda r: np.asarray(g(r), dtype=float) * dens(r)
@@ -107,13 +95,6 @@ def tail_power_moment_verdict(nu, p):
         lambda: radial_moment(nu, lambda r: r ** p, 1.0, INF, stable_power=p))
 
 
-def body_power_moment_verdict(nu, p):
-    """int_{|x| < 1} |x|^p nu(dx) finite?"""
-    return _moment_verdict(
-        f"small-jump-moment[{p:g}]",
-        lambda: radial_moment(nu, lambda r: r ** p, 0.0, 1.0, stable_power=p))
-
-
 def log_plus_moment_verdict(nu, inv_alpha):
     """int (log+ |x|)^(1/alpha) nu(dx) finite?"""
     return _moment_verdict(
@@ -138,22 +119,6 @@ def tail_log_power_moment_verdict(nu, beta):
                               2.0, INF, stable_power=1.0, stable_log=-beta))
 
 
-def body_log_moment_verdict(nu):
-    """int_{|x| < 1} |x|^2 log(1/|x|) nu(dx) finite?"""
-    return _moment_verdict(
-        "small-jump-log-moment",
-        lambda: radial_moment(nu, lambda r: r * r * np.log(1.0 / r),
-                              0.0, 1.0, stable_power=2.0, stable_log=1.0))
-
-
-def body_log_power_moment_verdict(nu, beta):
-    """int_{|x| < 1/2} |x| (log(1/|x|))^(-beta) nu(dx) finite?"""
-    return _moment_verdict(
-        f"small-jump-log-moment[{beta:g}]",
-        lambda: radial_moment(nu, lambda r: r * np.log(1.0 / r) ** (-beta),
-                              0.0, 0.5, stable_power=1.0, stable_log=-beta))
-
-
 def tail_first_vector(nu, s):
     """int_{|x| >= s} x nu(dx) (requires a finite tail first moment)."""
     if isinstance(nu, StableMeasure):
@@ -165,47 +130,30 @@ def tail_first_vector(nu, s):
     return nu.vector_weighted(lambda r: np.ones_like(r), s, INF)
 
 
-def body_first_vector(nu, s):
-    """int_{|x| < s} x nu(dx)."""
-    if isinstance(nu, StableMeasure):
-        if nu.alpha >= 1.0:
-            raise InconclusiveError("small-jump first moment diverges")
-        return nu.direction_sum() * s ** (1.0 - nu.alpha) / (1.0 - nu.alpha)
-    if isinstance(nu, SumMeasure):
-        return sum(body_first_vector(p, s) for p in nu.parts)
-    return nu.vector_weighted(lambda r: np.ones_like(r), 0.0, s)
-
-
 # ---------------------------------------------------------------------------
-# side conditions shared by the alpha = 1 rules
+# side conditions of the tail rules
 # ---------------------------------------------------------------------------
 
-def _oscillation_verdicts(t, s0, side):
-    """The two logarithmic-scale conditions of the borderline power rules:
-    convergence of int s^-1 V(s) ds and finiteness of int s^-1 |V(s)| ds,
-    where V is the first-moment vector of the jumps beyond / below s."""
+def _oscillation_verdicts(t):
+    """The two logarithmic-scale conditions of the borderline power rule:
+    convergence of int_1^inf s^-1 V(s) ds and finiteness of
+    int_1^inf s^-1 |V(s)| ds, where V is the first-moment vector of the
+    jumps beyond s."""
     nu = t.nu
     if nu.is_zero() or nu.is_symmetric():
         z = Verdict.yes("first-moment-vector-vanishes")
         return z, z
 
-    if side == "tail":
-        vec = lambda s: tail_first_vector(nu, s)
-        a, b = s0, INF
-    else:
-        vec = lambda s: body_first_vector(nu, s)
-        a, b = 0.0, s0
-
     def fn_signed(s):
-        return np.stack([np.asarray(vec(float(x))) / float(x)
+        return np.stack([np.asarray(tail_first_vector(nu, float(x))) / float(x)
                          for x in np.atleast_1d(s)])
 
     def fn_abs(s):
-        return np.array([float(np.linalg.norm(vec(float(x)))) / float(x)
-                         for x in np.atleast_1d(s)])
+        return np.array([float(np.linalg.norm(tail_first_vector(nu, float(x))))
+                         / float(x) for x in np.atleast_1d(s)])
 
-    lim = improper_limit(slab_quad(fn_signed, rtol=1e-9), a, b, rtol=1e-8)
-    ab = improper_nonneg(slab_quad(fn_abs, rtol=1e-9), a, b)
+    lim = improper_limit(slab_quad(fn_signed, rtol=1e-9), 1.0, INF, rtol=1e-8)
+    ab = improper_nonneg(slab_quad(fn_abs, rtol=1e-9), 1.0, INF)
     return (lim.verdict("log-scale-compensation"),
             ab.verdict("log-scale-compensation-absolutely"))
 
@@ -222,48 +170,31 @@ def _mean_zero_verdict(t):
     return Verdict.no("mean-nonzero", mean=np.asarray(m).tolist())
 
 
-def _drift_zero_verdict(t):
-    try:
-        g0 = drift(t)
-    except NoDrift:
-        return Verdict.no("drift-does-not-exist")
-    except InconclusiveError as e:
-        return Verdict.unknown("drift-uncertified", detail=str(e))
-    if float(np.max(np.abs(g0))) <= _ZERO_TOL:
-        return Verdict.yes("drift-zero")
-    return Verdict.no("drift-nonzero", drift=np.asarray(g0).tolist())
-
-
-def _no_gaussian_verdict(t):
-    if t.has_gaussian_part:
-        return Verdict.no("gaussian-part-excluded")
-    return Verdict.yes("purely-non-gaussian")
-
-
-def _is_dirac(t):
-    return (not t.has_gaussian_part) and t.nu.is_zero()
-
-
-def _dirac_zero(t):
-    return _is_dirac(t) and float(np.max(np.abs(t.gamma))) == 0.0
-
-
 # ---------------------------------------------------------------------------
 # rules per asymptotic tag
 # ---------------------------------------------------------------------------
+
+_DOMAINS = ("essential", "compensated", "plain", "absolute")
+
+
+def _same(v):
+    """One verdict for all four domains."""
+    return dict.fromkeys(_DOMAINS, v)
+
 
 def _power_tail_rule(tag: PowerTail, t: Triplet):
     al = tag.alpha
     if al >= 2.0:
         # the essential domain collapses to point masses
-        es = Verdict.yes("point-mass") if _is_dirac(t) else \
+        dirac = not t.has_gaussian_part and t.nu.is_zero()
+        es = Verdict.yes("point-mass") if dirac else \
             Verdict.no("essential-domain-trivial")
-        pl = Verdict.yes("point-mass-at-origin") if _dirac_zero(t) else \
-            Verdict.no("plain-domain-trivial")
+        pl = Verdict.yes("point-mass-at-origin") if dirac and not np.any(t.gamma) \
+            else Verdict.no("plain-domain-trivial")
         return {"essential": es, "compensated": es, "plain": pl, "absolute": pl}
     es = tail_power_moment_verdict(t.nu, al)
     if abs(al - 1.0) > 1e-12 and al < 1.0:
-        return {"essential": es, "compensated": es, "plain": es, "absolute": es}
+        return _same(es)
     if al > 1.0:
         if es.is_yes:
             strict = combine_all(es, _mean_zero_verdict(t))
@@ -276,8 +207,8 @@ def _power_tail_rule(tag: PowerTail, t: Triplet):
         u = Verdict.unknown("borderline-rule-needs-exact-coefficient")
         return {"essential": es, "compensated": u, "plain": u, "absolute": u}
     if es.is_no:
-        return {"essential": es, "compensated": es, "plain": es, "absolute": es}
-    v_lim, v_abs = _oscillation_verdicts(t, s0=1.0, side="tail")
+        return _same(es)
+    v_lim, v_abs = _oscillation_verdicts(t)
     comp = combine_all(es, v_lim)
     plain = combine_all(comp, _mean_zero_verdict(t))
     absolute = combine_all(es, v_abs, _mean_zero_verdict(t))
@@ -285,73 +216,62 @@ def _power_tail_rule(tag: PowerTail, t: Triplet):
             "absolute": absolute}
 
 
-def _power_at_zero_rule(tag: PowerAtZero, t: Triplet):
-    q = tag.exponent
-    if q < 0.5 - 1e-12:
-        y = Verdict.yes("square-and-support-finite")
-        return {"essential": y, "compensated": y, "plain": y, "absolute": y}
-    if abs(q - 0.5) <= 1e-12:
-        es = combine_all(_no_gaussian_verdict(t), body_log_moment_verdict(t.nu))
-        return {"essential": es, "compensated": es, "plain": es, "absolute": es}
-    al = 2.0 - 1.0 / q
-    es = combine_all(_no_gaussian_verdict(t),
-                     body_power_moment_verdict(t.nu, 2.0 - al))
-    if al < 1.0 - 1e-12:
-        return {"essential": es, "compensated": es, "plain": es, "absolute": es}
-    if al > 1.0 + 1e-12:
-        strict = combine_all(es, _drift_zero_verdict(t)) if es.is_yes else es
-        return {"essential": es, "compensated": es, "plain": strict,
-                "absolute": strict}
-    if es.is_no:
-        return {"essential": es, "compensated": es, "plain": es, "absolute": es}
-    b = 1.0  # any interior anchor works; the conditions are local at zero
-    v_lim, v_abs = _oscillation_verdicts(t, s0=b, side="body")
-    comp = combine_all(es, v_lim)
-    plain = combine_all(comp, _drift_zero_verdict(t))
-    absolute = combine_all(es, v_abs, _drift_zero_verdict(t))
-    return {"essential": es, "compensated": comp, "plain": plain,
-            "absolute": absolute}
-
-
 def _exp_tail_rule(tag: ExpTail, t: Triplet):
-    es = log_plus_moment_verdict(t.nu, 1.0 / tag.alpha)
-    return {"essential": es, "compensated": es, "plain": es, "absolute": es}
+    return _same(log_plus_moment_verdict(t.nu, 1.0 / tag.alpha))
 
 
 def _double_exp_rule(tag: DoubleExp, t: Triplet):
-    es = loglog_moment_verdict(t.nu)
-    return {"essential": es, "compensated": es, "plain": es, "absolute": es}
+    return _same(loglog_moment_verdict(t.nu))
 
 
 def _log_power_rule(tag: LogPower, t: Triplet):
-    if tag.at_zero:
-        es = combine_all(_no_gaussian_verdict(t),
-                         body_log_power_moment_verdict(t.nu, tag.beta))
-    else:
-        es = tail_log_power_moment_verdict(t.nu, tag.beta)
     u = Verdict.unknown("only-strictness-known-for-this-class")
-    return {"essential": es, "compensated": u, "plain": u,
-            "absolute": u}
+    return {"essential": tail_log_power_moment_verdict(t.nu, tag.beta),
+            "compensated": u, "plain": u, "absolute": u}
+
+
+_TAIL_RULES = {PowerTail: _power_tail_rule, ExpTail: _exp_tail_rule,
+               DoubleExp: _double_exp_rule, LogPower: _log_power_rule}
+
+
+def _tail_tag_of_dual(tag):
+    """The tail tag that decides a blow-up-at-zero tag on the dual law, or
+    None for a tail tag.  f ~ s^-q at 0 meets |x|^(1/q) nu(dx) near 0, which
+    the inversion sends to |y|^(2 - 1/q) in the tail; at q = 1/2 the
+    exponent is 0 with a logarithm, the rule of ExpTail(1)."""
+    if isinstance(tag, LogPower) and tag.at_zero:
+        return LogPower(tag.beta)
+    if not isinstance(tag, PowerAtZero):
+        return None
+    if abs(tag.exponent - 0.5) <= 1e-12:
+        return ExpTail(1.0)
+    al = 2.0 - 1.0 / tag.exponent
+    return PowerTail(al, 1.0 if abs(al - 1.0) <= 1e-12 else None)
 
 
 def domain_rule_verdicts(k: Kernel, t: Triplet):
     """Closed-form membership verdicts {absolute, plain, compensated,
     essential} for a tagged kernel; raises :class:`UnsupportedTag` when the
-    kernel carries no supported asymptotic tag."""
+    kernel carries no supported asymptotic tag, or when a blow-up-at-zero
+    tag meets a law whose Levy measure has no dual (a lazy scale mixture)."""
     tag = k.tag
     if tag is None:
         raise UnsupportedTag(f"kernel {k.name!r} carries no asymptotic tag")
-    if isinstance(tag, PowerTail):
-        return _power_tail_rule(tag, t)
-    if isinstance(tag, PowerAtZero):
-        return _power_at_zero_rule(tag, t)
-    if isinstance(tag, ExpTail):
-        return _exp_tail_rule(tag, t)
-    if isinstance(tag, DoubleExp):
-        return _double_exp_rule(tag, t)
-    if isinstance(tag, LogPower):
-        return _log_power_rule(tag, t)
-    raise UnsupportedTag(f"unknown tag {tag!r}")
+    if isinstance(tag, PowerAtZero) and tag.exponent < 0.5 - 1e-12:
+        return _same(Verdict.yes("square-and-support-finite"))
+    dual_tag = _tail_tag_of_dual(tag)
+    if dual_tag is not None:
+        # f is not square-integrable at 0, so a Gaussian part is excluded
+        if t.has_gaussian_part:
+            return _same(Verdict.no("gaussian-part-excluded"))
+        try:
+            tag, t = dual_tag, dual(t)
+        except IdcalcError as e:
+            raise UnsupportedTag(f"no dual law to decide {k.tag!r} on: {e}") from e
+    rule = _TAIL_RULES.get(type(tag))
+    if rule is None:
+        raise UnsupportedTag(f"unknown tag {tag!r}")
+    return rule(tag, t)
 
 
 # ---------------------------------------------------------------------------

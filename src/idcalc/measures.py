@@ -32,7 +32,11 @@ representation:
   that override only the functionals with closed forms; the stable
   scaling identity nu(B/u) = |u|^alpha nu(sign(u) B) lets one base
   integral per sign of u serve every scale;
-* sums, the zero measure and lazy symmetrizations compose the above.
+* sums and the zero measure compose the above.
+
+Every representation, the scale mixtures of ``idcalc.transform``
+included, materializes its own symmetrization nu(B) + nu(-B)
+(``symmetrized()``) in the same representation.
 
 Radius regions are half-open [lo, hi) so that body/tail splits partition an
 atom sitting exactly on the boundary.
@@ -162,8 +166,8 @@ class LevyMeasure:
         raise IdcalcError("dual is available only for primitive representations")
 
     def symmetrized(self):
-        """nu(B) + nu(-B); lazy unless a representation materializes it."""
-        return SymmetrizedMeasure(self)
+        """nu(B) + nu(-B), in the representation of nu."""
+        raise NotImplementedError
 
 
 class ZeroMeasure(LevyMeasure):
@@ -980,47 +984,11 @@ class SumMeasure(LevyMeasure):
         return SumMeasure([p.symmetrized() for p in self.parts])
 
 
-class SymmetrizedMeasure(LevyMeasure):
-    """nu_sym(B) = nu(B) + nu(-B), kept lazy for composite bases."""
-
-    def __init__(self, base):
-        self.base = base
-        self.dim = base.dim
-
-    def scaled_integral(self, h, us, lo=0.0, hi=INF):
-        def h2(x):
-            return np.asarray(h(x)) + np.asarray(h(-x))
-        return self.base.scaled_integral(h2, us, lo, hi)
-
-    def tail_mass(self, rs):
-        return 2.0 * self.base.tail_mass(rs)
-
-    def clip2_scaled(self, us):
-        return 2.0 * self.base.clip2_scaled(us)
-
-    def clip1_scaled(self, us):
-        return 2.0 * self.base.clip1_scaled(us)
-
-    def centering_scaled(self, us):
-        us = np.asarray(us, dtype=float)
-        return np.zeros(us.shape + (self.dim,))
-
-    def cumulant_scaled(self, z, us):
-        return 2.0 * np.real(self.base.cumulant_scaled(z, us)).astype(complex)
-
-    def vector_weighted_scaled(self, w, us, lo=0.0, hi=INF):
-        return np.zeros(_scales(us).shape + (self.dim,))
-
-    def is_symmetric(self):
-        return True
-
-    def supported_in_orthant(self, signs):
-        return True if self.base.is_zero() else False
-
-
 def symmetrize_measure(nu):
-    """Reflection-sum of a Levy measure: atomic and polar representations
-    are materialized exactly, anything else is wrapped lazily."""
+    """Reflection-sum nu(B) + nu(-B) of a Levy measure, in its own
+    representation: reflected atoms, reflected polar directions, the sum of
+    the parts' reflection-sums, or the same scale mixture over the
+    reflection-sum of its base."""
     return nu.symmetrized()
 
 

@@ -97,7 +97,25 @@ KERNEL_SCHEMA = {
         "interval": {"type": "array", "minItems": 2, "maxItems": 2,
                      "items": {"oneOf": [{"type": "number"},
                                          {"enum": ["inf", "-inf"]}]}},
-        "tau": {"type": "object"},
+        "tau": {
+            "type": "object",
+            "required": ["family"],
+            "properties": {"family": {"enum": ["exponential", "gaussian",
+                                               "atoms"]}},
+            "allOf": [
+                {"if": {"properties": {"family": {"const": "exponential"}}},
+                 "then": {"properties": {
+                     "rate": {"type": "number", "exclusiveMinimum": 0}}}},
+                {"if": {"properties": {"family": {"const": "atoms"}}},
+                 "then": {"required": ["atoms"], "properties": {"atoms": {
+                     "type": "array", "minItems": 1, "items": {
+                         "type": "object", "required": ["u", "mass"],
+                         "properties": {
+                             "u": {"type": "number"},
+                             "mass": {"type": "number",
+                                      "exclusiveMinimum": 0}}}}}}},
+            ],
+        },
     },
 }
 

@@ -27,6 +27,7 @@ raises :class:`ConsistencyAlarm` rather than silently preferring either.
 
 from __future__ import annotations
 
+import copy
 import enum
 import math
 from dataclasses import dataclass, field
@@ -43,9 +44,9 @@ from .errors import (
     QuadratureFailure,
     UnsupportedTag,
 )
-from .idlaw import Triplet, TypeClass, classify_type, drift, mean
+from .idlaw import Triplet, TypeClass, classify_type, drift, mean, symmetrize_triplet
 from .kernels import Kernel, TauMeasure, hook_limit, kernel_mass, kernel_window_integral
-from .measures import _ONE, INF, LevyMeasure, symmetrize_measure
+from .measures import _ONE, INF, LevyMeasure
 from .quadrature import (
     ImproperResult,
     adaptive_quad,
@@ -157,6 +158,13 @@ class ScaleMixtureMeasure(LevyMeasure):
 
     def is_symmetric(self):
         return self.base.is_symmetric()
+
+    def symmetrized(self):
+        # nu(B/v) + nu(-B/v) = nu_sym(B/v): the same mixing over the
+        # symmetrized base
+        out = copy.copy(self)
+        out.base = self.base.symmetrized()
+        return out
 
 
 class PushforwardMeasure(ScaleMixtureMeasure):
@@ -469,14 +477,9 @@ def phi_es(k: Kernel, t: Triplet) -> TransformResult:
 
 
 def phi_sym(k: Kernel, t: Triplet) -> TransformResult:
-    """Symmetrized transform: doubled Gaussian part, reflection-summed jump
-    measure, location pinned at zero."""
-    cond = _gate(k, t, _rules(k, t))
-    nu = _result_measure(k, t)
-    trip = Triplet(2.0 * _result_gaussian(k, t),
-                   None if nu is None else symmetrize_measure(nu),
-                   np.zeros(t.dim), validate=False)
-    return TransformResult(trip, LocationMode.FIXED, {"condition": cond.reason})
+    """Symmetrized transform: the plain transform of the symmetrized law,
+    Phi_f^sym(mu) = Phi_f(mu^sym), whose location is zero."""
+    return phi(k, symmetrize_triplet(t))
 
 
 def phi_c(k: Kernel, t: Triplet) -> TransformResult:

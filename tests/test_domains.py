@@ -27,8 +27,15 @@ from idcalc.kernels import (
     power_tail_kernel,
     sinc_kernel,
 )
-from idcalc.transform import absolutely_definable, essential_conditions
+from idcalc.transform import (
+    absolutely_definable,
+    definable_verdict,
+    essential_conditions,
+    phi_es,
+)
 from idcalc.verdicts import Truth
+
+from corpus import corpus_triplets
 
 INF = math.inf
 
@@ -91,6 +98,32 @@ class TestDomainRules:
         k = power_at_zero_kernel(0.8)
         t = ic.Triplet(1.0, None, [0.0])
         assert domain_rule_verdicts(k, t)["essential"].is_no
+
+    @pytest.mark.parametrize("q", [0.6, 0.8, 1.25, 2.0])
+    @pytest.mark.parametrize("ap", [0.3, 0.7, 1.1, 1.5, 1.9])
+    def test_power_at_zero_vs_stable(self, q, ap):
+        # s^-q at 0 meets int_{|x|<1} |x|^(1/q) r^(-ap-1) dr, finite iff 1/q > ap
+        t = ic.Triplet(0.0, sym_stable(ap), [0.0])
+        v = domain_rule_verdicts(power_at_zero_kernel(q), t)["essential"]
+        assert v.truth is (Truth.YES if 1.0 / q > ap else Truth.NO)
+
+    @pytest.mark.parametrize("beta", [0.5, 1.5, 2.5])
+    def test_log_power_at_zero_excludes_gaussian(self, beta):
+        # f^2 ~ s^-2 (log 1/s)^(-2 beta) is not integrable at 0, so the
+        # Gaussian condition fails for every domain
+        t = ic.Triplet(1.0, sym_stable(1.2), [0.3])
+        vs = domain_rule_verdicts(log_power_kernel(beta, at_zero=True), t)
+        assert all(v.is_no for v in vs.values())
+
+    def test_power_at_zero_on_mixture_goes_to_numerics(self):
+        # a transformed law's lazy mixture has no dual: the rule is
+        # unsupported and the window numerics decide
+        t = phi_es(exp_kernel(), corpus_triplets()[6]).triplet
+        k = power_at_zero_kernel(0.8)
+        with pytest.raises(UnsupportedTag):
+            domain_rule_verdicts(k, t)
+        assert essential_conditions(k, t).is_yes
+        assert definable_verdict(k, t).is_yes
 
     def test_power_at_zero_half_needs_log_moment(self):
         k = power_at_zero_kernel(0.5)

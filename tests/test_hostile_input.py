@@ -3,7 +3,8 @@ and non-finite arguments when a law is evaluated.
 
 Each case is checked twice: the API call raises ``ValueError``, and the
 CLI, given the same parameters as a schema-valid spec, exits 3 with an error
-report instead of a verdict.
+report instead of a verdict.  Malformed occupation measures and ``tau``
+grids, which only the CLI reads, exit 3 the same way.
 """
 
 import json
@@ -13,7 +14,8 @@ import numpy as np
 import pytest
 
 import idcalc as ic
-from idcalc.cli import run
+from idcalc import schemas
+from idcalc.cli import run, validate
 from idcalc.kernels import (
     exp_kernel,
     indicator_kernel,
@@ -114,3 +116,36 @@ def test_cli_exits_3(tmp_path, kind, spec, capsys):
     assert rep["status"] == "error"
     prefix = "distribution" if kind == "dist" else "kernel"
     assert rep["results"]["error"].startswith(f"{prefix} spec invalid: ")
+
+
+def _from_tau(tau):
+    return {"type": "from_tau", "tau": tau}
+
+
+# (id, kernel spec, extra ``tau`` arguments)
+TAU_CASES = [
+    ("from-tau-no-atoms", _from_tau({"family": "atoms"}), []),
+    ("from-tau-atom-without-mass", _from_tau({"family": "atoms", "atoms": [{"u": 1.0}]}),
+     []),
+    ("from-tau-rate-string", _from_tau({"family": "exponential", "rate": "x"}), []),
+    # an atomic tau has atoms at both ends of its support (condition B)
+    ("from-tau-atomic", _from_tau({"family": "atoms", "atoms": [
+        {"u": 0.5, "mass": 1.0}, {"u": 1.5, "mass": 2.0}]}), []),
+    ("tau-negative-cells", {"type": "exp"}, ["--tau-cells", "-5"]),
+    ("tau-zero-cells", {"type": "exp"}, ["--tau-cells", "0"]),
+    ("tau-unordered-grid", {"type": "exp"}, ["--tau-lo", "2", "--tau-hi", "1"]),
+    ("tau-nan-grid", {"type": "exp"}, ["--tau-lo", "nan"]),
+    ("tau-infinite-grid", {"type": "exp"}, ["--tau-hi", "inf"]),
+]
+
+
+@pytest.mark.parametrize("spec,extra", [c[1:] for c in TAU_CASES],
+                         ids=[c[0] for c in TAU_CASES])
+def test_cli_tau_input_exits_3(tmp_path, spec, extra, capsys):
+    path = tmp_path / "kernel.json"
+    path.write_text(json.dumps(spec))
+    assert run(["--out", str(tmp_path), "tau", "--kernel", str(path), *extra]) == 3
+    with open(tmp_path / "report.json") as fh:
+        rep = json.load(fh)
+    assert rep["status"] == "error"
+    validate(rep, schemas.JOB_REPORT_SCHEMA)

@@ -5,7 +5,7 @@ import pytest
 
 import idcalc as ic
 from idcalc.kernels import TauMeasure
-from idcalc.measures import INF, SymmetrizedMeasure, _stable_exponent
+from idcalc.measures import INF, _stable_exponent
 from idcalc.transform import TauMixtureMeasure
 
 from conftest import radial_h
@@ -232,7 +232,8 @@ def _measures():
         "gamma": (gamma, 1e-9),
         "radial": (radial, 1e-9),
         "sum": (ic.SumMeasure([gamma, atoms]), 1e-9),
-        "symmetrized": (SymmetrizedMeasure(radial), 1e-9),
+        "symmetrized": (TauMixtureMeasure(TauMeasure(atoms=[(1.0, 1.0)]),
+                                          radial).symmetrized(), 1e-9),
         "stable": (ic.StableMeasure(1.5, [[1.0], [-1.0]], [0.2, 0.8]), 1e-9),
         "stable-sum": (ic.SumMeasure([ic.StableMeasure(0.6, [[1.0]], [1.0]), atoms]),
                        1e-9),

@@ -2,7 +2,8 @@
 
 Radial, stable, gamma, atomic and sum measures are built from random
 directions, weights and indices, and checked for the dual involution, the
-symmetric collapse and the support predicates.
+symmetric collapse and the support predicates; one-atom scale mixtures of
+them for the symmetrization of a mixture.
 """
 
 import math
@@ -12,7 +13,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import idcalc as ic
+from idcalc.kernels import TauMeasure
 from idcalc.measures import INF
+from idcalc.transform import TauMixtureMeasure
 
 # a fixed draw sequence keeps the suite reproducible
 SETTINGS = settings(max_examples=25, deadline=None, derandomize=True, database=None)
@@ -148,3 +151,20 @@ def test_sum_of_reflected_gammas_is_symmetric(params):
     assert not ic.SumMeasure([nu, ic.gamma_measure(shape, 2.0 * rate, -xi)]).is_symmetric()
     t = ic.symmetrize_triplet(ic.Triplet(np.zeros((nu.dim, nu.dim)), nu, np.zeros(nu.dim)))
     assert t.is_symmetric()
+
+
+@SETTINGS
+@given(st.integers(1, 2).flatmap(primitives),
+       st.floats(0.2, 3.0), st.sampled_from([1.0, -1.0]), weights_st)
+def test_symmetrized_mixture(nu, v, sign, m):
+    # nu(B/v) + nu(-B/v) = nu_sym(B/v): the mixture over the symmetrized
+    # base is the reflection-sum of the mixture
+    mix = TauMixtureMeasure(TauMeasure(atoms=[(sign * v, m)]), nu)
+    sym = mix.symmetrized()
+    assert sym.is_symmetric()
+    us = np.array([1.0, -0.5])
+    np.testing.assert_allclose(sym.clip2_scaled(us), 2.0 * mix.clip2_scaled(us),
+                               rtol=1e-9)
+    rs = np.array([0.5, 2.0])
+    np.testing.assert_allclose(sym.tail_mass(rs), 2.0 * mix.tail_mass(rs), rtol=1e-9)
+    np.testing.assert_allclose(sym.centering_scaled(us), 0.0, atol=1e-12)
