@@ -434,10 +434,22 @@ def _cmd_simulate(args, inputs, report):
                             row["stderr"]])
         report["results"]["csv"] = path
         spath = os.path.join(_outdir(args), "samples.csv")
-        np.savetxt(spath, samples, delimiter=",",
-                   header=",".join(f"x{i}" for i in range(t.dim)), comments="")
+        _write_samples(spath, samples)
         report["results"]["samples_csv"] = spath
     return 0
+
+
+def _write_samples(path, samples):
+    """``np.savetxt(path, samples, delimiter=",", header="x0,x1,...",
+    comments="")`` byte for byte: one ``%`` format per block of 4096 rows
+    over a repeated row template, not one per row."""
+    n, d = samples.shape
+    row = ",".join(["%.18e"] * d) + "\n"
+    with open(path, "w") as fh:
+        fh.write(",".join(f"x{i}" for i in range(d)) + "\n")
+        for a in range(0, n, 4096):
+            rows = samples[a:a + 4096]
+            fh.write(row * len(rows) % tuple(rows.ravel().tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -532,8 +544,11 @@ def build_parser():
     p.add_argument("--window", type=float, nargs=2, default=[0.0, 4.0])
     p.add_argument("--paths", type=int, default=20000)
     p.add_argument("--mesh", type=int, default=128)
-    p.add_argument("--cutoff", type=float, default=None)
-    p.add_argument("--gaussian-compensation", action="store_true")
+    p.add_argument("--cutoff", type=float, default=None,
+                   help="small-jump cutoff of the radial parts; stable and "
+                        "gamma parts are drawn exactly")
+    p.add_argument("--gaussian-compensation", action="store_true",
+                   help="replace the radial jumps below the cutoff by a normal term")
     p.add_argument("--z-points", type=int, default=10)
     p.add_argument("--emit", choices=["json", "csv"], default="json")
     return ap

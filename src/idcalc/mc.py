@@ -1,17 +1,31 @@
 """Monte Carlo simulation of the scattered random measure and of window
 integrals, validated through the empirical characteristic function.
 
-Increments over disjoint windows are independent with law given by the
-triplet scaled by the window length.  Infinite-activity jump parts are
-simulated by cutting jumps below a radius eps (compound-Poisson remainder)
-with the deterministic part adjusted for the truncated centering; an
-optional Gaussian refinement replaces the discarded small jumps by a
-matched normal term.
+Increments over disjoint cells are independent with law given by the
+triplet scaled by the cell length, so a window integral with the integrand
+frozen on a mesh is the sum of f_i X_i over the cells.  One draw returns
+that sum over a tile, a block of paths times a block of consecutive cells:
 
-Randomness comes from counter-based Philox streams keyed by (seed, stream
-label), so runs are reproducible and independent of scheduling order; all
-paths inside one mesh cell are drawn from that cell's stream as a single
-block.
+* the drift ds sum(f) shift, and one normal per path with covariance
+  ds sum(f^2) A;
+* stable parts exactly: per direction the weighted sum of stable cell
+  increments is stable again, with scale^alpha proportional to
+  ds sum |f_i|^alpha and skewness sum sign(f_i) |f_i|^alpha / sum |f_i|^alpha,
+  one Chambers-Mallows-Stuck draw per path (Weron's form, with its log term
+  at alpha = 1);
+* gamma parts exactly: a gamma(shape ds, 1/rate) draw per path and cell,
+  dotted with f;
+* atomic and radial parts as compound Poisson sums: one Poisson count per
+  path over the tile, a uniform cell per jump, and each jump weighted by f
+  at its cell.  Radial parts are cut below a radius eps, with the
+  deterministic part adjusted for the truncated centering; an optional
+  Gaussian refinement replaces the discarded small jumps by a matched
+  normal term.
+
+Tiles are sized from the expected jump count so that the temporaries of a
+draw stay within about ``TILE_BYTES``.  Randomness comes from
+counter-based Philox streams keyed by (seed, tile), so runs are
+reproducible and independent of scheduling order.
 """
 
 from __future__ import annotations
@@ -20,6 +34,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import gamma as gamma_fn
 
 from .errors import (
     InfiniteActivityWithoutCutoff,
@@ -30,6 +45,7 @@ from .kernels import Kernel
 from .measures import (
     INF,
     AtomicMeasure,
+    GammaMeasure,
     RadialMeasure,
     StableMeasure,
     SumMeasure,
@@ -38,13 +54,16 @@ from .measures import (
 from .quadrature import adaptive_quad, bisect_monotone
 from .transform import base_exponent_scaled, direct_exponent
 
+TILE_BYTES = 1 << 20
+_MIN_TILE_PATHS = 1024
+
 
 @dataclass
 class SimConfig:
     mesh_points: int = 256
     n_paths: int = 10_000
     seed: int = 0
-    small_jump_cutoff: float | None = None   # eps for infinite-activity laws
+    small_jump_cutoff: float | None = None   # eps for radial parts
     gaussian_compensation: bool = False
     max_mesh_points: int = 1 << 14
 
@@ -61,17 +80,19 @@ def _stream(seed, label):
 
 
 # ---------------------------------------------------------------------------
-# jump samplers per representation
+# compound-Poisson jumps: atomic parts, and radial parts above a cutoff
 # ---------------------------------------------------------------------------
 
 class _JumpSampler:
-    """Finite-activity jump machinery above a cutoff radius."""
+    """Finite-activity jump machinery for atomic parts, and for radial parts
+    above a cutoff radius."""
 
-    def __init__(self, nu, eps):
+    def __init__(self, parts, eps, dim):
         self.parts = []           # (rate_k, draw(rng, n) -> (n, d))
         self.total_rate = 0.0
-        self.dim = nu.dim
-        self._build(nu, eps)
+        self.dim = dim
+        for nu in parts:
+            self._build(nu, eps)
 
     def _add(self, rate, draw):
         if rate > 0:
@@ -79,34 +100,19 @@ class _JumpSampler:
             self.total_rate += rate
 
     def _build(self, nu, eps):
-        if isinstance(nu, ZeroMeasure):
-            return
-        if isinstance(nu, SumMeasure):
-            for p in nu.parts:
-                self._build(p, eps)
-            return
         if isinstance(nu, AtomicMeasure):
             pts, ms = nu.points, nu.masses
-            rate = float(ms.sum())
-
-            def draw(rng, n, pts=pts, p=ms / ms.sum()):
-                idx = rng.choice(len(p), size=n, p=p)
-                return pts[idx]
-            self._add(rate, draw)
+            if len(ms) == 1:
+                def draw(rng, n, pt=pts[0]):
+                    return np.tile(pt, (n, 1))
+            else:
+                def draw(rng, n, pts=pts, p=ms / ms.sum()):
+                    return pts[rng.choice(len(p), size=n, p=p)]
+            self._add(float(ms.sum()), draw)
             return
         if eps is None:
             raise InfiniteActivityWithoutCutoff(
                 "continuous Levy measure needs a small-jump cutoff")
-        if isinstance(nu, StableMeasure):
-            al = nu.alpha
-            lam_r = eps ** (-al) / al          # radial tail mass above eps
-            for xi, w in zip(nu.directions, nu.weights):
-                def draw(rng, n, xi=xi, al=al):
-                    u = rng.random(n)
-                    r = eps * u ** (-1.0 / al)
-                    return np.outer(r, xi)
-                self._add(w * lam_r, draw)
-            return
         if isinstance(nu, RadialMeasure):
             dens = nu.density
             hi = min(dens.support[1], _radial_cap(dens, eps))
@@ -115,8 +121,9 @@ class _JumpSampler:
                 return
             mass, _ = adaptive_quad(lambda r: dens(r), lo, hi, rtol=1e-10)
             mass = float(mass)
-            # tabulated inverse of the normalized radial distribution
-            grid = np.linspace(lo, hi, 4097)
+            # tabulated inverse of the normalized radial distribution, on a
+            # geometric grid that resolves the steep density near the cutoff
+            grid = np.geomspace(lo, hi, 4097)
             pdf = dens(grid)
             cdf = np.concatenate([[0.0], np.cumsum((pdf[1:] + pdf[:-1]) * 0.5
                                                    * np.diff(grid))])
@@ -131,24 +138,35 @@ class _JumpSampler:
         raise InfiniteActivityWithoutCutoff(
             f"no jump sampler for {type(nu).__name__}")
 
-    def sample_total(self, rng, counts):
-        """Sum of `counts[i]` jumps per row; counts from a Poisson draw."""
-        n = counts.shape[0]
-        out = np.zeros((n, self.dim))
-        total = int(counts.sum())
-        if total == 0 or not self.parts:
-            return out
+    def draw_jumps(self, rng, n):
+        """n jumps from the normalized jump law, shape (n, d)."""
+        if len(self.parts) == 1:
+            return self.parts[0][1](rng, n)
         rates = np.array([r for r, _ in self.parts])
-        probs = rates / rates.sum()
-        # split each jump among the component measures
-        comp = _stream_choice(rng, probs, total)
-        owners = np.repeat(np.arange(n), counts)
-        jumps = np.empty((total, self.dim))
+        # split the jumps among the component measures
+        comp = _stream_choice(rng, rates / rates.sum(), n)
+        jumps = np.empty((n, self.dim))
         for ci, (_, draw) in enumerate(self.parts):
             mask = comp == ci
             m = int(mask.sum())
             if m:
                 jumps[mask] = draw(rng, m)
+        return jumps
+
+    def sample_total(self, rng, counts, f):
+        """Per row, the sum of ``counts[i]`` jumps, each weighted by ``f`` at
+        a cell of the tile drawn uniformly; counts from a Poisson draw."""
+        n = counts.shape[0]
+        out = np.zeros((n, self.dim))
+        total = int(counts.sum())
+        if total == 0:
+            return out
+        jumps = self.draw_jumps(rng, total)
+        if len(f) > 1:
+            jumps *= f[rng.integers(len(f), size=total)][:, None]
+        else:
+            jumps *= f[0]
+        owners = np.repeat(np.arange(n), counts)
         for j in range(self.dim):
             out[:, j] = np.bincount(owners, weights=jumps[:, j], minlength=n)
         return out
@@ -183,77 +201,174 @@ def default_cutoff(nu):
     return min(max(eps, 1e-12), 1.0)
 
 
-def _needs_cutoff(nu):
-    if isinstance(nu, (ZeroMeasure, AtomicMeasure)):
-        return False
-    if isinstance(nu, SumMeasure):
-        return any(_needs_cutoff(p) for p in nu.parts)
-    return True
+# ---------------------------------------------------------------------------
+# exact stable and gamma parts
+# ---------------------------------------------------------------------------
 
+def _base_parts(nu):
+    """The summands of nu, with sums flattened and zero measures dropped."""
+    if isinstance(nu, SumMeasure):
+        return [q for p in nu.parts for q in _base_parts(p)]
+    return [] if isinstance(nu, ZeroMeasure) else [nu]
+
+
+def _cms(alpha, beta, n, rng):
+    """n draws of the standard stable law S_alpha(1, beta, 0) by
+    Chambers-Mallows-Stuck in Weron's (1996) form."""
+    v = math.pi * (rng.random(n) - 0.5)
+    w = rng.standard_exponential(n)
+    if abs(alpha - 1.0) < 1e-12:
+        h = 0.5 * math.pi + beta * v
+        return (h * np.tan(v) - beta * np.log(0.5 * math.pi * w * np.cos(v) / h)) \
+            * (2.0 / math.pi)
+    t = beta * math.tan(0.5 * math.pi * alpha)
+    b = math.atan(t) / alpha
+    s = (1.0 + t * t) ** (0.5 / alpha)
+    av = alpha * (v + b)
+    # cos(v - av) >= 0 on (-pi/2, pi/2); rounding can dip below 0 at the ends
+    with np.errstate(over="ignore"):
+        return s * np.sin(av) / np.cos(v) ** (1.0 / alpha) \
+            * (np.maximum(np.cos(v - av), 0.0) / w) ** ((1.0 - alpha) / alpha)
+
+
+def _stable_tile(nu, dt, f, n, rng):
+    """sum_i f_i X_i for the stable measure nu over cells of length dt.
+
+    Per direction xi with weight w the exponent is
+    w dt sum_i I(f_i <xi, z>) with I of ``measures._stable_exponent``, which
+    is the exponent of S_alpha(sigma, beta, mu) in Samorodnitsky and Taqqu's
+    parametrization with
+    sigma^alpha = -w dt Gamma(-alpha) cos(pi alpha / 2) sum |f_i|^alpha,
+    beta = sum sign(f_i) |f_i|^alpha / sum |f_i|^alpha and the drift
+    mu = -w dt k sum f_i, k = pi / (2 cos(pi alpha / 2)); at alpha = 1,
+    sigma = w dt (pi / 2) sum |f_i| and
+    mu = w dt ((1 - Euler's gamma) sum f_i - sum f_i log |f_i|), and sigma
+    times a standard draw needs the shift (2 / pi) beta sigma log(sigma).
+    """
+    a = nu.alpha
+    af = np.abs(f) ** a
+    mass = float(af.sum())
+    out = np.zeros((n, nu.dim))
+    if mass == 0.0:
+        return out
+    beta = float((np.sign(f) * af).sum()) / mass
+    one = abs(a - 1.0) < 1e-12
+    if one:
+        nz = f[f != 0.0]
+        scale = 0.5 * math.pi * mass
+        drift = (1.0 - float(np.euler_gamma)) * float(f.sum()) \
+            - float((nz * np.log(np.abs(nz))).sum())
+    else:
+        scale = -gamma_fn(-a) * math.cos(0.5 * math.pi * a) * mass
+        drift = -math.pi / (2.0 * math.cos(0.5 * math.pi * a)) * float(f.sum())
+    for xi, w in zip(nu.directions, nu.weights):
+        y = _cms(a, beta, n, rng)
+        if one:
+            sigma = w * dt * scale
+            y = sigma * y + (2.0 / math.pi) * beta * sigma * math.log(sigma)
+        else:
+            y = (w * dt * scale) ** (1.0 / a) * y
+        out += np.outer(y + w * dt * drift, xi)
+    return out
+
+
+def _gamma_tile(nu, dt, f, n, rng):
+    """sum_i f_i G_i along the direction of the gamma measure nu, without
+    its centering: the G_i are gamma(shape dt, 1 / rate) cell increments."""
+    g = rng.gamma(nu.shape * dt, 1.0 / nu.rate, size=(n, len(f))) @ f
+    return np.outer(g, nu.direction)
+
+
+# ---------------------------------------------------------------------------
+# the tile sampler
+# ---------------------------------------------------------------------------
 
 class IncrementSampler:
-    """Vectorized sampler for increments of the random measure of a law."""
+    """Vectorized sampler for increments of the random measure of a law,
+    and for f-weighted sums of them over tiles of cells."""
 
     def __init__(self, t: Triplet, cfg: SimConfig):
-        self.t = t
         self.dim = t.dim
-        self.cfg = cfg
-        nu = t.nu
-        eps = cfg.small_jump_cutoff
-        if _needs_cutoff(nu) and eps is None:
-            eps = default_cutoff(nu)
-        self.eps = eps
-        self.jumps = _JumpSampler(nu, eps)
+        parts = _base_parts(t.nu)
+        self.stable_parts = [p for p in parts if isinstance(p, StableMeasure)]
+        self.gamma_parts = [p for p in parts if isinstance(p, GammaMeasure)]
+        atoms = [p for p in parts if isinstance(p, AtomicMeasure)]
+        # the rest is drawn above a cutoff (and raises if it is not radial)
+        radial = [p for p in parts
+                  if not isinstance(p, (StableMeasure, GammaMeasure, AtomicMeasure))]
+        eps = None
+        if radial:
+            eps = cfg.small_jump_cutoff or default_cutoff(SumMeasure(radial))
+        self.jumps = _JumpSampler(atoms + radial, eps, self.dim)
         # deterministic part per unit time: location minus the centering of
-        # the simulated (truncated) jumps, plus the small-jump mean left over
+        # the sampled jumps, plus the small-jump mean left over below eps;
+        # the stable draws carry their own centering
         shift = np.array(t.gamma, dtype=float)
-        if not nu.is_zero():
-            lo = eps if eps is not None and _needs_cutoff(nu) else 0.0
-            big = nu.vector_weighted(lambda r: 1.0 / (1.0 + r * r), lo, INF)
-            shift = shift - np.asarray(big)
-            if lo > 0.0:
-                small_mean = nu.vector_weighted(
-                    lambda r: (r * r) / (1.0 + r * r), 0.0, lo)
-                shift = shift + np.asarray(small_mean)
+        for group, lo in ((self.gamma_parts + atoms, 0.0), (radial, eps)):
+            for p in group:
+                shift = shift - np.asarray(p.vector_weighted(
+                    lambda r: 1.0 / (1.0 + r * r), lo, INF))
+                if lo > 0.0:
+                    shift = shift + np.asarray(p.vector_weighted(
+                        lambda r: (r * r) / (1.0 + r * r), 0.0, lo))
         self.shift = shift
         cov = np.array(t.A, dtype=float)
-        if cfg.gaussian_compensation and self.eps is not None and _needs_cutoff(nu):
-            cov = cov + _small_jump_covariance(nu, self.eps)
+        if cfg.gaussian_compensation:
+            for p in radial:
+                cov = cov + _small_jump_covariance(p, eps)
         self.chol = _safe_cholesky(cov)
-        self.has_gauss = self.chol is not None
 
-    def draw(self, dt, n, rng):
-        out = np.tile(dt * self.shift, (n, 1))
-        if self.has_gauss:
-            out += math.sqrt(dt) * rng.standard_normal((n, self.dim)) @ self.chol.T
+    def draw(self, dt, n, rng, *, weights=None):
+        """sum_i f_i X_i for n paths, the X_i independent increments over
+        cells of length dt and f_i = ``weights``; one cell with f = 1 (the
+        default) is a plain increment."""
+        f = np.ones(1) if weights is None else np.asarray(weights, dtype=float)
+        out = np.tile(dt * float(f.sum()) * self.shift, (n, 1))
+        if self.chol is not None:
+            sd = math.sqrt(dt * float(f @ f))
+            out += sd * rng.standard_normal((n, self.dim)) @ self.chol.T
+        for nu in self.stable_parts:
+            out += _stable_tile(nu, dt, f, n, rng)
+        for nu in self.gamma_parts:
+            out += _gamma_tile(nu, dt, f, n, rng)
         if self.jumps.total_rate > 0:
-            counts = rng.poisson(dt * self.jumps.total_rate, size=n)
-            out += self.jumps.sample_total(rng, counts)
+            counts = rng.poisson(dt * len(f) * self.jumps.total_rate, size=n)
+            out += self.jumps.sample_total(rng, counts, f)
         return out
+
+    def tile_shape(self, dt, n, cells):
+        """(paths, cells) per tile for ``n`` paths over ``cells`` cells of
+        length dt: as many cells as fit in ``TILE_BYTES`` next to
+        ``_MIN_TILE_PATHS`` paths, then as many paths as fit."""
+        d = self.dim
+        # 8-byte temporaries per path: the output, the normals and the
+        # bincounts (d each), the counts and the stable draws (8); per jump:
+        # the jumps and one part's draw (d each), and at most four of the
+        # uniforms, radii, part labels, cells, weights and owners at once;
+        # per path and cell: one gamma tile
+        per_path = 8.0 * (5 * d + 8)
+        per_cell = 8.0 * len(self.gamma_parts) \
+            + 8.0 * (2 * d + 4) * dt * self.jumps.total_rate
+        c = cells
+        if per_cell > 0.0:
+            room = TILE_BYTES / min(n, _MIN_TILE_PATHS) - per_path
+            c = int(min(max(room / per_cell, 1.0), cells))
+        paths = int(min(max(TILE_BYTES // (per_path + c * per_cell), 1), n))
+        return paths, c
 
 
 def _small_jump_covariance(nu, eps):
-    if isinstance(nu, SumMeasure):
-        return sum(_small_jump_covariance(p, eps) for p in nu.parts)
-    if isinstance(nu, (ZeroMeasure, AtomicMeasure)):
-        return 0.0
+    """Covariance per unit time of the jumps of the radial measure nu
+    below eps."""
     d = nu.dim
     out = np.zeros((d, d))
-    if isinstance(nu, StableMeasure):
-        al = nu.alpha
-        second = eps ** (2.0 - al) / (2.0 - al)
-        for xi, w in zip(nu.directions, nu.weights):
-            out += w * second * np.outer(xi, xi)
+    lo = max(nu.density.support[0], 0.0)
+    if lo >= eps:
         return out
-    if isinstance(nu, RadialMeasure):
-        lo = max(nu.density.support[0], 0.0)
-        if lo >= eps:
-            return out
-        val, _ = adaptive_quad(lambda r: r * r * nu.density(r),
-                               max(lo, 1e-300), eps, rtol=1e-9)
-        for xi, w in zip(nu.directions, nu.weights):
-            out += w * float(val) * np.outer(xi, xi)
-        return out
+    val, _ = adaptive_quad(lambda r: r * r * nu.density(r),
+                           max(lo, 1e-300), eps, rtol=1e-9)
+    for xi, w in zip(nu.directions, nu.weights):
+        out += w * float(val) * np.outer(xi, xi)
     return out
 
 
@@ -280,17 +395,6 @@ def sample_increments(t: Triplet, dt: float, n: int, rng,
     return sampler.draw(dt, n, rng)
 
 
-def _integral_once(k, sampler, p, q, mesh, n_paths, seed):
-    ds = (q - p) / mesh
-    mids = p + (np.arange(mesh) + 0.5) * ds
-    fvals = np.asarray(k(mids), dtype=float)
-    total = np.zeros((n_paths, sampler.dim))
-    for i in range(mesh):
-        rng = _stream(seed, i + 1)
-        total += fvals[i] * sampler.draw(ds, n_paths, rng)
-    return total
-
-
 def sample_integral(k: Kernel, t: Triplet, p: float, q: float,
                     cfg: SimConfig) -> np.ndarray:
     """Samples of the window integral of f against the random measure.
@@ -298,7 +402,9 @@ def sample_integral(k: Kernel, t: Triplet, p: float, q: float,
     The integrand is frozen at midpoints of a uniform mesh.  The mesh is
     chosen deterministically: it doubles until the characteristic-function
     gap between the frozen-integrand law and the exact window law falls
-    below half the Monte Carlo standard error, within the mesh budget.
+    below half the Monte Carlo standard error, within the mesh budget.  The
+    sum over the cells is drawn tile by tile (``IncrementSampler.tile_shape``),
+    tile j from the stream (seed, j + 1), paths in the outer order.
     """
     if not (k.a <= p < q <= k.b) or not (math.isfinite(p) and math.isfinite(q)):
         raise ValueError("window must be a finite slab inside the kernel interval")
@@ -313,7 +419,19 @@ def sample_integral(k: Kernel, t: Triplet, p: float, q: float,
             break
         mesh *= 2
     sampler = IncrementSampler(t, cfg)
-    return _integral_once(k, sampler, p, q, mesh, cfg.n_paths, cfg.seed)
+    ds = (q - p) / mesh
+    fvals = np.asarray(k(p + (np.arange(mesh) + 0.5) * ds), dtype=float)
+    n = cfg.n_paths
+    rows, cols = sampler.tile_shape(ds, n, mesh)
+    total = np.zeros((n, t.dim))
+    label = 0
+    for a in range(0, n, rows):
+        b = min(a + rows, n)
+        for c in range(0, mesh, cols):
+            label += 1
+            total[a:b] += sampler.draw(ds, b - a, _stream(cfg.seed, label),
+                                       weights=fvals[c:c + cols])
+    return total
 
 
 def _probe_grid(dim, m=6):

@@ -208,6 +208,23 @@ def test_simulate_samples_csv(tmp_path, cp, ind01, capsys):
     assert len(lines) == 2001
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+def test_samples_writer_matches_savetxt(tmp_path, dim):
+    import numpy as np
+
+    from idcalc.cli import _write_samples
+    x = np.random.default_rng(dim).standard_normal((9000, dim))
+    edge = [0.0, -0.0, 5e-324, -2.2e-308, 1e-310, 1e300, -1.5e-200, 1e100,
+            np.inf, -np.inf, np.nan, 1.0]
+    x[:len(edge), 0] = edge
+    x[-len(edge):, -1] = edge[::-1]
+    want, got = tmp_path / "savetxt.csv", tmp_path / "fast.csv"
+    np.savetxt(want, x, delimiter=",",
+               header=",".join(f"x{i}" for i in range(dim)), comments="")
+    _write_samples(got, x)
+    assert got.read_bytes() == want.read_bytes()
+
+
 def test_env_var_output_dir(tmp_path, gaussian, expk, capsys, monkeypatch):
     out = tmp_path / "envout"
     monkeypatch.setenv("IDCALC_OUT", str(out))

@@ -1,12 +1,15 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import idcalc as ic
 from idcalc.errors import InfiniteActivityWithoutCutoff, TooFewSamples
-from idcalc.kernels import exp_kernel, indicator_kernel
+from idcalc.kernels import exp_kernel, indicator_kernel, sinc_kernel
+from idcalc.measures import INF
 from idcalc.mc import (
+    TILE_BYTES,
     EcfReport,
     SimConfig,
     default_cutoff,
@@ -227,38 +230,147 @@ def test_mesh_choice_computes_exact_exponents_once(monkeypatch):
     np.testing.assert_array_equal(samples, fixed)
 
 
-def _sample_total_add_at(sampler, rng, counts):
-    """The scatter of ``_JumpSampler.sample_total`` written with
-    ``np.add.at``: the reference for the per-coordinate ``bincount``."""
-    from idcalc.mc import _stream_choice
+def _sample_total_add_at(sampler, rng, counts, f):
+    """The weighted tile scatter of ``_JumpSampler.sample_total`` written
+    with ``np.add.at``: the reference for the per-coordinate ``bincount``."""
     n = counts.shape[0]
     out = np.zeros((n, sampler.dim))
     total = int(counts.sum())
-    if total == 0 or not sampler.parts:
+    if total == 0:
         return out
-    rates = np.array([r for r, _ in sampler.parts])
-    comp = _stream_choice(rng, rates / rates.sum(), total)
+    jumps = sampler.draw_jumps(rng, total)
+    weights = f[rng.integers(len(f), size=total)] if len(f) > 1 else f[0]
     owners = np.repeat(np.arange(n), counts)
-    jumps = np.empty((total, sampler.dim))
-    for ci, (_, draw) in enumerate(sampler.parts):
-        mask = comp == ci
-        if mask.any():
-            jumps[mask] = draw(rng, int(mask.sum()))
-    np.add.at(out, owners, jumps)
+    np.add.at(out, owners, jumps * np.reshape(weights, (-1, 1)))
     return out
 
 
+def _radial(directions, weights):
+    """A radial measure with the gamma-like density exp(-r) / r: rate
+    about w E1(eps) above a cutoff eps, 6.33 w at 1e-3."""
+    dens = ic.RadialDensity(lambda r: np.exp(-r) / r, order_zero=-1.0,
+                            order_inf=-INF)
+    return ic.RadialMeasure(directions, weights, dens)
+
+
 @pytest.mark.parametrize("nu", [
-    ic.StableMeasure(0.8, [[1.0]], [1.0]),
-    ic.SumMeasure([ic.StableMeasure(1.3, [[1.0, 0.0], [0.6, -0.8]], [1.0, 0.5]),
-                   ic.AtomicMeasure([[0.5, 2.0]], [3.0])]),
+    _radial([[1.0]], [1.0]),
+    ic.AtomicMeasure([[0.7]], [2.0]),
+    ic.SumMeasure([_radial([[1.0, 0.0], [0.6, -0.8]], [1.0, 0.5]),
+                   ic.AtomicMeasure([[0.5, 2.0], [-1.0, 0.0]], [3.0, 1.0])]),
 ])
 def test_jump_scatter_matches_add_at(nu):
-    from idcalc.mc import _JumpSampler
-    sampler = _JumpSampler(nu, 1e-2)
+    from idcalc.mc import _JumpSampler, _base_parts
+    sampler = _JumpSampler(_base_parts(nu), 1e-2, nu.dim)
     counts = _stream(9, 1).poisson(3.0, size=500)
-    counts[::50] = 0          # cells with no jumps
+    counts[::50] = 0          # paths with no jumps
+    f = np.sin(np.arange(1.0, 8.0))
     for c in (counts, np.zeros(5, dtype=np.int64)):
-        got = sampler.sample_total(_stream(9, 2), c)
-        want = _sample_total_add_at(sampler, _stream(9, 2), c)
-        np.testing.assert_array_equal(got, want)
+        for w in (f, f[:1]):
+            got = sampler.sample_total(_stream(9, 2), c, w)
+            want = _sample_total_add_at(sampler, _stream(9, 2), c, w)
+            np.testing.assert_array_equal(got, want)
+
+
+# ---------------------------------------------------------------------------
+# exact stable and gamma parts, against the exact window law
+# ---------------------------------------------------------------------------
+
+def _stable(alpha, symmetric, gamma=0.0):
+    dirs, weights = ([[1.0], [-1.0]], [0.5, 0.5]) if symmetric else ([[1.0]], [1.0])
+    return ic.Triplet(0.0, ic.StableMeasure(alpha, dirs, weights), [gamma])
+
+
+def _window_ecf(k, t, p, q, seed, z_grid=Z_GRID):
+    cfg = SimConfig(mesh_points=64, n_paths=20_000, seed=seed)
+    samples = sample_integral(k, t, p, q, cfg)
+    return ecf_check(samples, window_exponent(k, t, p, q), z_grid)
+
+
+@pytest.mark.parametrize("alpha", [0.8, 1.0, 1.5])
+@pytest.mark.parametrize("symmetric", [False, True])
+def test_exact_stable_matches_window_law(alpha, symmetric):
+    t = _stable(alpha, symmetric, gamma=0.3)
+    seed = 60 + int(10 * alpha) + symmetric
+    rep = _window_ecf(exp_kernel(), t, 0.0, 6.0, seed)
+    assert rep.max_sigma_deviation < 4.0
+
+
+def test_exact_stable_2d_sign_changing_kernel():
+    # sinc changes sign on the window, so every direction mixes skewness
+    nu = ic.StableMeasure(1.2, [[1.0, 0.0], [0.0, 1.0], [-0.6, -0.8]],
+                          [0.5, 0.5, 0.4])
+    t = ic.Triplet(0.0, nu, [0.0, 0.0])
+    dirs = _stream(3, 3).standard_normal((10, 2))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    rep = _window_ecf(sinc_kernel(), t, 0.0, 8.0, 71,
+                      np.linspace(0.25, 2.5, 10)[:, None] * dirs)
+    assert rep.max_sigma_deviation < 4.0
+
+
+def test_exact_stable_plus_atoms_matches_window_law():
+    nu = ic.SumMeasure([ic.StableMeasure(1.3, [[1.0]], [1.0]),
+                        ic.AtomicMeasure([[1.0], [-0.5]], [1.0, 2.0])])
+    t = ic.Triplet(0.0, nu, [0.4])
+    rep = _window_ecf(exp_kernel(), t, 0.0, 6.0, 72)
+    assert rep.max_sigma_deviation < 4.0
+
+
+def test_gamma_at_default_cutoff_matches_window_law():
+    t = ic.Triplet(0.0, ic.gamma_measure(1.0, 1.0, [1.0]), [0.0])
+    rep = _window_ecf(exp_kernel(), t, 0.0, 4.0, 73)
+    assert rep.max_sigma_deviation < 4.0
+
+
+# ---------------------------------------------------------------------------
+# memory of the tile draws
+# ---------------------------------------------------------------------------
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_stable_without_cutoff_draws_in_bounded_memory():
+    from idcalc.mc import IncrementSampler
+    t = _stable(1.5, symmetric=True)
+    cfg = SimConfig(mesh_points=64, n_paths=20_000, seed=5)
+    # no compound-Poisson rate, so no draw can size an array by the jump
+    # count of a cutoff (w eps^-alpha / alpha at the default cutoff)
+    sampler = IncrementSampler(t, cfg)
+    assert sampler.jumps.total_rate == 0.0 and not sampler.jumps.parts
+    samples, peak = _traced_peak(
+        lambda: sample_integral(exp_kernel(), t, 0.0, 6.0, cfg))
+    assert samples.shape == (20_000, 1)
+    assert peak < samples.nbytes + 2 * TILE_BYTES
+
+
+def test_high_rate_radial_tiles_stay_in_budget(monkeypatch):
+    from idcalc.mc import IncrementSampler
+    t = ic.Triplet(0.0, _radial([[1.0], [-1.0]], [80.0, 80.0]), [0.0])
+    cfg = SimConfig(mesh_points=4, max_mesh_points=4, n_paths=1000, seed=6,
+                    small_jump_cutoff=1e-3)
+    # about 250 jumps per path and cell: 250,000 jumps for one full cell
+    assert IncrementSampler(t, cfg).jumps.total_rate > 1000.0
+    draw = IncrementSampler.draw
+    peaks = []
+
+    def traced(self, dt, n, rng, **kw):
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        out = draw(self, dt, n, rng, **kw)
+        peaks.append(tracemalloc.get_traced_memory()[1] - base)
+        return out
+    monkeypatch.setattr(IncrementSampler, "draw", traced)
+    samples, _ = _traced_peak(
+        lambda: sample_integral(indicator_kernel(1.0, 0.0, 1.0), t, 0.0, 1.0, cfg))
+    assert len(peaks) > 4          # more than one tile per cell
+    assert max(peaks) < TILE_BYTES
+    rep = ecf_check(samples, window_exponent(indicator_kernel(1.0, 0.0, 1.0),
+                                             t, 0.0, 1.0), Z_GRID)
+    assert rep.max_sigma_deviation < 4.0
