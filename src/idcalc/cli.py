@@ -544,11 +544,14 @@ def build_parser():
     p.add_argument("--window", type=float, nargs=2, default=[0.0, 4.0])
     p.add_argument("--paths", type=int, default=20000)
     p.add_argument("--mesh", type=int, default=128)
+    # no measure type of the input schema has a radial part, so these two
+    # act on nothing the CLI loads
     p.add_argument("--cutoff", type=float, default=None,
-                   help="small-jump cutoff of the radial parts; stable and "
-                        "gamma parts are drawn exactly")
+                   help="small-jump cutoff of radial parts; no effect on any "
+                        "input law (stable and gamma parts are drawn exactly)")
     p.add_argument("--gaussian-compensation", action="store_true",
-                   help="replace the radial jumps below the cutoff by a normal term")
+                   help="normal term for the radial jumps below the cutoff; "
+                        "no effect on any input law")
     p.add_argument("--z-points", type=int, default=10)
     p.add_argument("--emit", choices=["json", "csv"], default="json")
     return ap

@@ -110,9 +110,6 @@ class _JumpSampler:
                     return pts[rng.choice(len(p), size=n, p=p)]
             self._add(float(ms.sum()), draw)
             return
-        if eps is None:
-            raise InfiniteActivityWithoutCutoff(
-                "continuous Levy measure needs a small-jump cutoff")
         if isinstance(nu, RadialMeasure):
             dens = nu.density
             hi = min(dens.support[1], _radial_cap(dens, eps))

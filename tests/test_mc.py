@@ -50,12 +50,13 @@ class TestIncrements:
         assert abs(draws.mean() - want) < 4 * sd
 
     def test_infinite_activity_needs_cutoff_machinery(self):
-        s = ic.StableMeasure(0.8, [[1.0]], [1.0])
-        t = ic.Triplet(0.0, s, [0.0])
-        # the default cutoff rule kicks in automatically
+        nu = _radial([[1.0]], [1.0])
+        t = ic.Triplet(0.0, nu, [0.0])
+        # a radial part is cut below eps; the default cutoff rule kicks in
+        # automatically
         inc = sample_increment(t, 0.1, _stream(3, 4))
         assert np.isfinite(inc).all()
-        eps = default_cutoff(s)
+        eps = default_cutoff(nu)
         assert 0.0 < eps < 1.0
 
     def test_independent_scattering(self):
@@ -316,10 +317,50 @@ def test_exact_stable_plus_atoms_matches_window_law():
     assert rep.max_sigma_deviation < 4.0
 
 
-def test_gamma_at_default_cutoff_matches_window_law():
+def test_exact_gamma_matches_window_law():
+    # gamma(1, 1) with no cutoff set: the law that failed at about 50 sigma
+    # while gamma parts were cut at the default cutoff
     t = ic.Triplet(0.0, ic.gamma_measure(1.0, 1.0, [1.0]), [0.0])
     rep = _window_ecf(exp_kernel(), t, 0.0, 4.0, 73)
     assert rep.max_sigma_deviation < 4.0
+
+
+# ---------------------------------------------------------------------------
+# radial parts: the cutoff, the default cutoff and the Gaussian compensation
+# ---------------------------------------------------------------------------
+
+def _radial_ecf(t, seed, **cfg):
+    k = exp_kernel()
+    samples = sample_integral(k, t, 0.0, 4.0, SimConfig(
+        mesh_points=64, n_paths=20_000, seed=seed, **cfg))
+    return ecf_check(samples, window_exponent(k, t, 0.0, 4.0), Z_GRID)
+
+
+def test_radial_at_default_cutoff_matches_window_law(monkeypatch):
+    import idcalc.mc as mc
+    # the Levy measure of gamma(1, 1), as a radial law that is drawn above
+    # a cutoff
+    t = ic.Triplet(0.0, _radial([[1.0]], [1.0]), [0.2])
+    cutoffs = []
+
+    def spy(nu):
+        cutoffs.append(default_cutoff(nu))
+        return cutoffs[-1]
+    monkeypatch.setattr(mc, "default_cutoff", spy)
+    rep = _radial_ecf(t, 74)
+    assert len(cutoffs) == 1 and 0.0 < cutoffs[0] < 0.05
+    assert rep.max_sigma_deviation < 4.0
+
+
+def test_radial_gaussian_compensation_matches_window_law():
+    # at cutoff 0.5 the jumps below it carry variance 0.09 per unit time:
+    # the normal term that replaces them closes a gap that is visible
+    # without it
+    t = ic.Triplet(0.0, _radial([[1.0], [-1.0]], [0.5, 0.5]), [0.2])
+    rep = _radial_ecf(t, 74, small_jump_cutoff=0.5, gaussian_compensation=True)
+    assert rep.max_sigma_deviation < 4.0
+    rep = _radial_ecf(t, 74, small_jump_cutoff=0.5)
+    assert rep.max_sigma_deviation > 6.0
 
 
 # ---------------------------------------------------------------------------
