@@ -67,14 +67,11 @@ def radial_moment(nu, g, lo=0.0, hi=INF, stable_power=None, stable_log=0.0):
         m, al = stable_power, nu.alpha
         if not (m < al if abs(m - al) > 1e-12 else stable_log < -1.0):
             return INF
-        dens = lambda r: r ** (-nu.alpha - 1.0)
-        fn = lambda r: np.asarray(g(r), dtype=float) * dens(r)
-        res = improper_nonneg(slab_quad(fn, rtol=1e-10), lo, hi)
-        if not res.converged:
+        v = nu.radial_integral(g, lo)
+        if v == INF:
             # finiteness is certain; only the value is unresolved
-            raise InconclusiveError("stable radial moment not certified",
-                                    res.evidence)
-        return nu.weight_sum() * float(np.max(res.value))
+            raise InconclusiveError("stable radial moment not certified")
+        return nu.weight_sum() * float(v)
     return nu.integral(lambda x: g(np.sqrt((x * x).sum(axis=1))), lo, hi)
 
 
@@ -119,17 +116,6 @@ def tail_log_power_moment_verdict(nu, beta):
                               2.0, INF, stable_power=1.0, stable_log=-beta))
 
 
-def tail_first_vector(nu, s):
-    """int_{|x| >= s} x nu(dx) (requires a finite tail first moment)."""
-    if isinstance(nu, StableMeasure):
-        if nu.alpha <= 1.0:
-            raise InconclusiveError("tail first moment diverges for this index")
-        return nu.direction_sum() * s ** (1.0 - nu.alpha) / (nu.alpha - 1.0)
-    if isinstance(nu, SumMeasure):
-        return sum(tail_first_vector(p, s) for p in nu.parts)
-    return nu.vector_weighted(lambda r: np.ones_like(r), s, INF)
-
-
 # ---------------------------------------------------------------------------
 # side conditions of the tail rules
 # ---------------------------------------------------------------------------
@@ -145,12 +131,11 @@ def _oscillation_verdicts(t):
         return z, z
 
     def fn_signed(s):
-        return np.stack([np.asarray(tail_first_vector(nu, float(x))) / float(x)
-                         for x in np.atleast_1d(s)])
+        # V(s) / s at every abscissa in one call: the jumps of x / s beyond 1
+        return nu.vector_weighted_scaled(np.ones_like, 1.0 / np.asarray(s), 1.0, INF)
 
     def fn_abs(s):
-        return np.array([float(np.linalg.norm(tail_first_vector(nu, float(x))))
-                         / float(x) for x in np.atleast_1d(s)])
+        return np.linalg.norm(fn_signed(s), axis=1)
 
     lim = improper_limit(slab_quad(fn_signed, rtol=1e-9), 1.0, INF, rtol=1e-8)
     ab = improper_nonneg(slab_quad(fn_abs, rtol=1e-9), 1.0, INF)

@@ -51,7 +51,7 @@ from .measures import (
     SumMeasure,
     ZeroMeasure,
 )
-from .quadrature import adaptive_quad, bisect_monotone
+from .quadrature import bisect_monotone
 from .transform import base_exponent_scaled, direct_exponent
 
 TILE_BYTES = 1 << 20
@@ -112,12 +112,11 @@ class _JumpSampler:
             return
         if isinstance(nu, RadialMeasure):
             dens = nu.density
-            hi = min(dens.support[1], _radial_cap(dens, eps))
+            hi = min(dens.support[1], _radial_cap(nu, eps))
             lo = max(eps, dens.support[0])
             if lo >= hi:
                 return
-            mass, _ = adaptive_quad(lambda r: dens(r), lo, hi, rtol=1e-10)
-            mass = float(mass)
+            mass = float(nu.radial_integral(np.ones_like, lo, hi))
             # tabulated inverse of the normalized radial distribution, on a
             # geometric grid that resolves the steep density near the cutoff
             grid = np.geomspace(lo, hi, 4097)
@@ -173,14 +172,12 @@ def _stream_choice(rng, probs, n):
     return rng.choice(len(probs), size=n, p=probs)
 
 
-def _radial_cap(dens, eps):
-    """Upper radius beyond which the density mass is negligible."""
+def _radial_cap(nu, eps):
+    """Upper radius beyond which the certified density mass is negligible."""
     hi = max(1.0, eps * 4)
     for _ in range(200):
-        tail, _ = adaptive_quad(lambda r: dens(r), hi, hi * 4, rtol=1e-8,
-                                atol=1e-16)
-        if float(tail) < 1e-14:
-            return hi * 4
+        if nu.radial_integral(np.ones_like, hi, INF) < 1e-14:
+            return hi
         hi *= 4
     return hi
 
@@ -357,16 +354,8 @@ class IncrementSampler:
 def _small_jump_covariance(nu, eps):
     """Covariance per unit time of the jumps of the radial measure nu
     below eps."""
-    d = nu.dim
-    out = np.zeros((d, d))
-    lo = max(nu.density.support[0], 0.0)
-    if lo >= eps:
-        return out
-    val, _ = adaptive_quad(lambda r: r * r * nu.density(r),
-                           max(lo, 1e-300), eps, rtol=1e-9)
-    for xi, w in zip(nu.directions, nu.weights):
-        out += w * float(val) * np.outer(xi, xi)
-    return out
+    val = nu.radial_integral(lambda r: r * r, 0.0, eps)
+    return float(val) * np.einsum("k,ki,kj->ij", nu.weights, nu.directions, nu.directions)
 
 
 def _safe_cholesky(cov):

@@ -23,11 +23,12 @@ representation:
 
 * atoms: exact sums, one call of ``h`` (or ``w``) on all m x n points;
 * the polar family, nu(B) = sum_k w_k int 1_B(r xi_k) rho(r) dr
-  (``RadialMeasure``): over the full range [0, inf) the r-range and window
-  schedule are common to all scales, so one radial driver integrates an
+  (``RadialMeasure``): every radial integral runs through its one driver,
+  ``radial_integral``.  Over the full range [0, inf) the r-range and window
+  schedule are common to all scales, so one driver call integrates an
   (n_r, m) integrand, each scale certified as its own component; a shell
   [lo, hi) has the scale-dependent r-range [lo/|u|, hi/|u|) and runs one
-  driver per scale.  ``StableMeasure`` (rho = r^(-alpha-1)) and
+  call per scale.  ``StableMeasure`` (rho = r^(-alpha-1)) and
   ``GammaMeasure`` (rho = c e^(-lambda r) / r) are members of the family
   that override only the functionals with closed forms; the stable
   scaling identity nu(B/u) = |u|^alpha nu(sign(u) B) lets one base
@@ -443,8 +444,10 @@ class RadialMeasure(LevyMeasure):
         """sum_k w_k xi_k."""
         return np.einsum("k,kd->d", self.weights, self.directions)
 
-    # radial integral of a vectorized g(r), improper certification at ends
-    def _radial(self, g, lo, hi, signed=False):
+    def radial_integral(self, g, lo=0.0, hi=INF, signed=False):
+        """int_lo^hi g(r) rho(r) dr, each component of g certified: the one
+        radial driver of the polar family.  Ends at 0 or inf are improper,
+        driven nonnegative (may give +inf) or, with ``signed``, signed."""
         slo = max(lo, self.density.support[0])
         shi = min(hi, self.density.support[1])
         if slo >= shi:
@@ -506,7 +509,7 @@ class RadialMeasure(LevyMeasure):
                     * self.directions[None, :, None, :]
                 return np.asarray(h(x.reshape(-1, self.dim)),
                                   dtype=float).reshape(len(r), -1)
-            parts = np.zeros(shape[0] * shape[1]) + self._radial(g, 0.0, INF)
+            parts = np.zeros(shape[0] * shape[1]) + self.radial_integral(g, 0.0, INF)
             out[nz] = self.weights @ parts.reshape(shape)
             return out
         for i in nz:
@@ -518,7 +521,7 @@ class RadialMeasure(LevyMeasure):
             for xi, w in zip(self.directions, self.weights):
                 def g(r, xi=xi):
                     return np.asarray(h(np.outer(u * r, xi)), dtype=float)
-                part = self._radial(g, rlo, rhi)
+                part = self.radial_integral(g, rlo, rhi)
                 if part == INF:
                     total = INF
                     break
@@ -532,10 +535,10 @@ class RadialMeasure(LevyMeasure):
         if u == 0.0:
             return 0.0
         rstar = 1.0 / abs(u)
-        body = self._radial(lambda r: r ** power, 0.0, rstar)
+        body = self.radial_integral(lambda r: r ** power, 0.0, rstar)
         if body == INF:
             return INF
-        tail = self._radial(lambda r: np.ones_like(r), rstar, INF)
+        tail = self.radial_integral(np.ones_like, rstar, INF)
         if tail == INF:
             return INF
         return abs(u) ** power * float(body) + float(tail)
@@ -562,7 +565,7 @@ class RadialMeasure(LevyMeasure):
             r2 = (r * r)[:, None]
             return r[:, None] * (1.0 / (1.0 + ur * ur) - 1.0 / (1.0 + r2))
 
-        val = np.asarray(self._radial(g, 0.0, INF, signed=True))
+        val = np.asarray(self.radial_integral(g, 0.0, INF, signed=True))
         out = np.einsum("k,kd,m->md", self.weights, self.directions, val)
         return out
 
@@ -576,7 +579,11 @@ class RadialMeasure(LevyMeasure):
             def g(r, theta=theta):
                 ur = np.outer(r, us)
                 phase = theta * ur
-                return np.exp(1j * phase) - 1.0 - 1j * phase / (1.0 + ur * ur)
+                with np.errstate(divide="ignore", over="ignore"):
+                    damp = 1.0 / (1.0 + 1.0 / (ur * ur))   # u^2 r^2 / (1 + u^2 r^2)
+                # free of cancellation at small r, where the density may blow up
+                return -2.0 * np.sin(0.5 * phase) ** 2 \
+                    + 1j * (np.sin(phase) - phase + phase * damp)
 
             val = self._cumulant_radial(g, abs(theta))
             out = out + w * np.asarray(val)
@@ -589,26 +596,13 @@ class RadialMeasure(LevyMeasure):
         remaining mass of the density bounds the discarded oscillatory tail,
         which is accepted once it falls below tolerance.
         """
-        slo, shi = self.density.support
-        fn = lambda r: g(r) * self.density(r)[:, None]
-        if math.isfinite(shi):
-            if slo > 0:
-                return adaptive_quad(fn, slo, shi, rtol=1e-10)[0]
-            res = improper_limit(slab_quad(fn, rtol=1e-10), slo, shi, rtol=1e-10)
-            return res.certified("cumulant radial integral")
-        # unbounded support: integrate to R, bound the tail
-        R = max(8.0, slo * 4 if slo > 0 else 8.0)
-        total = None
+        slo = self.density.support[0]
+        if math.isfinite(self.density.support[1]):
+            return self.radial_integral(g, signed=True)
+        R = max(8.0, slo * 4)
         for _ in range(40):
-            lo_end = slo if slo > 0 else 1e-300
-            if slo == 0.0:
-                res = improper_limit(slab_quad(fn, rtol=1e-10), 0.0, R, q0=min(1.0, R / 2))
-                total = res.certified("cumulant radial integral (origin end)")
-            else:
-                total = adaptive_quad(fn, lo_end, R, rtol=1e-10)[0]
-            # tail of the -1 - centering part is smooth: extend by windows;
-            # oscillatory part bounded by remaining density mass
-            tail_mass = self._radial(lambda r: np.ones_like(r), R, INF)
+            total = self.radial_integral(g, 0.0, R, signed=True)
+            tail_mass = self.radial_integral(np.ones_like, R, INF)
             if tail_mass == INF:
                 raise InconclusiveError("density tail mass diverges")
             bound = (2.0 + 0.5 * theta_max) * tail_mass
@@ -630,7 +624,7 @@ class RadialMeasure(LevyMeasure):
             def g(r):
                 x = r[:, None] * au[None, :]
                 return r[:, None] * np.asarray(w(x.ravel()), dtype=float).reshape(x.shape)
-            vals[nz] = self._radial(g, 0.0, INF, signed=True)
+            vals[nz] = self.radial_integral(g, 0.0, INF, signed=True)
         else:
             for i in nz:
                 a = abs(us[i])
@@ -639,7 +633,7 @@ class RadialMeasure(LevyMeasure):
 
                 def g(r, a=a):
                     return r * np.asarray(w(a * r), dtype=float)
-                vals[i] = self._radial(g, rlo, rhi, signed=True)
+                vals[i] = self.radial_integral(g, rlo, rhi, signed=True)
         return np.outer(us * vals, self.direction_sum())
 
     def is_symmetric(self):

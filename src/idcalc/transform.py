@@ -518,9 +518,9 @@ def _phi_c(k: Kernel, t: Triplet, rules: dict, cond=None) -> TransformResult:
             raise InconclusiveError("location trace unresolved", gres.evidence)
         gamma_t = np.asarray(gres.value, dtype=float)
         diag["theta"] = None
-    elif t.nu.is_zero():
-        # the window locations are exactly gamma F_pq: theta = gamma takes
-        # them all and leaves location zero
+    elif t.nu.is_zero() or t.nu.is_symmetric():
+        # with no or symmetric jumps the window locations are exactly
+        # gamma F_pq: theta = gamma takes them all and leaves location zero
         gamma_t = np.zeros(t.dim)
         diag["theta"] = np.asarray(t.gamma).tolist()
     else:

@@ -18,7 +18,6 @@ from idcalc.domains import (
     classify_largeness,
     domain_rule_verdicts,
 )
-from idcalc.errors import NotDefinable
 from idcalc.kernels import (
     exp_kernel,
     generalized_inverse,

@@ -206,9 +206,9 @@ class TestDomainRules:
 class TestStableRadialMoment:
     @staticmethod
     def _unconverged_driver(monkeypatch):
-        import idcalc.domains as domains
+        import idcalc.measures as measures
         from idcalc.quadrature import ImproperResult
-        monkeypatch.setattr(domains, "improper_nonneg",
+        monkeypatch.setattr(measures, "improper_nonneg",
                             lambda *a, **kw: ImproperResult("inconclusive", None))
 
     def test_unconverged_value_raises(self, monkeypatch):

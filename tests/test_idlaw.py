@@ -1,5 +1,4 @@
 import cmath
-import math
 
 import numpy as np
 import pytest

@@ -5,7 +5,6 @@ import pytest
 from scipy.optimize import brentq
 from scipy.special import ndtr, ndtri
 
-import idcalc as ic
 from idcalc.errors import (
     ConditionBViolated,
     ConstantFunctionError,

@@ -5,12 +5,11 @@ import numpy as np
 import pytest
 
 import idcalc as ic
-from idcalc.errors import InfiniteActivityWithoutCutoff, TooFewSamples
+from idcalc.errors import TooFewSamples
 from idcalc.kernels import exp_kernel, indicator_kernel, sinc_kernel
 from idcalc.measures import INF
 from idcalc.mc import (
     TILE_BYTES,
-    EcfReport,
     SimConfig,
     default_cutoff,
     ecf_check,
@@ -252,6 +251,37 @@ def _radial(directions, weights):
     dens = ic.RadialDensity(lambda r: np.exp(-r) / r, order_zero=-1.0,
                             order_inf=-INF)
     return ic.RadialMeasure(directions, weights, dens)
+
+
+class TestRadialIntegrals:
+    """The sampler's radial integrals of the exp(-r) / r law against an
+    independent scipy quadrature."""
+
+    EPS = 0.05
+    NU = _radial([[1.0, 0.0], [0.6, -0.8]], [1.0, 0.5])
+
+    @staticmethod
+    def _quad(fn, lo, hi):
+        from scipy.integrate import quad
+        return quad(fn, lo, hi, epsabs=0.0, epsrel=1e-12, limit=200)[0]
+
+    def test_jump_rate(self):
+        from idcalc.mc import _JumpSampler, _radial_cap
+        # the first cap in x4 steps from 1 whose tail mass E1(cap) is below 1e-14
+        assert _radial_cap(self.NU, self.EPS) == 64.0
+        want = 1.5 * self._quad(lambda r: np.exp(-r) / r, self.EPS, np.inf)
+        got = _JumpSampler([self.NU], self.EPS, 2).total_rate
+        assert abs(got - want) <= 1e-9 * want
+
+    def test_small_jump_covariance(self):
+        # the origin end is improper: the driver certifies to
+        # 1e-9 * max(1, |value|), an absolute bound for this value of 1.2e-3
+        from idcalc.mc import _small_jump_covariance
+        xi = self.NU.directions
+        want = self._quad(lambda r: r * np.exp(-r), 0.0, self.EPS) \
+            * (np.outer(xi[0], xi[0]) + 0.5 * np.outer(xi[1], xi[1]))
+        np.testing.assert_allclose(_small_jump_covariance(self.NU, self.EPS), want,
+                                   rtol=0.0, atol=1e-9)
 
 
 @pytest.mark.parametrize("nu", [

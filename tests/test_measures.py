@@ -127,6 +127,44 @@ class TestRadial:
             ic.RadialMeasure([[2.0]], [1.0], gamma_density())
 
 
+class TestRadialIntegralRoutes:
+    """Integrals of a polar density that run through ``radial_integral``."""
+
+    @pytest.mark.parametrize("alpha", [1.05, 1.2, 1.5, 1.9])
+    def test_stable_tail_first_vector_closed_form(self, alpha):
+        # V(s) / s, V(s) = int_{|x| >= s} x nu(dx) = sum_k w_k xi_k s^(1-alpha) / (alpha-1),
+        # is the first-moment vector of the jumps of x / s beyond 1
+        nu = ic.StableMeasure(alpha, [[1.0], [-1.0]], [0.7, 0.2])
+        s = np.array([1.0, 3.0, 40.0, 1e4])
+        want = np.outer(s ** -alpha / (alpha - 1.0), nu.direction_sum())
+        _assert_rel(nu.vector_weighted_scaled(np.ones_like, 1.0 / s, 1.0, INF), want, 1e-10)
+
+    def test_gamma_tail_first_vector_matches_loop(self):
+        nu = ic.gamma_measure(0.8, 1.5, [0.6, -0.8])
+        s = np.array([1.0, 2.5, 7.0, 30.0])
+        want = np.array([nu.vector_weighted(np.ones_like, x, INF) / x for x in s])
+        _assert_rel(nu.vector_weighted_scaled(np.ones_like, 1.0 / s, 1.0, INF), want, 1e-10)
+
+    def test_compact_power_law_cumulant_matches_mpmath(self):
+        # density r^-2 on (0, 1): the integrand is O(r^2) at small r, so
+        # the cumulant is finite although the density blows up there
+        import mpmath
+        from idcalc.kernels import indicator_kernel
+        from idcalc.mc import window_exponent
+        z = 0.7
+        with mpmath.workdps(30):
+            want = complex(mpmath.quad(
+                lambda r: (mpmath.expj(z * r) - 1 - 1j * z * r / (1 + r * r)) / r ** 2,
+                [0, 1]))
+        dens = ic.RadialDensity(lambda r: r ** -2.0, support=(0.0, 1.0),
+                                order_zero=-2.0, order_inf=-INF)
+        k = indicator_kernel(1.0, 0.0, 1.0)
+        for dirs, want_law in (([[1.0]], want), ([[1.0], [-1.0]], 2.0 * want.real)):
+            t = ic.Triplet(0.0, ic.RadialMeasure(dirs, [1.0] * len(dirs), dens), [0.0])
+            got = window_exponent(k, t, 0.0, 1.0)(np.array([z]))
+            assert abs(got - want_law) <= 1e-10 * abs(want_law)
+
+
 class TestSumAndWrappers:
     def test_sum_adds_functionals(self):
         a = ic.AtomicMeasure([[1.0]], [1.0])

@@ -5,8 +5,6 @@ import pytest
 
 import idcalc as ic
 from idcalc.errors import (
-    ConsistencyAlarm,
-    InconclusiveError,
     NotABLaw,
     NotDefinable,
     NotInDomain,
@@ -593,6 +591,10 @@ class TestCompensatedPowerTail:
         assert res.diagnostics["theta"] == theta
 
     @pytest.mark.parametrize("i", [4, 7])
-    def test_short_trace_is_inconclusive(self, i):
-        with pytest.raises(InconclusiveError, match="too short"):
-            phi_c(power_tail_kernel(1.5), corpus_triplets()[i])
+    def test_symmetric_law_splits_exactly(self, i):
+        # symmetric jumps add nothing to the window locations gamma F_pq
+        res = phi_c(power_tail_kernel(1.5), corpus_triplets()[i])
+        assert res.location_mode is LocationMode.COMPENSATED_UNIQUE
+        np.testing.assert_array_equal(res.triplet.gamma, [0.0])
+        assert res.diagnostics["theta"] == [0.0]
+        assert res.diagnostics["mean"] == [0.0]

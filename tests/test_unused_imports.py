@@ -1,10 +1,11 @@
-"""Every name a package module imports is used there.
+"""Every name a package module or a test module imports is used there.
 
 The repository runs no linter, so this scan is the guard: it parses each
-module of ``src/idcalc``, collects the names bound by its import statements
-and fails on any that the module never reads.  A name listed in the
-module's ``__all__`` counts as used, since it is re-exported; so is every
-import of the package's ``__init__``, whose imports are the public API.
+module of ``src/idcalc`` and of ``tests``, collects the names bound by its
+import statements and fails on any that the module never reads.  A name
+listed in the module's ``__all__`` counts as used, since it is re-exported;
+so is every import of the package's ``__init__``, whose imports are the
+public API.
 """
 
 import ast
@@ -12,7 +13,8 @@ import pathlib
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "idcalc"
+TESTS = pathlib.Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "idcalc"
 
 
 def _unused_imports(tree):
@@ -35,10 +37,12 @@ def _unused_imports(tree):
     return sorted((line, name) for name, line in imported.items() if name not in used)
 
 
-MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py") \
+    + sorted(TESTS.glob("*.py"))
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES,
+                         ids=lambda p: p.name if p.parent == SRC else f"tests/{p.name}")
 def test_no_unused_imports(path):
     unused = _unused_imports(ast.parse(path.read_text(), filename=str(path)))
     assert not unused, f"{path.name}: unused imports " + ", ".join(
