@@ -31,7 +31,7 @@ from .errors import (
     NotInDomain,
     SchemaError,
 )
-from .domains import classify_largeness, domain_rule_verdicts, psi_largeness
+from .domains import classify_largeness, psi_largeness
 from .idlaw import (
     Triplet,
     classify_type,
@@ -60,10 +60,7 @@ from .measures import (
 )
 from .mc import SimConfig, ecf_check, sample_integral, window_exponent
 from .transform import (
-    absolutely_definable,
-    compensated_verdict,
-    definable_verdict,
-    essential_conditions,
+    _domain_pass,
     phi,
     phi_ab,
     phi_c,
@@ -306,26 +303,13 @@ def _cmd_transform(args, inputs, report):
 def _cmd_domain(args, inputs, report):
     t = _load_triplet(args, inputs)
     k = _load_kernel(args, inputs)
+    verdicts, rules = _domain_pass(k, t)
     out = {}
-    rc = 0
-    verdicts = {
-        "absolute": absolutely_definable(k, t),
-        "plain": definable_verdict(k, t),
-        "compensated": compensated_verdict(k, t),
-        "essential": essential_conditions(k, t),
-    }
-    if k.tag is not None:
-        try:
-            out["closed_form_rules"] = {
-                key: _verdict_json(v)
-                for key, v in domain_rule_verdicts(k, t).items()}
-        except IdcalcError:
-            pass
+    if rules:
+        out["closed_form_rules"] = {key: _verdict_json(v) for key, v in rules.items()}
     out["verdicts"] = {key: _verdict_json(v) for key, v in verdicts.items()}
-    if any(v.is_unknown for v in verdicts.values()):
-        rc = 2
     report["results"] = out
-    return rc
+    return 2 if any(v.is_unknown for v in verdicts.values()) else 0
 
 
 def _cmd_largeness(args, inputs, report):

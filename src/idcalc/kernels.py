@@ -248,8 +248,9 @@ class TauMeasure:
     def __init__(self, *, atoms=(), density=None, density_support=None,
                  cumulative=None, support=None, name="tau"):
         self.atoms = [(float(u), float(m)) for (u, m) in atoms]
-        if any(m <= 0 for _, m in self.atoms):
-            raise ValueError("atom masses must be positive")
+        # NaN fails m > 0; an infinite mass stays legal (constant kernels)
+        if not all(math.isfinite(u) and m > 0 for u, m in self.atoms):
+            raise ValueError("atoms need finite locations and positive masses")
         self.density = density
         self.density_support = density_support
         self.cumulative = cumulative

@@ -140,7 +140,7 @@ class _JumpSampler:
             return self.parts[0][1](rng, n)
         rates = np.array([r for r, _ in self.parts])
         # split the jumps among the component measures
-        comp = _stream_choice(rng, rates / rates.sum(), n)
+        comp = rng.choice(len(rates), size=n, p=rates / rates.sum())
         jumps = np.empty((n, self.dim))
         for ci, (_, draw) in enumerate(self.parts):
             mask = comp == ci
@@ -166,10 +166,6 @@ class _JumpSampler:
         for j in range(self.dim):
             out[:, j] = np.bincount(owners, weights=jumps[:, j], minlength=n)
         return out
-
-
-def _stream_choice(rng, probs, n):
-    return rng.choice(len(probs), size=n, p=probs)
 
 
 def _radial_cap(nu, eps):

@@ -350,38 +350,23 @@ class RadialDensity:
     def dual(self):
         return _DualRadialDensity(self)
 
-    def moment_order_test(self, m, end):
-        """Convergence of int r^m rho(r) dr at the given end ('zero'|'inf').
+    def moment_order_test(self, m):
+        """Convergence of int r^m rho(r) dr at zero.
 
         Returns True (converges), False (diverges) or None (undecided).
         Strict inequalities only; the borderline exponent is left undecided
         because log corrections may swing it either way.
         """
-        lo, hi = self.support
-        if end == "zero":
-            if lo > 0:
-                return True
-            if self.order_zero is None:
-                return None
-            e = m + self.order_zero
-            if e > -1.0 + 1e-12:
-                return True
-            if e < -1.0 - 1e-12:
-                return False
+        if self.support[0] > 0:
+            return True
+        if self.order_zero is None:
             return None
-        else:
-            if math.isfinite(hi):
-                return True
-            if self.order_inf is None:
-                return None
-            if self.order_inf == -INF:
-                return True
-            e = m + self.order_inf
-            if e < -1.0 - 1e-12:
-                return True
-            if e > -1.0 + 1e-12:
-                return False
-            return None
+        e = m + self.order_zero
+        if e > -1.0 + 1e-12:
+            return True
+        if e < -1.0 - 1e-12:
+            return False
+        return None
 
 
 class _DualRadialDensity(RadialDensity):
@@ -549,7 +534,7 @@ class RadialMeasure(LevyMeasure):
 
     def clip1_scaled(self, us):
         us = np.atleast_1d(np.asarray(us, dtype=float))
-        test = self.density.moment_order_test(1.0, "zero")
+        test = self.density.moment_order_test(1.0)
         if test is False:
             return np.where(us != 0, INF, 0.0)
         vals = np.array([self._clip_single(float(u), 1.0) for u in us])

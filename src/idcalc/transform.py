@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import copy
 import enum
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -359,9 +360,85 @@ def _rule_override(rules: dict, which: str, numeric: Verdict) -> Verdict:
     return rule
 
 
-def _essential(k: Kernel, t: Triplet, rules: dict) -> Verdict:
-    numeric = combine_all(_gaussian_condition(k, t), _jump_condition(k, t))
-    return _rule_override(rules, "essential", numeric)
+_DOMAINS = ("absolute", "plain", "compensated", "essential")
+
+
+def _domain_pass(k: Kernel, t: Triplet, which=_DOMAINS, use_rules=True):
+    """The verdicts of the domains in ``which`` and the rule table that
+    decided them.  Each domain is the essential conditions plus one clause;
+    the essential numerics run at most once, for absolute and essential
+    always and for plain and compensated when their rule is undetermined."""
+    if not set(which) <= set(_DOMAINS):
+        raise ValueError(f"unknown domains {sorted(set(which) - set(_DOMAINS))}")
+    rules = _rules(k, t, use_rules)
+    base = functools.cache(lambda: combine_all(_gaussian_condition(k, t),
+                                               _jump_condition(k, t)))
+    cond = functools.cache(lambda: _rule_override(rules, "essential", base()))
+    out = {}
+    for name in which:
+        rule = _determined(rules, name)
+        if name == "absolute":
+            out[name] = _rule_override(rules, name, _absolute_location(k, t, base()))
+        elif name == "essential":
+            out[name] = cond()
+        elif rule is not None:
+            out[name] = rule
+        elif not cond().is_yes:
+            out[name] = cond()
+        elif name == "plain":
+            out[name] = _drive_gamma(k, t).verdict("location-trace")
+        else:
+            try:
+                _phi_c(k, t, rules, cond())
+                out[name] = Verdict.yes("compensation-found")
+            except NotDefinable as e:
+                out[name] = Verdict.no(e.reason)
+            except (InconclusiveError, QuadratureFailure) as e:
+                out[name] = Verdict.unknown("compensation-uncertified", detail=str(e))
+    return out, rules
+
+
+def _absolute_location(k: Kernel, t: Triplet, base: Verdict) -> Verdict:
+    """The essential numerics ``base`` plus the absolute location clause."""
+    if base.is_no:
+        return base
+    if t.is_symmetric():
+        # the location integrand vanishes identically
+        return base if base.is_unknown else Verdict.yes("symmetric-collapse")
+    if t.nu.is_zero():
+        norm = float(np.linalg.norm(t.gamma))
+        slab = lambda p, q: kernel_window_integral(k, p, q, "abs") * norm
+    else:
+        loc = _location(k, t)
+        slab = slab_quad(lambda s: np.linalg.norm(loc(s), axis=1), rtol=1e-8, atol=1e-11)
+    numeric = improper_nonneg(slab, k.a, k.b).verdict("absolute-location")
+    return combine_all(base, numeric) if numeric.is_yes else numeric
+
+
+def domain_verdicts(k: Kernel, t: Triplet, which=_DOMAINS, use_rules=True) -> dict:
+    """Three-valued membership in each domain of ``which`` (absolute within
+    plain within compensated within essential), from one lookup of the
+    closed-form rules and at most one run of the essential numerics."""
+    return _domain_pass(k, t, which, use_rules)[0]
+
+
+def absolutely_definable(k: Kernel, t: Triplet, use_rules=True) -> Verdict:
+    """Absolute convergence of the characteristic-exponent integral.
+
+    Strongest of the domains: requires the essential conditions plus the
+    absolute location clause.
+    """
+    return domain_verdicts(k, t, ("absolute",), use_rules)["absolute"]
+
+
+def definable_verdict(k: Kernel, t: Triplet, use_rules=True) -> Verdict:
+    """Three-valued membership in the plain transform domain."""
+    return domain_verdicts(k, t, ("plain",), use_rules)["plain"]
+
+
+def compensated_verdict(k: Kernel, t: Triplet, use_rules=True) -> Verdict:
+    """Three-valued membership in the compensated transform domain."""
+    return domain_verdicts(k, t, ("compensated",), use_rules)["compensated"]
 
 
 def essential_conditions(k: Kernel, t: Triplet, use_rules=True) -> Verdict:
@@ -370,37 +447,7 @@ def essential_conditions(k: Kernel, t: Triplet, use_rules=True) -> Verdict:
     With ``use_rules=False`` only the certified window numerics run; this is
     the independent route the closed-form rules are checked against.
     """
-    return _essential(k, t, _rules(k, t, use_rules))
-
-
-def definable_verdict(k: Kernel, t: Triplet, use_rules=True) -> Verdict:
-    """Three-valued membership in the plain transform domain."""
-    rules = _rules(k, t, use_rules)
-    rule = _determined(rules, "plain")
-    if rule is not None:
-        return rule
-    cond = _essential(k, t, rules)
-    if not cond.is_yes:
-        return cond
-    return _drive_gamma(k, t).verdict("location-trace")
-
-
-def compensated_verdict(k: Kernel, t: Triplet, use_rules=True) -> Verdict:
-    """Three-valued membership in the compensated transform domain."""
-    rules = _rules(k, t, use_rules)
-    rule = _determined(rules, "compensated")
-    if rule is not None:
-        return rule
-    cond = _essential(k, t, rules)
-    if not cond.is_yes:
-        return cond
-    try:
-        _phi_c(k, t, rules, cond)
-        return Verdict.yes("compensation-found")
-    except NotDefinable as e:
-        return Verdict.no(e.reason)
-    except (InconclusiveError, QuadratureFailure) as e:
-        return Verdict.unknown("compensation-uncertified", detail=str(e))
+    return domain_verdicts(k, t, ("essential",), use_rules)["essential"]
 
 
 def _result_measure(k: Kernel, t: Triplet):
@@ -434,7 +481,9 @@ def _gate(k: Kernel, t: Triplet, rules: dict, which=None, cond=None) -> Verdict:
     must hold, and the closed-form rule for ``which`` must not exclude the
     law.  Returns the essential verdict; a caller that has computed it
     already hands it in as ``cond``."""
-    cond = _essential(k, t, rules) if cond is None else cond
+    if cond is None:
+        cond = _rule_override(rules, "essential", combine_all(
+            _gaussian_condition(k, t), _jump_condition(k, t)))
     if cond.is_no:
         raise NotDefinable(cond.reason, cond.witness)
     if cond.is_unknown:
@@ -571,31 +620,6 @@ def _assert_compensated_mean_zero(result: TransformResult, tol=1e-6):
     if float(np.max(np.abs(m))) > tol:
         raise ConsistencyAlarm(
             f"compensated-unique law should be centered; mean={m}")
-
-
-def absolutely_definable(k: Kernel, t: Triplet, use_rules=True) -> Verdict:
-    """Absolute convergence of the characteristic-exponent integral.
-
-    Strongest of the domains: requires the essential conditions plus the
-    absolute location clause.
-    """
-    rules = _rules(k, t, use_rules)
-    override = lambda v: _rule_override(rules, "absolute", v)
-    base = combine_all(_gaussian_condition(k, t), _jump_condition(k, t))
-    if base.is_no:
-        return override(base)
-    if t.is_symmetric():
-        # the location integrand vanishes identically
-        return override(base if base.is_unknown else
-                        Verdict.yes("symmetric-collapse"))
-    if t.nu.is_zero():
-        norm = float(np.linalg.norm(t.gamma))
-        slab = lambda p, q: kernel_window_integral(k, p, q, "abs") * norm
-    else:
-        loc = _location(k, t)
-        slab = slab_quad(lambda s: np.linalg.norm(loc(s), axis=1), rtol=1e-8, atol=1e-11)
-    numeric = improper_nonneg(slab, k.a, k.b).verdict("absolute-location")
-    return override(combine_all(base, numeric) if numeric.is_yes else numeric)
 
 
 def phi_ab(k: Kernel, t: Triplet) -> TransformResult:

@@ -36,10 +36,8 @@ from idcalc.measures import INF
 from idcalc.mc import SimConfig, ecf_check, sample_integral, window_exponent
 from idcalc.quadrature import bisect_monotone
 from idcalc.transform import (
-    absolutely_definable,
-    compensated_verdict,
-    definable_verdict,
     direct_exponent,
+    domain_verdicts,
     essential_conditions,
     phi,
     phi_es,
@@ -195,12 +193,7 @@ def test_criterion_6_chain_and_symmetric_collapse():
     chain_viol = 0
     collapse_viol = 0
     for k, t in corpus_pairs():
-        vs = {
-            "absolute": absolutely_definable(k, t),
-            "plain": definable_verdict(k, t),
-            "compensated": compensated_verdict(k, t),
-            "essential": essential_conditions(k, t),
-        }
+        vs = domain_verdicts(k, t)
         seq = [vs[n].truth for n in order]
         if any(seq[i] is Truth.YES and seq[j] is Truth.NO
                for i in range(4) for j in range(i + 1, 4)):

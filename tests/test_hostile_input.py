@@ -17,12 +17,15 @@ import idcalc as ic
 from idcalc import schemas
 from idcalc.cli import run, validate
 from idcalc.kernels import (
+    Kernel,
     exp_kernel,
     indicator_kernel,
     log_power_kernel,
     power_at_zero_kernel,
     power_tail_kernel,
     tau_exponential,
+    tau_from_atoms,
+    tau_measure,
 )
 
 NAN, INF = math.nan, math.inf
@@ -86,6 +89,11 @@ CASES = [
      ("kernel", {"type": "log_power", "beta": NAN})),
     ("indicator-nan-height", lambda: indicator_kernel(NAN),
      ("kernel", {"type": "indicator", "height": NAN})),
+    ("tau-atom-nan-mass", lambda: tau_from_atoms([(0.5, NAN), (0.7, NAN)]), None),
+    ("tau-atom-nan-location", lambda: tau_from_atoms([(NAN, 1.0)]), None),
+    ("tau-atom-inf-location", lambda: tau_from_atoms([(0.5, 1.0), (INF, 1.0)]), None),
+    ("psi-nan-tau-atom", lambda: ic.psi(tau_from_atoms([(0.5, NAN)]),
+                                        ic.StableMeasure(1.5, [[1.0]], [1.0])), None),
     # the CLI draws its own arguments
     ("cumulant-nan-argument", lambda: ic.cumulant(
         ic.Triplet(0.0, ic.StableMeasure(1.5, [[1.0]], [1.0]), [0.0]), NAN), None),
@@ -131,6 +139,8 @@ TAU_CASES = [
     # an atomic tau has atoms at both ends of its support (condition B)
     ("from-tau-atomic", _from_tau({"family": "atoms", "atoms": [
         {"u": 0.5, "mass": 1.0}, {"u": 1.5, "mass": 2.0}]}), []),
+    ("from-tau-nan-masses", _from_tau({"family": "atoms", "atoms": [
+        {"u": 0.5, "mass": NAN}, {"u": 0.7, "mass": NAN}]}), []),
     ("tau-negative-cells", {"type": "exp"}, ["--tau-cells", "-5"]),
     ("tau-zero-cells", {"type": "exp"}, ["--tau-cells", "0"]),
     ("tau-unordered-grid", {"type": "exp"}, ["--tau-lo", "2", "--tau-hi", "1"]),
@@ -149,3 +159,10 @@ def test_cli_tau_input_exits_3(tmp_path, spec, extra, capsys):
         rep = json.load(fh)
     assert rep["status"] == "error"
     validate(rep, schemas.JOB_REPORT_SCHEMA)
+
+
+def test_infinite_tau_atom_mass_stays_legal():
+    # the occupation measure of a constant kernel on an infinite interval
+    k = Kernel("one", 0.0, INF, lambda s: np.ones_like(np.asarray(s, dtype=float)),
+               monotone_decreasing=True)
+    assert tau_measure(k).atoms == [(1.0, INF)]

@@ -1,9 +1,12 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
 import idcalc as ic
+from idcalc.cli import _verdict_json, run
+from idcalc.domains import domain_rule_verdicts
 from idcalc.errors import (
     NotABLaw,
     NotDefinable,
@@ -30,6 +33,7 @@ from idcalc.transform import (
     compensated_verdict,
     definable_verdict,
     direct_exponent,
+    domain_verdicts,
     essential_conditions,
     locally_integrable,
     phi,
@@ -454,12 +458,7 @@ class TestCumulantIdentity:
 
 class TestDomainChain:
     def _verdicts(self, k, t):
-        return {
-            "absolute": absolutely_definable(k, t),
-            "plain": definable_verdict(k, t),
-            "compensated": compensated_verdict(k, t),
-            "essential": essential_conditions(k, t),
-        }
+        return domain_verdicts(k, t)
 
     def test_chain_monotone_on_corpus(self):
         order = ["absolute", "plain", "compensated", "essential"]
@@ -577,6 +576,75 @@ def test_compensated_verdict_runs_essential_numerics_once(monkeypatch):
     t = ic.Triplet(0.0, ic.AtomicMeasure([[1.0], [-0.5]], [2.0, 1.0]), [0.2])
     assert compensated_verdict(exp_kernel(), t, use_rules=False).is_yes
     assert len(calls) == 1
+
+
+class TestDomainPass:
+    WRAPPERS = {"absolute": absolutely_definable, "plain": definable_verdict,
+                "compensated": compensated_verdict, "essential": essential_conditions}
+    ATOMS = ic.Triplet(0.0, ic.AtomicMeasure([[1.0], [-0.5]], [2.0, 1.0]), [0.2])
+
+    @pytest.mark.parametrize("use_rules", [True, False])
+    def test_pass_equals_wrappers_on_corpus(self, use_rules):
+        for k, t in corpus_pairs():
+            vs = domain_verdicts(k, t, use_rules=use_rules)
+            assert list(vs) == list(self.WRAPPERS)
+            for name, fn in self.WRAPPERS.items():
+                v = fn(k, t, use_rules=use_rules)
+                assert (vs[name].truth, vs[name].reason) == (v.truth, v.reason), (
+                    k.name, name, use_rules)
+
+    @staticmethod
+    def _count(monkeypatch):
+        import idcalc.domains as domains
+        import idcalc.transform as transform
+        calls = {"rules": 0, "jump": 0}
+
+        def counting(key, fn):
+            def counted(k, t):
+                calls[key] += 1
+                return fn(k, t)
+            return counted
+        monkeypatch.setattr(domains, "domain_rule_verdicts",
+                            counting("rules", domains.domain_rule_verdicts))
+        monkeypatch.setattr(transform, "_jump_condition",
+                            counting("jump", transform._jump_condition))
+        return calls
+
+    @pytest.mark.parametrize("use_rules,lookups", [(True, 1), (False, 0)])
+    def test_one_lookup_and_one_run_of_the_numerics(self, monkeypatch, use_rules,
+                                                    lookups):
+        calls = self._count(monkeypatch)
+        vs = domain_verdicts(exp_kernel(), self.ATOMS, use_rules=use_rules)
+        assert all(v.is_yes for v in vs.values())
+        assert calls == {"rules": lookups, "jump": 1}
+
+    def test_determined_rules_skip_the_numerics(self, monkeypatch):
+        k, t = exp_kernel(), self.ATOMS
+        rules = domain_rule_verdicts(k, t)
+        calls = self._count(monkeypatch)
+        vs = domain_verdicts(k, t, ("plain", "compensated"))
+        assert vs == {name: rules[name] for name in ("plain", "compensated")}
+        assert calls == {"rules": 1, "jump": 0}
+
+    def test_cli_domain_reports_the_pass_rule_table(self, monkeypatch, tmp_path, capsys):
+        path = tmp_path / "power.json"
+        path.write_text(json.dumps({"type": "power", "alpha": 1.5}))
+        want = {key: _verdict_json(v) for key, v in
+                domain_rule_verdicts(power_tail_kernel(1.5), self.ATOMS).items()}
+        calls = self._count(monkeypatch)
+        dist = tmp_path / "dist.json"
+        dist.write_text(json.dumps({"dim": 1, "A": 0.0, "gamma": [0.2], "nu": {
+            "type": "atomic", "atoms": [{"x": [1.0], "mass": 2.0},
+                                        {"x": [-0.5], "mass": 1.0}]}}))
+        assert run(["--out", str(tmp_path), "domain", "--kernel", str(path),
+                    "--dist", str(dist)]) == 0
+        results = json.loads((tmp_path / "report.json").read_text())["results"]
+        assert results["closed_form_rules"] == want
+        assert calls["rules"] == 1 and calls["jump"] <= 1
+
+    def test_unknown_domain_rejected(self):
+        with pytest.raises(ValueError):
+            domain_verdicts(exp_kernel(), ic.dirac([0.3]), ("plain", "bounded"))
 
 
 class TestCompensatedPowerTail:
