@@ -31,7 +31,7 @@ from .errors import (
     NotInDomain,
     SchemaError,
 )
-from .domains import classify_largeness, psi_largeness
+from .domains import _PSI_LADDER, _strongest, classify_largeness
 from .idlaw import (
     Triplet,
     classify_type,
@@ -315,7 +315,8 @@ def _cmd_domain(args, inputs, report):
 def _cmd_largeness(args, inputs, report):
     k = _load_kernel(args, inputs)
     cls, info = classify_largeness(k)
-    psi_cls, psi_ev = psi_largeness(k)
+    # the measure-transform ladder over the same pass
+    psi_cls, psi_ev = _strongest(_PSI_LADDER, info["evidence"], "none")
     report["results"] = {
         "class": cls.value,
         "certified": info["certified"],

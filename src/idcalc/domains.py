@@ -40,7 +40,7 @@ from .kernels import (
     kernel_window_integral,
 )
 from .measures import INF, StableMeasure, SumMeasure
-from .quadrature import improper_limit, improper_nonneg, slab_quad
+from .quadrature import improper_limit, improper_nonneg, slab_quad, window_schedule
 from .verdicts import Verdict, combine_all
 
 _ZERO_TOL = 1e-12
@@ -137,10 +137,14 @@ def _oscillation_verdicts(t):
     def fn_abs(s):
         return np.linalg.norm(fn_signed(s), axis=1)
 
+    # an absolutely convergent integral converges, so the signed driver runs
+    # only when the absolute one does not certify
+    v_abs = improper_nonneg(slab_quad(fn_abs, rtol=1e-9), 1.0, INF).verdict(
+        "log-scale-compensation-absolutely")
+    if v_abs.is_yes:
+        return Verdict.yes("log-scale-compensation-convergent"), v_abs
     lim = improper_limit(slab_quad(fn_signed, rtol=1e-9), 1.0, INF, rtol=1e-8)
-    ab = improper_nonneg(slab_quad(fn_abs, rtol=1e-9), 1.0, INF)
-    return (lim.verdict("log-scale-compensation"),
-            ab.verdict("log-scale-compensation-absolutely"))
+    return lim.verdict("log-scale-compensation"), v_abs
 
 
 def _mean_zero_verdict(t):
@@ -272,7 +276,6 @@ class KernelProfile:
     k_of_r: dict = field(default_factory=dict)   # r -> value (may be None)
     h_of_r: dict = field(default_factory=dict)
     certified: bool = True
-    locally_integrable: bool | None = None
 
 
 # the r grid of the level functions k(r) and h(r)
@@ -311,38 +314,30 @@ def kernel_profile(k: Kernel) -> KernelProfile:
     masses, the clipped square, and the small-level / large-level functions
     on a logarithmic grid in r."""
     masses = [_profile_mass(k, kind) for kind in ("indicator", "abs", "square", "clipped")]
-    k_hook = k.profile.get("k_of_r")
-    h_hook = k.profile.get("h_of_r")
-    if h_hook is None and k.level_upper is not None and k.nonnegative:
+    hooks = {kind: k.profile.get(kind) for kind in _LEVEL_INTEGRANDS}
+    if hooks["h_of_r"] is None and k.level_upper is not None and k.nonnegative:
         # h(r) = Leb{f > 1/r} is the level function itself
-        h_hook = lambda x: k.level_upper(1.0 / x)
-    certified = all(c for _, c in masses) and k_hook is not None and h_hook is not None
+        hooks["h_of_r"] = lambda x: k.level_upper(1.0 / x)
+    certified = all(c for _, c in masses) and None not in hooks.values()
 
-    def on_grid(hook, kind):
+    def on_grid(kind):
         # a hook may return None where it has no closed form
         out = {}
         for r in map(float, _R_GRID):
-            v = None if hook is None else hook(r)
+            v = None if hooks[kind] is None else hooks[kind](r)
             out[r] = _level_numeric(k, kind, r) if v is None else v
         return out
-    return KernelProfile(*(v for v, _ in masses), on_grid(k_hook, "k_of_r"),
-                         on_grid(h_hook, "h_of_r"), certified,
-                         k.profile.get("locally_integrable"))
+    return KernelProfile(*(v for v, _ in masses), on_grid("k_of_r"),
+                         on_grid("h_of_r"), certified)
 
 
 def _locally_integrable_kernel(k: Kernel):
-    flag = k.profile.get("locally_integrable")
-    if flag is not None:
-        return flag
-    # sampled: absolute mass over interior compacts
-    from .quadrature import default_anchor
-    p0, q0 = default_anchor(k.a, k.b)
+    """Whether |f| has a finite integral over the windows of levels 0, 3 and
+    6 of the drivers' schedule, compacts that reach toward both ends; None
+    when a window is not certified."""
     try:
-        for lvl in (0, 3, 6):
-            p = k.a + (p0 - k.a) * 2.0 ** (-lvl) if math.isfinite(k.a) else -(2.0 ** lvl)
-            q = k.b - (k.b - q0) * 2.0 ** (-lvl) if math.isfinite(k.b) else 2.0 ** lvl
-            v = kernel_window_integral(k, p, q, "abs")
-            if not math.isfinite(float(v)):
+        for p, q in window_schedule(k.a, k.b, 6)[::3]:
+            if not math.isfinite(float(kernel_window_integral(k, p, q, "abs"))):
                 return False
     except (QuadratureFailure, InconclusiveError):
         return None
@@ -386,9 +381,11 @@ class LargenessClass(enum.Enum):
     NONE = "none"
 
 
-def largeness_conditions(k: Kernel, profile: KernelProfile | None = None):
-    """Evidence dictionary for every largeness condition."""
-    prof = kernel_profile(k) if profile is None else profile
+def largeness_conditions(k: Kernel):
+    """The one largeness pass: (evidence, profile), the evidence of every
+    largeness condition from one kernel profile and one local-integrability
+    check.  Every largeness ladder reads its label off this evidence."""
+    prof = kernel_profile(k)
     loc = _locally_integrable_kernel(k)
     ev = {}
     fin = lambda v: v is not None and v != INF and math.isfinite(v)
@@ -426,23 +423,30 @@ def largeness_conditions(k: Kernel, profile: KernelProfile | None = None):
     return ev, prof
 
 
+# (label, evidence key) ladders, strongest label first; the value of each
+# largeness class is its evidence key
+_CLASS_LADDER = tuple((cls, cls.value) for cls in LargenessClass
+                      if cls is not LargenessClass.NONE)
+_PSI_LADDER = (("all-levy-measures", "all-id"),
+               ("finite-variation-preserving", "ab-preserving"),
+               ("finite-variation-covered", "ab-into-essential"),
+               ("trivial-zero", "clipped-square-infinite"))
+_CONE_LADDER = (("preserving", "ab-preserving"),
+                ("essential-cover", "ab-into-essential"))
+
+
+def _strongest(ladder, ev, none):
+    """The first label of ``ladder`` whose evidence reads yes (``none`` if
+    no label does), with the evidence of every label."""
+    return (next((label for label, key in ladder if ev[key].is_yes), none),
+            {label: ev[key] for label, key in ladder})
+
+
 def classify_largeness(k: Kernel):
     """Strongest largeness class with its evidence dictionary."""
-    prof = kernel_profile(k)
-    ev, _ = largeness_conditions(k, prof)
-    ladder = [
-        ("all-id", LargenessClass.ALL_ID),
-        ("ab-preserving", LargenessClass.AB_PRESERVING),
-        ("ab-into-essential", LargenessClass.AB_INTO_ESSENTIAL),
-        ("trivial-essential", LargenessClass.TRIVIAL_ESSENTIAL),
-        ("trivial-absolute-zero", LargenessClass.TRIVIAL_ABSOLUTE_ZERO),
-    ]
-    chosen = LargenessClass.NONE
-    for key, cls in ladder:
-        if ev[key].is_yes:
-            chosen = cls
-            break
-    return chosen, {"evidence": ev, "certified": prof.certified}
+    ev, prof = largeness_conditions(k)
+    cls, _ = _strongest(_CLASS_LADDER, ev, LargenessClass.NONE)
+    return cls, {"evidence": ev, "certified": prof.certified}
 
 
 # ---------------------------------------------------------------------------
@@ -481,18 +485,13 @@ def cone_largeness(k: Kernel, orthant_signs=None):
     """Largeness statements for laws supported on an orthant.
 
     Returns (label, evidence) where label is the strongest of
-    'preserving', 'essential-cover', 'none'.
+    'preserving', 'essential-cover', 'none'.  The labels depend on the
+    kernel only: ``orthant_signs`` does not enter.
     """
     samples = np.asarray(k(default_grid(k, 512)), dtype=float)
     if np.any(samples < 0):
         raise NonnegativeRequired("cone statements need a nonnegative kernel")
-    ev, prof = largeness_conditions(k)
-    out = {
-        "preserving": ev["ab-preserving"],
-        "essential-cover": ev["ab-into-essential"],
-    }
-    label = next((name for name, v in out.items() if v.is_yes), "none")
-    return label, out
+    return _strongest(_CONE_LADDER, largeness_conditions(k)[0], "none")
 
 
 def psi_largeness(k: Kernel):
@@ -501,16 +500,4 @@ def psi_largeness(k: Kernel):
     Returns (label, evidence): 'all-levy-measures', 'finite-variation-
     preserving', 'finite-variation-covered', 'trivial-zero' or 'none'.
     """
-    ev, prof = largeness_conditions(k)
-    table = [
-        ("all-levy-measures", ev["all-id"]),
-        ("finite-variation-preserving", ev["ab-preserving"]),
-        ("finite-variation-covered", ev["ab-into-essential"]),
-        ("trivial-zero", ev["clipped-square-infinite"]),
-    ]
-    label = "none"
-    for name, v in table:
-        if v.is_yes:
-            label = name
-            break
-    return label, dict(table)
+    return _strongest(_PSI_LADDER, largeness_conditions(k)[0], "none")

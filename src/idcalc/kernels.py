@@ -766,7 +766,7 @@ def exp_kernel(rate=1.0):
         level_upper=level, tau_density=(lambda u: 1.0 / (r * u), (0.0, 1.0)),
         profile={"indicator_mass": INF, "abs_mass": 1.0 / r,
                  "square_mass": 0.5 / r, "clipped_square": 0.5 / r,
-                 "k_of_r": k_of_r, "locally_integrable": True})
+                 "k_of_r": k_of_r})
 
 
 def log_inverse_kernel():
@@ -797,7 +797,7 @@ def log_inverse_kernel():
         level_upper=level, tau_density=(lambda u: np.exp(-u), (0.0, INF)),
         profile={"indicator_mass": 1.0, "abs_mass": 1.0, "square_mass": 2.0,
                  "clipped_square": 2.0 - 4.0 / math.e,
-                 "k_of_r": k_of_r, "locally_integrable": True})
+                 "k_of_r": k_of_r})
 
 
 def power_tail_kernel(alpha):
@@ -830,7 +830,7 @@ def power_tail_kernel(alpha):
         tau_density=(lambda u: al * u ** (-al - 1.0), (0.0, 1.0)),
         profile={"indicator_mass": INF, "abs_mass": abs_mass,
                  "square_mass": square_mass, "clipped_square": square_mass,
-                 "k_of_r": k_of_r, "locally_integrable": True})
+                 "k_of_r": k_of_r})
 
 
 def power_at_zero_kernel(exponent, b=1.0):
@@ -870,7 +870,7 @@ def power_at_zero_kernel(exponent, b=1.0):
         tau_density=(lambda u: (1.0 / q_) * u ** (-1.0 / q_ - 1.0), (f_min, INF)),
         profile={"indicator_mass": bb, "abs_mass": abs_mass,
                  "square_mass": square_mass, "clipped_square": clipped,
-                 "k_of_r": k_of_r, "locally_integrable": True})
+                 "k_of_r": k_of_r})
 
 
 def double_exp_kernel():
@@ -890,7 +890,7 @@ def double_exp_kernel():
         monotone_decreasing=True, nonnegative=True, tag=DoubleExp(),
         level_upper=level,
         tau_density=(lambda u: 1.0 / (u * np.log(1.0 / u)), (0.0, f_max)),
-        profile={"indicator_mass": INF, "locally_integrable": True})
+        profile={"indicator_mass": INF})
 
 
 def log_power_kernel(beta, at_zero=False):
@@ -914,8 +914,7 @@ def log_power_kernel(beta, at_zero=False):
         return Kernel("log_power", a, b, fn, monotone_decreasing=True,
                       nonnegative=True, tag=LogPower(be, at_zero=False),
                       window_integral=wint,
-                      profile={"indicator_mass": INF, "abs_mass": abs_mass,
-                               "locally_integrable": True})
+                      profile={"indicator_mass": INF, "abs_mass": abs_mass})
     bb = math.exp(-max(1.0, be))
 
     def fn(s):
@@ -938,8 +937,7 @@ def log_power_kernel(beta, at_zero=False):
                   nonnegative=True, tag=LogPower(be, at_zero=True),
                   window_integral=wint,
                   profile={"indicator_mass": bb, "abs_mass": abs_mass,
-                           "square_mass": INF, "clipped_square": None,
-                           "locally_integrable": True})
+                           "square_mass": INF, "clipped_square": None})
 
 
 def sinc_kernel():
@@ -964,8 +962,7 @@ def sinc_kernel():
         profile={"indicator_mass": INF, "abs_mass": INF,
                  "square_mass": math.pi / 2.0, "clipped_square": math.pi / 2.0,
                  "k_of_r": lambda x: math.pi / 2.0 if x <= 1.0 else None,
-                 "h_of_r": lambda x: 0.0 if x <= 1.0 else None,
-                 "locally_integrable": True})
+                 "h_of_r": lambda x: 0.0 if x <= 1.0 else None})
 
 
 def indicator_kernel(height=1.0, a=0.0, b=1.0):
@@ -991,8 +988,7 @@ def indicator_kernel(height=1.0, a=0.0, b=1.0):
                  "square_mass": h * h * span,
                  "clipped_square": min(h * h, 1.0) * span,
                  "k_of_r": lambda x: h * h * span if abs(h) <= 1.0 / x else 0.0,
-                 "h_of_r": lambda x: span if abs(h) > 1.0 / x else 0.0,
-                 "locally_integrable": True})
+                 "h_of_r": lambda x: span if abs(h) > 1.0 / x else 0.0})
 
 
 BUILTIN_KERNELS = {

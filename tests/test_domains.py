@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import idcalc as ic
+from idcalc import domains
 from idcalc.domains import (
     LargenessClass,
     classify_largeness,
@@ -18,6 +19,8 @@ from idcalc.domains import (
 )
 from idcalc.errors import InconclusiveError, NonnegativeRequired, UnsupportedTag
 from idcalc.kernels import (
+    _PROFILE_MASS,
+    Kernel,
     double_exp_kernel,
     exp_kernel,
     indicator_kernel,
@@ -38,6 +41,19 @@ from idcalc.verdicts import Truth
 from corpus import corpus_triplets
 
 INF = math.inf
+
+
+def builtin_kernels():
+    """Every built-in kernel kind across its parameter range."""
+    return ([exp_kernel(r) for r in (0.1, 1.0, 10.0)] + [log_inverse_kernel()]
+            + [power_tail_kernel(a) for a in (0.3, 0.7, 1.0, 1.5, 2.0, 3.0)]
+            + [power_at_zero_kernel(q, b) for q in (0.25, 0.5, 0.75, 1.0, 2.0, 5.0)
+               for b in (0.5, 1.0, 3.0)]
+            + [double_exp_kernel(), sinc_kernel()]
+            + [log_power_kernel(be, z) for be in (-0.5, 0.0, 1.0, 2.0)
+               for z in (False, True)]
+            + [indicator_kernel(h, a, b) for h, a, b in
+               ((-2.0, 0.0, 1.0), (0.5, -3.0, 2.0), (3.0, 1.0, 1.5))])
 
 
 def sym_stable(alpha, w=0.5):
@@ -158,6 +174,36 @@ class TestDomainRules:
         vs2 = domain_rule_verdicts(k, t2)
         assert vs2["compensated"].is_yes and vs2["plain"].is_no
 
+    @staticmethod
+    def _count_signed_driver(monkeypatch):
+        calls = []
+        real = domains.improper_limit
+
+        def counted(*a, **kw):
+            calls.append(1)
+            return real(*a, **kw)
+        monkeypatch.setattr(domains, "improper_limit", counted)
+        return calls
+
+    def test_borderline_absolute_integral_skips_signed_driver(self, monkeypatch):
+        # skewed atoms: V(s) vanishes beyond the largest jump, so the
+        # absolute integral is finite and implies the signed convergence
+        calls = self._count_signed_driver(monkeypatch)
+        vs = domain_rule_verdicts(power_tail_kernel(1.0), corpus_triplets()[6])
+        assert not calls
+        assert vs["compensated"].is_yes and vs["absolute"].is_no
+        assert vs["absolute"].reason == "mean-nonzero"
+
+    def test_borderline_uncertified_absolute_runs_signed_driver(self, monkeypatch):
+        from idcalc.quadrature import ImproperResult
+        calls = self._count_signed_driver(monkeypatch)
+        monkeypatch.setattr(domains, "improper_nonneg",
+                            lambda *a, **kw: ImproperResult("inconclusive", None))
+        v_lim, v_abs = domains._oscillation_verdicts(corpus_triplets()[6])
+        assert len(calls) == 1
+        # the signed driver's own verdict, beside the uncertified absolute one
+        assert v_lim.is_yes and v_abs.is_unknown
+
     def test_rule_agrees_with_numeric_on_corpus(self):
         from corpus import corpus_pairs
         names = ["absolute", "essential"]
@@ -249,7 +295,6 @@ class TestKernelProfile:
 
     def test_numeric_profile_matches_hooks(self):
         k = exp_kernel()
-        from idcalc.kernels import Kernel
         bare = Kernel("exp-bare", k.a, k.b, k.fn, monotone_decreasing=True,
                       nonnegative=True)
         p1 = kernel_profile(k)
@@ -260,6 +305,64 @@ class TestKernelProfile:
 
 
 class TestLargeness:
+    @pytest.mark.parametrize("k", builtin_kernels(), ids=repr)
+    def test_builtin_kernels_sample_locally_integrable(self, k):
+        assert domains._locally_integrable_kernel(k) is True
+
+    def test_sampled_windows_follow_the_drivers_schedule(self):
+        # an infinite right end with a left end beyond 1: the windows lie
+        # inside (a, b), so neither the closed form nor the bare kernel is
+        # evaluated outside it
+        lp = log_power_kernel(2.0)
+        hooked = Kernel("lp", math.e, INF, lp.fn, monotone_decreasing=True,
+                        nonnegative=True, window_integral=lp.window_integral)
+        bare = Kernel("shifted", 5.0, INF, lambda s: (s - 4.0) ** (-2.0 / 3.0),
+                      monotone_decreasing=True, nonnegative=True)
+        for k in (hooked, bare):
+            assert domains._locally_integrable_kernel(k) is True
+            _, info = classify_largeness(k)
+            assert info["evidence"]["locally-integrable"].reason == "locally-integrable"
+
+    def test_profile_keys_are_read(self):
+        # the profile keys the kernels write are the ones kernel_mass and
+        # kernel_profile read: a dead or misspelled key fails here
+        read = set(_PROFILE_MASS.values()) | set(domains._LEVEL_INTEGRANDS)
+        for k in builtin_kernels():
+            assert set(k.profile) <= read, (k, set(k.profile) - read)
+
+    def test_one_pass_per_cli_run(self, monkeypatch, tmp_path):
+        from idcalc.cli import run
+        calls = {"kernel_profile": 0, "_locally_integrable_kernel": 0}
+        for name in calls:
+            real = getattr(domains, name)
+
+            def counted(*a, _name=name, _real=real, **kw):
+                calls[_name] += 1
+                return _real(*a, **kw)
+            monkeypatch.setattr(domains, name, counted)
+        path = tmp_path / "exp.json"
+        path.write_text('{"type": "exp"}')
+        assert run(["--out", str(tmp_path), "largeness", "--kernel", str(path)]) == 0
+        assert calls == {"kernel_profile": 1, "_locally_integrable_kernel": 1}
+
+    @pytest.mark.parametrize("kfn", [
+        lambda: indicator_kernel(1.0, 0.0, 1.0), lambda: power_at_zero_kernel(0.75),
+        lambda: power_at_zero_kernel(1.0), lambda: power_tail_kernel(2.0), exp_kernel,
+    ])
+    def test_ladders_read_the_pass(self, kfn):
+        k = kfn()
+        ev, _ = largeness_conditions(k)
+        psi_keys = {"all-levy-measures": "all-id",
+                    "finite-variation-preserving": "ab-preserving",
+                    "finite-variation-covered": "ab-into-essential",
+                    "trivial-zero": "clipped-square-infinite"}
+        cone_keys = {"preserving": "ab-preserving",
+                     "essential-cover": "ab-into-essential"}
+        for ladder, keys in ((psi_largeness, psi_keys), (cone_largeness, cone_keys)):
+            label, out = ladder(k)
+            assert out == {name: ev[key] for name, key in keys.items()}
+            assert label == next((name for name, v in out.items() if v.is_yes), "none")
+
     @pytest.mark.parametrize("kfn,want", [
         (lambda: indicator_kernel(1.0, 0.0, 1.0), LargenessClass.ALL_ID),
         (lambda: power_at_zero_kernel(0.75), LargenessClass.AB_PRESERVING),
