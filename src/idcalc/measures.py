@@ -23,12 +23,13 @@ representation:
 
 * atoms: exact sums, one call of ``h`` (or ``w``) on all m x n points;
 * the polar family, nu(B) = sum_k w_k int 1_B(r xi_k) rho(r) dr
-  (``RadialMeasure``): every radial integral runs through its one driver,
-  ``radial_integral``.  Over the full range [0, inf) the r-range and window
-  schedule are common to all scales, so one driver call integrates an
-  (n_r, m) integrand, each scale certified as its own component; a shell
-  [lo, hi) has the scale-dependent r-range [lo/|u|, hi/|u|) and runs one
-  call per scale.  ``StableMeasure`` (rho = r^(-alpha-1)) and
+  (``RadialMeasure``): every radial integral runs through one driver body,
+  in r or in y = |u| r, each scale certified as its own component.  Over
+  [0, inf) the r-range and window schedule are common to all scales, so
+  one r-space call serves them all; a shell [lo, hi) has the y-range
+  [lo, hi) at every scale, so one y-space call serves the scales |u| <= 1
+  of a density supported on (0, inf), and the rest run one r-space call
+  per scale.  ``StableMeasure`` (rho = r^(-alpha-1)) and
   ``GammaMeasure`` (rho = c e^(-lambda r) / r) are members of the family
   that override only the functionals with closed forms; the stable
   scaling identity nu(B/u) = |u|^alpha nu(sign(u) B) lets one base
@@ -320,6 +321,36 @@ def compound_poisson_empirical(jumps, rate=1.0):
     return AtomicMeasure(pts, np.full(n, rate / n))
 
 
+def _drive(fn, lo, hi, signed, atol):
+    """int_lo^hi fn(t) dt, each component certified: the driver body that
+    the radial variable r and the shell variable y = |u| r share.  A proper
+    range runs ``adaptive_quad`` with absolute floor ``atol``; ends at 0 or
+    inf are improper, driven nonnegative (may give +inf) or, with
+    ``signed``, signed."""
+    if math.isfinite(hi) and hi > 1e6 * max(lo, 1.0):
+        # a huge finite bound behaves like infinity: scale-geometric
+        # windows find the interior mass, the cap becomes a mask
+        inner, cap, hi = fn, hi, INF
+
+        def fn(t):
+            m = t < cap
+            with np.errstate(over="ignore", invalid="ignore"):
+                y = np.asarray(inner(np.where(m, t, 1.0)))
+            return np.where(m.reshape((-1,) + (1,) * (y.ndim - 1)), y, 0.0)
+    if math.isfinite(lo) and math.isfinite(hi) and lo > 0:
+        return adaptive_quad(fn, lo, hi, rtol=1e-11, atol=atol)[0]
+    # a positive finite endpoint is proper: anchor the schedule on it so
+    # no refinement is spent (or misled) below the transition scale
+    p0 = lo if lo > 0 else None
+    q0 = hi if math.isfinite(hi) else None
+    slab = slab_quad(fn, rtol=1e-11)
+    if signed:
+        res = improper_limit(slab, lo, hi, rtol=1e-10, p0=p0, q0=q0)
+        return res.certified("signed radial integral")
+    res = improper_nonneg(slab, lo, hi, p0=p0, q0=q0)
+    return res.certified("radial integral")
+
+
 class RadialDensity:
     """Radial density rho(r) on a sub-interval of (0, inf).
 
@@ -431,26 +462,11 @@ class RadialMeasure(LevyMeasure):
 
     def radial_integral(self, g, lo=0.0, hi=INF, signed=False):
         """int_lo^hi g(r) rho(r) dr, each component of g certified: the one
-        radial driver of the polar family.  Ends at 0 or inf are improper,
-        driven nonnegative (may give +inf) or, with ``signed``, signed."""
+        radial driver of the polar family."""
         slo = max(lo, self.density.support[0])
         shi = min(hi, self.density.support[1])
         if slo >= shi:
             return 0.0
-        if math.isfinite(shi) and shi > 1e6 * max(slo, 1.0):
-            # a huge finite bound behaves like infinity: scale-geometric
-            # windows find the interior mass, the cap becomes a mask
-            cap = shi
-            g_inner = g
-
-            def g(r, _g=g_inner, _cap=cap):
-                m = r < _cap
-                with np.errstate(over="ignore", invalid="ignore"):
-                    y = np.asarray(_g(np.where(m, r, 1.0)))
-                return y * m if y.ndim == 1 else \
-                    y * m.reshape((-1,) + (1,) * (y.ndim - 1))
-
-            shi = INF
 
         def fn(r):
             y = np.asarray(g(r))
@@ -460,44 +476,60 @@ class RadialMeasure(LevyMeasure):
                     y * d.reshape((-1,) + (1,) * (y.ndim - 1))
             # 0 * inf artifacts outside the density's support are true zeros
             return np.nan_to_num(out, nan=0.0, posinf=INF, neginf=-INF)
-        if math.isfinite(slo) and math.isfinite(shi) and slo > 0:
-            return adaptive_quad(fn, slo, shi, rtol=1e-11)[0]
-        # a positive finite endpoint is proper: anchor the schedule on it so
-        # no refinement is spent (or misled) below the transition scale
-        p0 = slo if slo > 0 else None
-        q0 = shi if math.isfinite(shi) else None
-        slab = slab_quad(fn, rtol=1e-11)
-        if signed:
-            res = improper_limit(slab, slo, shi, rtol=1e-10, p0=p0, q0=q0)
-            return res.certified("signed radial integral")
-        res = improper_nonneg(slab, slo, shi, p0=p0, q0=q0)
-        return res.certified("radial integral")
+        return _drive(fn, slo, shi, signed, atol=1e-13)
 
-    def _batched(self, us, lo, hi):
-        """The nonzero scales, and whether one radial driver serves them all:
-        over [0, inf) the r-range and window schedule do not depend on the
-        scale, over a shell [lo/|u|, hi/|u|) they do."""
+    def _shell_y(self, g, au, lo, hi, signed=False):
+        """int_lo^hi g(y) rho(y / a) / a dy for every scale a in ``au``: the
+        shell lo <= |u| r < hi in y = |u| r, the same range for every scale.
+        ``g(y)`` has the scales on its last axis.  A proper shell certifies
+        each column relatively (floor 1e-300), as its value scales with a."""
+        def fn(y):
+            cols = np.asarray(g(y))
+            # r = y / a may overflow for tiny a: the density is 0 there
+            with np.errstate(over="ignore"):
+                d = self.density(y[:, None] / au[None, :]) / au[None, :]
+            d = d.reshape((len(y),) + (1,) * (cols.ndim - 2) + (au.size,))
+            return (cols * d).reshape(len(y), -1)
+        return _drive(fn, lo, hi, signed, atol=1e-300)
+
+    def _routes(self, us, lo, hi):
+        """The nonzero scales by route, (full, y, loop): one r-space driver
+        for all over [0, inf); over a shell, one y = |u| r driver for the
+        scales |u| <= 1 of a density supported on (0, inf), as for |u| > 1
+        its windows (lo + 2) 2^n / |u| in r fall behind the r-space ones
+        (lo / |u| + 2) 2^n, and a support end would be a step at a different
+        y per scale; one r-space driver per scale for the rest."""
         nz = np.flatnonzero(us)
-        return nz, lo == 0.0 and hi == INF and nz.size > 1
+        none = nz[:0]
+        if lo == 0.0 and hi == INF:
+            return (nz, none, none) if nz.size > 1 else (none, none, nz)
+        if self.density.support != (0.0, INF):
+            return none, none, nz
+        small = np.abs(us[nz]) <= 1.0
+        return none, nz[small], nz[~small]
+
+    def _columns(self, h, t, v):
+        """h(t v_j xi_k): one column per (direction k, scale j) pair, on
+        the last two axes."""
+        x = (t[:, None] * v[None, :])[:, None, :, None] \
+            * self.directions[None, :, None, :]
+        return np.asarray(h(x.reshape(-1, self.dim)),
+                          dtype=float).reshape(len(t), len(self.weights), v.size)
 
     def scaled_integral(self, h, us, lo=0.0, hi=INF):
         us = _scales(us)
         out = np.zeros(us.shape)
-        nz, batched = self._batched(us, lo, hi)
-        if batched:
-            u = us[nz]
-            shape = (len(self.weights), u.size)
-
-            def g(r):
-                # one column per (direction, scale) pair
-                x = (r[:, None] * u[None, :])[:, None, :, None] \
-                    * self.directions[None, :, None, :]
-                return np.asarray(h(x.reshape(-1, self.dim)),
-                                  dtype=float).reshape(len(r), -1)
-            parts = np.zeros(shape[0] * shape[1]) + self.radial_integral(g, 0.0, INF)
-            out[nz] = self.weights @ parts.reshape(shape)
-            return out
-        for i in nz:
+        full, ys, loop = self._routes(us, lo, hi)
+        if full.size:
+            u = us[full]
+            parts = np.zeros(len(self.weights) * u.size) + self.radial_integral(
+                lambda r: self._columns(h, r, u).reshape(len(r), -1), 0.0, INF)
+            out[full] = self.weights @ parts.reshape(-1, u.size)
+        if ys.size:
+            sg = np.sign(us[ys])
+            parts = self._shell_y(lambda y: self._columns(h, y, sg), np.abs(us[ys]), lo, hi)
+            out[ys] = self.weights @ parts.reshape(-1, ys.size)
+        for i in loop:
             u = us[i]
             a = abs(u)
             with np.errstate(over="ignore"):
@@ -598,28 +630,32 @@ class RadialMeasure(LevyMeasure):
         raise InconclusiveError("cumulant tail bound did not close")
 
     def vector_weighted_scaled(self, w, us, lo=0.0, hi=INF):
-        # int (u r xi) w(|u| r) rho(r) dr over the directions: u times the
-        # weighted direction sum times one radial integral per scale
+        # int (u r xi) w(|u| r) rho(r) dr over the directions: the weighted
+        # direction sum times one coefficient per scale, u int r w(|u| r)
+        # rho(r) dr in r, or sign(u) int y w(y) rho(y / |u|) / |u| dy in y
         us = _scales(us)
-        vals = np.zeros(us.shape)
-        nz, batched = self._batched(us, lo, hi)
-        if batched:
-            au = np.abs(us[nz])
+        coef = np.zeros(us.shape)
+        full, ys, loop = self._routes(us, lo, hi)
+        if full.size:
+            au = np.abs(us[full])
 
             def g(r):
                 x = r[:, None] * au[None, :]
                 return r[:, None] * np.asarray(w(x.ravel()), dtype=float).reshape(x.shape)
-            vals[nz] = self.radial_integral(g, 0.0, INF, signed=True)
-        else:
-            for i in nz:
-                a = abs(us[i])
-                with np.errstate(over="ignore"):
-                    rlo, rhi = lo / a, hi / a
+            coef[full] = us[full] * self.radial_integral(g, 0.0, INF, signed=True)
+        if ys.size:
+            coef[ys] = np.sign(us[ys]) * self._shell_y(
+                lambda y: (y * np.asarray(w(y), dtype=float))[:, None],
+                np.abs(us[ys]), lo, hi, signed=True)
+        for i in loop:
+            a = abs(us[i])
+            with np.errstate(over="ignore"):
+                rlo, rhi = lo / a, hi / a
 
-                def g(r, a=a):
-                    return r * np.asarray(w(a * r), dtype=float)
-                vals[i] = self.radial_integral(g, rlo, rhi, signed=True)
-        return np.outer(us * vals, self.direction_sum())
+            def g(r, a=a):
+                return r * np.asarray(w(a * r), dtype=float)
+            coef[i] = us[i] * self.radial_integral(g, rlo, rhi, signed=True)
+        return np.outer(coef, self.direction_sum())
 
     def is_symmetric(self):
         return _reflection_symmetric(self.directions, self.weights)

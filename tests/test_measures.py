@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -139,10 +140,12 @@ class TestRadialIntegralRoutes:
         want = np.outer(s ** -alpha / (alpha - 1.0), nu.direction_sum())
         _assert_rel(nu.vector_weighted_scaled(np.ones_like, 1.0 / s, 1.0, INF), want, 1e-10)
 
-    def test_gamma_tail_first_vector_matches_loop(self):
+    def test_gamma_tail_first_vector_closed_form(self):
+        # V(s) / s = direction int_s^inf 0.8 e^(-1.5 r) dr / s; the one-scale
+        # driver on [30, inf), one panel on e^(-1.5 r), lands 1.65e-7 off
         nu = ic.gamma_measure(0.8, 1.5, [0.6, -0.8])
         s = np.array([1.0, 2.5, 7.0, 30.0])
-        want = np.array([nu.vector_weighted(np.ones_like, x, INF) / x for x in s])
+        want = np.outer(0.8 * np.exp(-1.5 * s) / (1.5 * s), nu.direction)
         _assert_rel(nu.vector_weighted_scaled(np.ones_like, 1.0 / s, 1.0, INF), want, 1e-10)
 
     def test_compact_power_law_cumulant_matches_mpmath(self):
@@ -278,6 +281,19 @@ def _measures():
     }
 
 
+def _count_radial_drivers(monkeypatch):
+    """The list that records each nonnegative improper radial driver run."""
+    import idcalc.measures as measures
+    calls = []
+    original = measures.improper_nonneg
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+    monkeypatch.setattr(measures, "improper_nonneg", counted)
+    return calls
+
+
 class TestScaledFunctionals:
     """The vectorized functionals answer for all scales in one call, and
     agree with the per-scale loop (or a closed form where that loop is not
@@ -350,20 +366,107 @@ class TestScaledFunctionals:
 
     def test_full_range_runs_one_driver(self, monkeypatch):
         # one radial driver for all scales of a gamma base
-        import idcalc.measures as measures
-        calls = []
-        original = measures.improper_nonneg
-
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return original(*args, **kwargs)
-        monkeypatch.setattr(measures, "improper_nonneg", counted)
+        calls = _count_radial_drivers(monkeypatch)
         ic.gamma_measure(1.0, 1.0, [1.0]).scaled_integral(_clip, SCALES)
         assert len(calls) == 1
 
     def test_polar_form_built_once(self):
         for nu in (ic.StableMeasure(0.7, [[1.0]], [1.0]), ic.gamma_measure(1.0, 1.0, [1.0])):
             assert isinstance(nu, ic.RadialMeasure)
+
+
+class TestYShells:
+    """Shells lo <= |u x| < hi in y = |u| r: one driver for the scales
+    |u| <= 1 of a density supported on (0, inf), against exact references."""
+
+    def test_gamma_clip_shell_closed_form(self):
+        # int min(a^2 r^2, 1) e^-r / r over [lo/a, hi/a), a = |u|:
+        # a^2 [Gamma(2, lo/a) - Gamma(2, 1/a)] + E1(1/a) - E1(hi/a),
+        # Gamma(2, x) = (1 + x) e^-x; 0 in doubles below e^-6
+        from scipy.special import exp1
+        nu = ic.gamma_measure(1.0, 1.0, [1.0])
+        lo, hi = SHELL
+        a = np.abs(SCALES[SCALES != 0.0])
+        upper = lambda x: (1.0 + x) * np.exp(-x)
+        want = np.zeros(SCALES.shape)
+        want[SCALES != 0.0] = a * a * (upper(lo / a) - upper(1.0 / a)) \
+            + exp1(1.0 / a) - exp1(hi / a)
+        _assert_rel(nu.scaled_integral(_clip, SCALES, lo, hi), want, 1e-9)
+
+    def test_gamma_vector_shell_matches_mpmath(self):
+        # u int e^-r / (1 + a^2 r^2) dr over [lo/a, hi/a), split at unit
+        # steps past lo/a, where e^-r has fallen by e^-40 at the last one
+        import mpmath
+        nu = ic.gamma_measure(1.0, 1.0, [1.0])
+        lo, hi = SHELL
+        want = np.zeros((SCALES.size, 1))
+        with mpmath.workdps(20):
+            for i, u in enumerate(SCALES):
+                if u == 0.0:
+                    continue
+                a = mpmath.mpf(abs(u))
+                cuts = [lo / a + k for k in range(41) if lo / a + k < hi / a] + [hi / a]
+                want[i] = float(u * mpmath.quad(
+                    lambda r: mpmath.exp(-r) / (1 + (a * r) ** 2), cuts))
+        _assert_rel(nu.vector_weighted_scaled(_weight, SCALES, lo, hi), want, 1e-9)
+
+    def test_large_scales_keep_r_space_drivers(self):
+        # int_{|u x| >= 1} e^-r / r dr = E1(1/u); y-windows at u > 1 fall
+        # behind the r-space ones and certified +inf from u = 1e5 on
+        from scipy.special import exp1
+        us = 10.0 ** np.arange(13)
+        got = ic.gamma_measure(1.0, 1.0, [1.0]).scaled_integral(
+            lambda x: np.ones(x.shape[0]), us, 1.0, INF)
+        _assert_rel(got, exp1(1.0 / us), 1e-12)
+
+    @pytest.mark.parametrize("shell", [(0.5, 2.0), (1.0, INF), (0.0, 1.0)])
+    @pytest.mark.parametrize("name", ["gamma", "radial"])
+    def test_tiny_scales_raise_no_warning(self, name, shell):
+        # at u = 1e-300, r = y / |u| overflows; the r-space windows on
+        # [1e300, inf) overflowed too
+        nu, _ = _measures()[name]
+        us = np.array([1.0, 1e-10, 1e-100, 1e-300, -1e-300, -1e-100, -1e-10, -1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            vals = nu.scaled_integral(_clip, us, *shell)
+            vecs = nu.vector_weighted_scaled(_weight, us, *shell)
+        assert np.all(np.isfinite(vals)) and np.all(vals >= 0.0)
+        assert np.all(np.isfinite(vecs))
+
+    def test_finite_support_keeps_per_scale_drivers(self):
+        # a support end would be a step at a different y in each column, so
+        # r^-2 on (0.01, 1) keeps one r-space driver per scale, bit for bit
+        dens = ic.RadialDensity(lambda r: r ** -2.0, support=(0.01, 1.0),
+                                order_zero=-2.0, order_inf=-INF)
+        nu = ic.RadialMeasure([[1.0], [-1.0]], [0.7, 0.3], dens)
+        lo, hi = SHELL
+        want, want_vec = np.zeros(SCALES.shape), np.zeros((SCALES.size, 1))
+        for i, u in enumerate(SCALES):
+            if u == 0.0:
+                continue
+            a = abs(u)
+            want[i] = sum(w * nu.radial_integral(
+                lambda r, xi=xi: _clip(np.outer(u * r, xi)), lo / a, hi / a)
+                for xi, w in zip(nu.directions, nu.weights))
+            want_vec[i] = u * nu.radial_integral(lambda r: r * _weight(a * r),
+                                                 lo / a, hi / a, signed=True) \
+                * nu.direction_sum()
+        np.testing.assert_array_equal(nu.scaled_integral(_clip, SCALES, lo, hi), want)
+        np.testing.assert_array_equal(nu.vector_weighted_scaled(_weight, SCALES, lo, hi),
+                                      want_vec)
+
+    def test_transformed_mean_runs_few_drivers(self, monkeypatch):
+        # the mean check of phi_c(power 1.5, gamma law) takes the first
+        # moment of every scale f(s) of the pushforward over |x| >= 1: one
+        # driver per scale made 1,065 runs
+        from corpus import corpus_triplets
+        from idcalc.idlaw import mean
+        from idcalc.kernels import power_tail_kernel
+        from idcalc.transform import phi_c
+        t = phi_c(power_tail_kernel(1.5), corpus_triplets()[8]).triplet
+        calls = _count_radial_drivers(monkeypatch)
+        mean(t)
+        assert len(calls) <= 10
 
 
 @pytest.mark.parametrize("shape,rate", [(1.0, 1.0), (0.7, 2.5)])
