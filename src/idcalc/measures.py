@@ -5,36 +5,47 @@ calculus below needs several integral functionals of a measure nu, evaluated
 either exactly (atoms, stable families) or by certified quadrature (radial
 densities).  The transformed measures, window pushforwards and occupation
 mixtures, are scale mixtures of these representations and live in
-``idcalc.transform`` (``ScaleMixtureMeasure``):
+``idcalc.transform`` (``ScaleMixtureMeasure``).
 
-* ``scaled_integral(h, us, lo, hi)`` -- int h(u x) nu(dx) over
+Every representation answers each functional, a :class:`Functional`
+record, through one entry ``scaled(f, us)``: f at each of the m scales of
+the 1-d array ``us``, shape (m,), or (m, dim) for a vector functional.
+The public methods wrap it, a scalar ``us`` counting as m = 1:
+
+* ``scaled_integral(h, us, lo, hi)`` ("shell") -- int h(u x) nu(dx) over
   lo <= |u x| < hi, h >= 0
-* ``clip2_scaled(us)``         -- int (|u x|^2 ^ 1) nu(dx)
-* ``clip1_scaled(us)``         -- int (|u x| ^ 1) nu(dx), may be +inf
-* ``centering_scaled(us)``     -- int x (1/(1+|ux|^2) - 1/(1+|x|^2)) nu(dx)
-* ``cumulant_scaled(z, us)``   -- int (e^{i<z,ux>} - 1 - i<z,ux>/(1+|ux|^2)) nu(dx)
-* ``vector_weighted_scaled(w, us, lo, hi)`` -- int (u x) w(|u x|) nu(dx) over
-  lo <= |u x| < hi, shape (m, dim)
+* ``clip2_scaled(us)`` ("clip2") -- int (|u x|^2 ^ 1) nu(dx)
+* ``clip1_scaled(us)`` ("clip1") -- int (|u x| ^ 1) nu(dx), may be +inf
+* ``centering_scaled(us)`` ("centering") -- int x (1/(1+|ux|^2) -
+  1/(1+|x|^2)) nu(dx)
+* ``cumulant_scaled(z, us)`` ("cumulant") -- int (e^{i<z,ux>} - 1 -
+  i<z,ux>/(1+|ux|^2)) nu(dx)
+* ``vector_weighted_scaled(w, us, lo, hi)`` ("vector_shell") -- int (u x)
+  w(|u x|) nu(dx) over lo <= |u x| < hi
 
-Every ``*_scaled`` functional takes an array ``us`` of m scales and answers
-for all of them in one call; ``integral(h, lo, hi)`` and
-``vector_weighted(w, lo, hi)`` are their one-scale case u = 1.  Per
+``integral`` and ``vector_weighted`` are their one-scale case u = 1.  A
+primitive representation implements ``_<name>(us, *args)`` per record
+name, which the default ``scaled`` reaches by name, so a subclass's closed
+form overrides its parent's quadrature by plain inheritance.  A composite
+overrides ``scaled`` once, knowing of a functional only the shape and
+dtype of one scale's value and whether it is nonnegative.  Per
 representation:
 
 * atoms: exact sums, one call of ``h`` (or ``w``) on all m x n points;
 * the polar family, nu(B) = sum_k w_k int 1_B(r xi_k) rho(r) dr
   (``RadialMeasure``): every radial integral runs through one driver body,
-  in r or in y = |u| r, each scale certified as its own component.  Over
+  in r or in y = |u| r, each scale certified as its own component.  The
+  two shell functionals share one route split (``_routed``): over
   [0, inf) the r-range and window schedule are common to all scales, so
   one r-space call serves them all; a shell [lo, hi) has the y-range
   [lo, hi) at every scale, so one y-space call serves the scales |u| <= 1
   of a density supported on (0, inf), and the rest run one r-space call
-  per scale.  ``StableMeasure`` (rho = r^(-alpha-1)) and
+  per scale and direction.  ``StableMeasure`` (rho = r^(-alpha-1)) and
   ``GammaMeasure`` (rho = c e^(-lambda r) / r) are members of the family
-  that override only the functionals with closed forms; the stable
+  that override only the primitives with closed forms; the stable
   scaling identity nu(B/u) = |u|^alpha nu(sign(u) B) lets one base
   integral per sign of u serve every scale;
-* sums and the zero measure compose the above.
+* the zero measure answers zeros, and a sum the sum over its parts.
 
 Every representation, the scale mixtures of ``idcalc.transform``
 included, materializes its own symmetrization nu(B) + nu(-B)
@@ -50,6 +61,7 @@ threads.
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import gamma as gamma_fn
@@ -69,10 +81,32 @@ def _region_mask(r, lo, hi):
 
 
 def _scales(us):
-    return np.atleast_1d(np.asarray(us, dtype=float))
+    us = np.asarray(us, dtype=float)
+    return us if us.ndim else us.reshape(1)
 
 
 _ONE = np.array([1.0])
+
+
+class Functional(NamedTuple):
+    """One functional: ``name`` picks the primitive ``_<name>(us, *args)``;
+    ``vector`` and ``dtype`` give the shape and type of one scale's value;
+    ``nonneg`` lets a mixture certify it +inf; ``label`` names it in errors."""
+
+    name: str
+    args: tuple = ()
+    vector: bool = False
+    dtype: type = float
+    nonneg: bool = False
+    label: str = "integral"
+
+    def shape(self, dim):
+        return (dim,) if self.vector else ()
+
+
+_CLIP2 = Functional("clip2", nonneg=True)
+_CLIP1 = Functional("clip1", nonneg=True)
+_CENTERING = Functional("centering", vector=True, label="centering")
 
 
 def _reflection_symmetric(points, masses):
@@ -90,30 +124,39 @@ def _in_orthant(points, signs):
 
 
 class LevyMeasure:
-    """Abstract base; concrete variants implement the functional surface."""
+    """Abstract base.  A subclass implements ``symmetrized`` and ``scaled``,
+    the latter directly (a composite) or through the primitives ``_shell``,
+    ``_clip2``, ``_clip1``, ``_centering``, ``_cumulant`` and
+    ``_vector_shell`` that the default reaches by name."""
 
     dim: int
 
-    # -- generic functionals -------------------------------------------------
+    def scaled(self, f, us):
+        """The functional ``f`` at every scale of the 1-d float array
+        ``us``, shape (m,) + f.shape(dim)."""
+        return getattr(self, "_" + f.name)(us, *f.args)
+
+    # -- the functionals, one wrapper each -----------------------------------
     def integral(self, h, lo=0.0, hi=INF):
         """int h(x) nu(dx) over lo <= |x| < hi: the one-scale case."""
         return float(self.scaled_integral(h, _ONE, lo, hi)[0])
 
     def scaled_integral(self, h, us, lo=0.0, hi=INF):
         """int h(u x) nu(dx) over lo <= |u x| < hi, one entry per scale."""
-        raise NotImplementedError
+        return self.scaled(Functional("shell", (h, lo, hi), nonneg=True), _scales(us))
 
     def clip2_scaled(self, us):
-        raise NotImplementedError
+        return self.scaled(_CLIP2, _scales(us))
 
     def clip1_scaled(self, us):
-        raise NotImplementedError
+        return self.scaled(_CLIP1, _scales(us))
 
     def centering_scaled(self, us):
-        raise NotImplementedError
+        return self.scaled(_CENTERING, _scales(us))
 
     def cumulant_scaled(self, z, us):
-        raise NotImplementedError
+        return self.scaled(Functional("cumulant", (np.asarray(z, dtype=float),),
+                                      dtype=complex, label="exponent"), _scales(us))
 
     def vector_weighted(self, w, lo=0.0, hi=INF):
         """int x w(|x|) nu(dx) over lo <= |x| < hi: the one-scale case."""
@@ -121,20 +164,20 @@ class LevyMeasure:
 
     def vector_weighted_scaled(self, w, us, lo=0.0, hi=INF):
         """int (u x) w(|u x|) nu(dx) over lo <= |u x| < hi, shape (m, dim)."""
-        raise NotImplementedError
+        return self.scaled(Functional("vector_shell", (w, lo, hi), vector=True,
+                                      label="moment vector"), _scales(us))
 
     # -- derived conveniences ------------------------------------------------
     def total_mass(self):
         return self.integral(lambda x: np.ones(x.shape[0]))
 
     def clipped_second_moment(self):
-        return float(self.clip2_scaled(np.array([1.0]))[0])
+        return float(self.clip2_scaled(_ONE)[0])
 
     def tail_mass(self, rs):
         """nu(|x| >= r), vectorized over the radii."""
-        rs = np.atleast_1d(np.asarray(rs, dtype=float))
         return np.array([self.integral(lambda x: np.ones(x.shape[0]), float(r), INF)
-                         for r in rs])
+                         for r in _scales(rs)])
 
     def small_jump_first_moment(self):
         """int_{|x| < 1} |x| nu(dx)."""
@@ -178,26 +221,11 @@ class ZeroMeasure(LevyMeasure):
     def __init__(self, dim=1):
         self.dim = dim
 
-    def scaled_integral(self, h, us, lo=0.0, hi=INF):
-        return np.zeros(_scales(us).shape)
+    def scaled(self, f, us):
+        return np.zeros(us.shape + f.shape(self.dim), f.dtype)
 
     def tail_mass(self, rs):
-        return np.zeros(np.atleast_1d(np.asarray(rs, dtype=float)).shape)
-
-    def clip2_scaled(self, us):
-        return np.zeros(np.asarray(us, dtype=float).shape)
-
-    clip1_scaled = clip2_scaled
-
-    def centering_scaled(self, us):
-        us = np.asarray(us, dtype=float)
-        return np.zeros(us.shape + (self.dim,))
-
-    def cumulant_scaled(self, z, us):
-        return np.zeros(np.asarray(us, dtype=float).shape, dtype=complex)
-
-    def vector_weighted_scaled(self, w, us, lo=0.0, hi=INF):
-        return np.zeros(_scales(us).shape + (self.dim,))
+        return np.zeros(_scales(rs).shape)
 
     def is_zero(self):
         return True
@@ -244,8 +272,7 @@ class AtomicMeasure(LevyMeasure):
             ur = np.abs(us)[:, None] * self.radii[None, :]
         return ur, _region_mask(ur, lo, hi) & (us != 0.0)[:, None]
 
-    def scaled_integral(self, h, us, lo=0.0, hi=INF):
-        us = _scales(us)
+    def _shell(self, us, h, lo, hi):
         _, m = self._scaled_radii(us, lo, hi)
         vals = np.zeros(m.shape)
         if m.any():
@@ -258,33 +285,27 @@ class AtomicMeasure(LevyMeasure):
         rs = np.atleast_1d(np.asarray(rs, dtype=float))
         return (self.radii[None, :] >= rs[:, None]) @ self.masses
 
-    def clip2_scaled(self, us):
-        us = np.asarray(us, dtype=float)
+    def _clip2(self, us):
         y = np.minimum(np.square(np.outer(us, self.radii)), 1.0)
         return y @ self.masses
 
-    def clip1_scaled(self, us):
-        us = np.asarray(us, dtype=float)
+    def _clip1(self, us):
         y = np.minimum(np.abs(np.outer(us, self.radii)), 1.0)
         return y @ self.masses
 
-    def centering_scaled(self, us):
-        us = np.asarray(us, dtype=float)
+    def _centering(self, us):
         ur = np.outer(us, self.radii)
         w = 1.0 / (1.0 + ur * ur) - 1.0 / (1.0 + self.radii * self.radii)[None, :]
         return (w * self.masses[None, :]) @ self.points
 
-    def cumulant_scaled(self, z, us):
-        us = np.asarray(us, dtype=float)
-        z = np.asarray(z, dtype=float)
+    def _cumulant(self, us, z):
         zx = self.points @ z                      # (n,)
         uzx = np.outer(us, zx)                    # (m, n)
         ur = np.outer(us, self.radii)
         integrand = np.exp(1j * uzx) - 1.0 - 1j * uzx / (1.0 + ur * ur)
         return integrand @ self.masses
 
-    def vector_weighted_scaled(self, w, us, lo=0.0, hi=INF):
-        us = _scales(us)
+    def _vector_shell(self, us, w, lo, hi):
         ur, m = self._scaled_radii(us, lo, hi)
         wv = np.zeros(m.shape)
         if m.any():
@@ -426,7 +447,7 @@ class RadialMeasure(LevyMeasure):
     common radial density.
 
     The base of the polar family.  Subclasses pass their exact density and
-    override only the functionals that have closed forms; the generic ones
+    override only the primitives that have closed forms; the generic ones
     run certified radial quadrature of the density.
     """
 
@@ -478,73 +499,71 @@ class RadialMeasure(LevyMeasure):
             return np.nan_to_num(out, nan=0.0, posinf=INF, neginf=-INF)
         return _drive(fn, slo, shi, signed, atol=1e-13)
 
-    def _shell_y(self, g, au, lo, hi, signed=False):
-        """int_lo^hi g(y) rho(y / a) / a dy for every scale a in ``au``: the
-        shell lo <= |u| r < hi in y = |u| r, the same range for every scale.
-        ``g(y)`` has the scales on its last axis.  A proper shell certifies
-        each column relatively (floor 1e-300), as its value scales with a."""
-        def fn(y):
-            cols = np.asarray(g(y))
-            # r = y / a may overflow for tiny a: the density is 0 there
-            with np.errstate(over="ignore"):
-                d = self.density(y[:, None] / au[None, :]) / au[None, :]
-            d = d.reshape((len(y),) + (1,) * (cols.ndim - 2) + (au.size,))
-            return (cols * d).reshape(len(y), -1)
-        return _drive(fn, lo, hi, signed, atol=1e-300)
+    def _routed(self, cols, weights, us, lo, hi, signed=False):
+        """sum_k weights_k int col_k rho over the shell lo <= |u| r < hi for
+        every scale u of ``us``, and the parameters v it used: u where the
+        variable is r, sign(u) where it is y = |u| r.  ``cols(t, v, ks)``
+        gives the columns ``ks`` of the integrand at the points t of the
+        variable, shape (len(t), len(ks), len(v)).
 
-    def _routes(self, us, lo, hi):
-        """The nonzero scales by route, (full, y, loop): one r-space driver
-        for all over [0, inf); over a shell, one y = |u| r driver for the
-        scales |u| <= 1 of a density supported on (0, inf), as for |u| > 1
-        its windows (lo + 2) 2^n / |u| in r fall behind the r-space ones
-        (lo / |u| + 2) 2^n, and a support end would be a step at a different
-        y per scale; one r-space driver per scale for the rest."""
+        The routes of the nonzero scales: over [0, inf), one r-space driver
+        for all; over a shell, one y-space driver for the scales |u| <= 1 of
+        a density supported on (0, inf), each column certified relatively
+        (floor 1e-300), as its value scales with |u|; the rest in r, one
+        driver per scale and column, stopping at the first infinite
+        column.  For |u| > 1 the y-windows (lo + 2) 2^n / |u| in r fall
+        behind the r-space ones (lo / |u| + 2) 2^n, and a support end would
+        be a step at a different y per scale."""
         nz = np.flatnonzero(us)
         none = nz[:0]
         if lo == 0.0 and hi == INF:
-            return (nz, none, none) if nz.size > 1 else (none, none, nz)
-        if self.density.support != (0.0, INF):
-            return none, none, nz
-        small = np.abs(us[nz]) <= 1.0
-        return none, nz[small], nz[~small]
-
-    def _columns(self, h, t, v):
-        """h(t v_j xi_k): one column per (direction k, scale j) pair, on
-        the last two axes."""
-        x = (t[:, None] * v[None, :])[:, None, :, None] \
-            * self.directions[None, :, None, :]
-        return np.asarray(h(x.reshape(-1, self.dim)),
-                          dtype=float).reshape(len(t), len(self.weights), v.size)
-
-    def scaled_integral(self, h, us, lo=0.0, hi=INF):
-        us = _scales(us)
-        out = np.zeros(us.shape)
-        full, ys, loop = self._routes(us, lo, hi)
+            full, ys, loop = (nz, none, none) if nz.size > 1 else (none, none, nz)
+        elif self.density.support != (0.0, INF):
+            full, ys, loop = none, none, nz
+        else:
+            small = np.abs(us[nz]) <= 1.0
+            full, ys, loop = none, nz[small], nz[~small]
+        out, v = np.zeros(us.shape), np.zeros(us.shape)
+        v[full], v[ys], v[loop] = us[full], np.sign(us[ys]), us[loop]
         if full.size:
             u = us[full]
-            parts = np.zeros(len(self.weights) * u.size) + self.radial_integral(
-                lambda r: self._columns(h, r, u).reshape(len(r), -1), 0.0, INF)
-            out[full] = self.weights @ parts.reshape(-1, u.size)
+            parts = np.zeros(len(weights) * u.size) + self.radial_integral(
+                lambda r: cols(r, u, slice(None)).reshape(len(r), -1), 0.0, INF, signed)
+            out[full] = weights @ parts.reshape(-1, u.size)
         if ys.size:
-            sg = np.sign(us[ys])
-            parts = self._shell_y(lambda y: self._columns(h, y, sg), np.abs(us[ys]), lo, hi)
-            out[ys] = self.weights @ parts.reshape(-1, ys.size)
+            au, vy = np.abs(us[ys]), v[ys]
+
+            def fn(y):
+                # r = y / a may overflow for tiny a: the density is 0 there
+                with np.errstate(over="ignore"):
+                    d = self.density(y[:, None] / au[None, :]) / au[None, :]
+                return (cols(y, vy, slice(None)) * d[:, None, :]).reshape(len(y), -1)
+            parts = _drive(fn, lo, hi, signed, atol=1e-300)
+            out[ys] = weights @ parts.reshape(-1, ys.size)
         for i in loop:
-            u = us[i]
-            a = abs(u)
+            a = abs(us[i])
             with np.errstate(over="ignore"):
                 rlo, rhi = lo / a, hi / a
             total = 0.0
-            for xi, w in zip(self.directions, self.weights):
-                def g(r, xi=xi):
-                    return np.asarray(h(np.outer(u * r, xi)), dtype=float)
-                part = self.radial_integral(g, rlo, rhi)
+            for k, wk in enumerate(weights):
+                part = self.radial_integral(
+                    lambda r: cols(r, us[i:i + 1], slice(k, k + 1))[:, 0, 0], rlo, rhi,
+                    signed)
                 if part == INF:
                     total = INF
                     break
-                total += w * part
+                total += wk * part
             out[i] = total
-        return out
+        return out, v
+
+    def _shell(self, us, h, lo, hi):
+        def cols(t, v, ks):
+            # h(t v_j xi_k), one column per (direction k in ks, scale j)
+            dirs = self.directions[ks]
+            x = (t[:, None] * v[None, :])[:, None, :, None] * dirs[None, :, None, :]
+            return np.asarray(h(x.reshape(-1, self.dim)),
+                              dtype=float).reshape(len(t), len(dirs), v.size)
+        return self._routed(cols, self.weights, us, lo, hi)[0]
 
     def _clip_single(self, u, power):
         """int (|u r|^power ^ 1) rho(r) dr, split at the clipping radius so
@@ -560,35 +579,26 @@ class RadialMeasure(LevyMeasure):
             return INF
         return abs(u) ** power * float(body) + float(tail)
 
-    def clip2_scaled(self, us):
-        us = np.atleast_1d(np.asarray(us, dtype=float))
+    def _clip2(self, us):
         return self.weight_sum() * np.array([self._clip_single(float(u), 2.0) for u in us])
 
-    def clip1_scaled(self, us):
-        us = np.atleast_1d(np.asarray(us, dtype=float))
-        test = self.density.moment_order_test(1.0)
-        if test is False:
-            return np.where(us != 0, INF, 0.0)
-        vals = np.array([self._clip_single(float(u), 1.0) for u in us])
-        if np.any(np.isinf(vals)):
-            return np.where(us != 0, INF, 0.0)
-        return self.weight_sum() * vals
+    def _clip1(self, us):
+        if self.density.moment_order_test(1.0) is not False:
+            vals = np.array([self._clip_single(float(u), 1.0) for u in us])
+            if not np.any(np.isinf(vals)):
+                return self.weight_sum() * vals
+        return np.where(us != 0, INF, 0.0)
 
-    def centering_scaled(self, us):
-        us = np.asarray(us, dtype=float)
-
+    def _centering(self, us):
         def g(r):
             ur = np.outer(r, us)
             r2 = (r * r)[:, None]
             return r[:, None] * (1.0 / (1.0 + ur * ur) - 1.0 / (1.0 + r2))
 
         val = np.asarray(self.radial_integral(g, 0.0, INF, signed=True))
-        out = np.einsum("k,kd,m->md", self.weights, self.directions, val)
-        return out
+        return np.einsum("k,kd,m->md", self.weights, self.directions, val)
 
-    def cumulant_scaled(self, z, us):
-        us = np.asarray(us, dtype=float)
-        z = np.asarray(z, dtype=float)
+    def _cumulant(self, us, z):
         out = np.zeros(us.shape, dtype=complex)
         for xi, w in zip(self.directions, self.weights):
             theta = float(xi @ z)
@@ -629,33 +639,16 @@ class RadialMeasure(LevyMeasure):
             R *= 4.0
         raise InconclusiveError("cumulant tail bound did not close")
 
-    def vector_weighted_scaled(self, w, us, lo=0.0, hi=INF):
+    def _vector_shell(self, us, w, lo, hi):
         # int (u r xi) w(|u| r) rho(r) dr over the directions: the weighted
-        # direction sum times one coefficient per scale, u int r w(|u| r)
-        # rho(r) dr in r, or sign(u) int y w(y) rho(y / |u|) / |u| dy in y
-        us = _scales(us)
-        coef = np.zeros(us.shape)
-        full, ys, loop = self._routes(us, lo, hi)
-        if full.size:
-            au = np.abs(us[full])
-
-            def g(r):
-                x = r[:, None] * au[None, :]
-                return r[:, None] * np.asarray(w(x.ravel()), dtype=float).reshape(x.shape)
-            coef[full] = us[full] * self.radial_integral(g, 0.0, INF, signed=True)
-        if ys.size:
-            coef[ys] = np.sign(us[ys]) * self._shell_y(
-                lambda y: (y * np.asarray(w(y), dtype=float))[:, None],
-                np.abs(us[ys]), lo, hi, signed=True)
-        for i in loop:
-            a = abs(us[i])
-            with np.errstate(over="ignore"):
-                rlo, rhi = lo / a, hi / a
-
-            def g(r, a=a):
-                return r * np.asarray(w(a * r), dtype=float)
-            coef[i] = us[i] * self.radial_integral(g, rlo, rhi, signed=True)
-        return np.outer(coef, self.direction_sum())
+        # direction sum times one coefficient per scale, v int t w(|v| t)
+        # over the variable t of the scale's route
+        def col(t, v, ks):
+            x = t[:, None] * np.abs(v)[None, :]
+            return (t[:, None] * np.asarray(w(x.ravel()), dtype=float).reshape(x.shape))[
+                :, None, :]
+        coef, v = self._routed(col, _ONE, us, lo, hi, signed=True)
+        return np.outer(v * coef, self.direction_sum())
 
     def is_symmetric(self):
         return _reflection_symmetric(self.directions, self.weights)
@@ -731,9 +724,8 @@ class GammaMeasure(RadialMeasure):
     def _radial_law(self):
         return ("gamma", self.shape, self.rate)
 
-    def clip2_scaled(self, us):
+    def _clip2(self, us):
         from scipy.special import exp1, gammainc
-        us = np.atleast_1d(np.asarray(us, dtype=float))
         au = np.abs(us)
         out = np.zeros(us.shape)
         nz = au > 0
@@ -745,9 +737,8 @@ class GammaMeasure(RadialMeasure):
         out[nz] = self.shape * (body + exp1(x))
         return out
 
-    def clip1_scaled(self, us):
+    def _clip1(self, us):
         from scipy.special import exp1
-        us = np.atleast_1d(np.asarray(us, dtype=float))
         au = np.abs(us)
         lam = self.rate
         out = np.zeros(us.shape)
@@ -764,8 +755,7 @@ class GammaMeasure(RadialMeasure):
         return np.where(rs > 0, self.shape * exp1(np.maximum(self.rate * rs, 1e-300)),
                         INF)
 
-    def centering_scaled(self, us):
-        us = np.atleast_1d(np.asarray(us, dtype=float))
+    def _centering(self, us):
         au = np.abs(us)
         vals = np.zeros(us.shape)
         nz = au > 0
@@ -778,9 +768,7 @@ class GammaMeasure(RadialMeasure):
         vals[nz] = self.shape * (part - g1)
         return np.outer(vals, self.direction)
 
-    def cumulant_scaled(self, z, us):
-        z = np.asarray(z, dtype=float)
-        us = np.atleast_1d(np.asarray(us, dtype=float))
+    def _cumulant(self, us, z):
         theta = float(self.direction @ z)
         out = np.zeros(us.shape, dtype=complex)
         nz = us != 0
@@ -832,15 +820,14 @@ class StableMeasure(RadialMeasure):
         with np.errstate(over="ignore"):
             return np.abs(us) ** self.alpha
 
-    def scaled_integral(self, h, us, lo=0.0, hi=INF):
+    def _shell(self, us, h, lo, hi):
         # the scaling identity nu(B/u) = |u|^alpha nu(sign(u) B): one base
         # integral of h(sign(u) y) over lo <= |y| < hi per sign
-        us = _scales(us)
         out = np.zeros(us.shape)
         for sign in (1.0, -1.0):
             sel = np.sign(us) == sign
             if sel.any():
-                base = super().scaled_integral(h, np.array([sign]), lo, hi)[0]
+                base = super()._shell(np.array([sign]), h, lo, hi)[0]
                 out[sel] = self._scale_factors(us[sel]) * base
         return out
 
@@ -850,27 +837,26 @@ class StableMeasure(RadialMeasure):
             out = np.where(rs > 0, rs ** (-self.alpha) / self.alpha, INF)
         return self.weight_sum() * out
 
-    def clip2_scaled(self, us):
-        us = np.abs(np.asarray(us, dtype=float))
+    def _clip2(self, us):
+        us = np.abs(us)
         a = self.alpha
         c = 1.0 / (2.0 - a) + 1.0 / a
         return self.weight_sum() * c * us ** a
 
-    def clip1_scaled(self, us):
-        us = np.abs(np.asarray(us, dtype=float))
+    def _clip1(self, us):
+        us = np.abs(us)
         a = self.alpha
         if a >= 1.0:
             return np.where(us > 0, INF, 0.0)
         c = 1.0 / (1.0 - a) + 1.0 / a
         return self.weight_sum() * c * us ** a
 
-    def centering_scaled(self, us):
+    def _centering(self, us):
         # int_0^inf r^(-alpha) (1/(1+u^2 r^2) - 1/(1+r^2)) dr
         #   = (pi / (2 cos(pi alpha / 2))) (|u|^(alpha-1) - 1)   for alpha != 1
         #   = -log|u|                                            for alpha == 1
         # The u = 0 entries are set to 0: callers always multiply by the
         # kernel value, and u * centering(u) -> 0 in the limit.
-        us = np.asarray(us, dtype=float)
         a = self.alpha
         au = np.abs(us)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -881,11 +867,9 @@ class StableMeasure(RadialMeasure):
                 vals = np.where(au > 0, k * (au ** (a - 1.0) - 1.0), 0.0)
         return np.outer(vals, self.direction_sum())
 
-    def cumulant_scaled(self, z, us):
+    def _cumulant(self, us, z):
         # transported centering: the exact scaling identity gives
         # |u|^alpha * I(theta sign u) per direction
-        us = np.asarray(us, dtype=float)
-        z = np.asarray(z, dtype=float)
         a = self.alpha
         scale = np.abs(us) ** a
         sg = np.sign(us)
@@ -895,13 +879,12 @@ class StableMeasure(RadialMeasure):
             out = out + w * scale * _stable_exponent(a, sg * theta)
         return out
 
-    def vector_weighted_scaled(self, w, us, lo=0.0, hi=INF):
+    def _vector_shell(self, us, w, lo, hi):
         # the same identity: sign(u) |u|^alpha times one base moment vector
-        us = _scales(us)
         out = np.zeros(us.shape + (self.dim,))
         nz = us != 0.0
         if nz.any():
-            base = super().vector_weighted_scaled(w, _ONE, lo, hi)[0]
+            base = super()._vector_shell(_ONE, w, lo, hi)[0]
             out[nz] = np.outer(np.sign(us[nz]) * self._scale_factors(us[nz]), base)
         return out
 
@@ -947,26 +930,11 @@ class SumMeasure(LevyMeasure):
         self.parts = parts
         self.dim = parts[0].dim
 
-    def scaled_integral(self, h, us, lo=0.0, hi=INF):
-        return sum(p.scaled_integral(h, us, lo, hi) for p in self.parts)
+    def scaled(self, f, us):
+        return sum(p.scaled(f, us) for p in self.parts)
 
     def tail_mass(self, rs):
         return sum(p.tail_mass(rs) for p in self.parts)
-
-    def clip2_scaled(self, us):
-        return sum(p.clip2_scaled(us) for p in self.parts)
-
-    def clip1_scaled(self, us):
-        return sum(p.clip1_scaled(us) for p in self.parts)
-
-    def centering_scaled(self, us):
-        return sum(p.centering_scaled(us) for p in self.parts)
-
-    def cumulant_scaled(self, z, us):
-        return sum(p.cumulant_scaled(z, us) for p in self.parts)
-
-    def vector_weighted_scaled(self, w, us, lo=0.0, hi=INF):
-        return sum(p.vector_weighted_scaled(w, us, lo, hi) for p in self.parts)
 
     def is_symmetric(self):
         # parts may be reflections of each other (a symmetrized gamma is a

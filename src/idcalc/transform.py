@@ -76,20 +76,24 @@ class TransformResult:
 class ScaleMixtureMeasure(LevyMeasure):
     """The scale mixture nu~(B) = int nu(B/v) m(dv) of a base Levy measure.
 
-    Every functional of nu~ at scale u is the matching functional of the
-    base measure at scale u v, mixed over m, except the centering: over
-    y = v x the weight 1/(1+|y|^2) sits at scale v, so the mixed per-scale
-    centering is v (c(u v) - c(v)).  A call hands the mixing every scale
-    (or radius) it asks for as the components of one vector integrand, so
-    it makes one mixing driver call however many there are; the base
-    answers for all the scales of an outer quadrature panel in one call.
-    Zero scales give 0 without mixing.
+    Every functional of nu~ at scale u is the same functional of the base
+    measure at scale u v, mixed over m, so one ``scaled`` answers them all;
+    zero scales, and every scale of a zero base, give 0 without mixing.
+    Two functionals differ: over y = v x the centering weight 1/(1+|y|^2)
+    sits at scale v, so the mixed per-scale centering is v (c(u v) - c(v));
+    and a base with an infinite clipped first moment has an infinite one
+    at every nonzero scale.  A call hands the mixing every scale (or
+    radius) it asks for as the components of one vector integrand, so it
+    makes one mixing driver call however many there are; the base answers
+    for all the scales of an outer quadrature panel in one call.
 
     A subclass supplies m through one hook, ``_mix(fn, nonneg, label,
     atol)``: it integrates the vectorized ``fn`` against m and reads the
     result with :meth:`ImproperResult.certified`, so a certified divergence
-    of a nonnegative mixture is +inf; it names ``label`` in its error and
-    uses ``atol`` as its absolute panel tolerance.
+    of a nonnegative mixture is +inf.  The pushforward names ``label`` in
+    its error and uses ``atol`` as its absolute panel tolerance; the
+    occupation mixture ignores both (panel tolerance 1e-13, error label
+    "occupation mixture").
     """
 
     base: LevyMeasure
@@ -97,51 +101,32 @@ class ScaleMixtureMeasure(LevyMeasure):
     def _mix(self, fn, nonneg=False, label="integral", atol=1e-13):
         raise NotImplementedError
 
-    def _mixed(self, us, per_scale, nonneg=False, label="integral", shape=(),
-               dtype=float):
-        """Mix over m, for every nonzero scale u of ``us`` at once, the base
-        values ``per_scale(w, vs)`` at the scales w = v u of the mixing
-        abscissae vs (one row of w per v, flattened)."""
-        us = np.atleast_1d(np.asarray(us, dtype=float))
-        out = np.zeros(us.shape + shape, dtype=dtype)
+    def scaled(self, f, us):
+        shape = f.shape(self.dim)
+        out = np.zeros(us.shape + shape, f.dtype)
         nz = us != 0.0
-        if nz.any():
-            u = us[nz]
-            out[nz] = self._mix(lambda vs: np.reshape(
-                per_scale(np.outer(vs, u).reshape(-1), vs), (vs.size, u.size) + shape),
-                nonneg, label)
-        return out
-
-    def scaled_integral(self, h, us, lo=0.0, hi=INF):
-        if self.base.is_zero():
-            return np.zeros(np.atleast_1d(us).shape)
-        return self._mixed(us, lambda w, vs: self.base.scaled_integral(h, w, lo, hi),
-                           nonneg=True)
-
-    def clip2_scaled(self, us):
-        return self._mixed(us, lambda w, vs: self.base.clip2_scaled(w), nonneg=True)
-
-    def clip1_scaled(self, us):
-        if math.isinf(self.base.clip1_scaled(_ONE)[0]):
+        if self.base.is_zero() or not nz.any():
+            return out
+        if f.name == "clip1" and math.isinf(self.base.scaled(f, _ONE)[0]):
             # min(|v x|, 1) lies within a factor max(|v|, 1/|v|) of
             # min(|x|, 1): the base moment is infinite at every nonzero
             # scale, and the mixture wherever m has mass off 0
             off_zero = self._mix(lambda vs: (vs != 0.0).astype(float), nonneg=True)
-            us = np.atleast_1d(np.asarray(us, dtype=float))
-            return np.where((us != 0.0) & (off_zero > 0.0), INF, 0.0)
-        return self._mixed(us, lambda w, vs: self.base.clip1_scaled(w), nonneg=True)
+            return np.where(nz & (off_zero > 0.0), INF, 0.0)
 
-    def centering_scaled(self, us):
         def per_scale(w, vs):
-            c = self.base.centering_scaled(np.concatenate([w, vs]))
+            # the base values at the scales w = v u of the mixing abscissae
+            # vs, one row of w per v, flattened
+            if f.name != "centering":
+                return self.base.scaled(f, w)
+            c = self.base.scaled(f, np.concatenate([w, vs]))
             cw = c[:w.size].reshape(vs.size, -1, self.dim)
             return vs[:, None, None] * (cw - c[w.size:][:, None, :])
-        return self._mixed(us, per_scale, label="centering", shape=(self.dim,))
-
-    def cumulant_scaled(self, z, us):
-        z = np.asarray(z, dtype=float)
-        return self._mixed(us, lambda w, vs: self.base.cumulant_scaled(z, w),
-                           label="exponent", dtype=complex)
+        u = us[nz]
+        out[nz] = self._mix(lambda vs: np.reshape(
+            per_scale(np.outer(vs, u).reshape(-1), vs), (vs.size, u.size) + shape),
+            f.nonneg, f.label)
+        return out
 
     def tail_mass(self, rs):
         rs = np.atleast_1d(np.asarray(rs, dtype=float))
@@ -152,10 +137,6 @@ class ScaleMixtureMeasure(LevyMeasure):
                 vals = self.base.tail_mass((rs / np.where(vs > 0, vs, 1.0)).reshape(-1))
             return np.where(vs > 0, vals.reshape(vs.size, rs.size), 0.0)
         return np.asarray(self._mix(per_radius, nonneg=True, atol=1e-12), dtype=float)
-
-    def vector_weighted_scaled(self, w, us, lo=0.0, hi=INF):
-        return self._mixed(us, lambda ws, vs: self.base.vector_weighted_scaled(
-            w, ws, lo, hi), label="moment vector", shape=(self.dim,))
 
     def is_symmetric(self):
         return self.base.is_symmetric()

@@ -502,3 +502,77 @@ def test_gamma_clip_moments_match_mpmath(shape, rate):
                                          [0, a]) + tail)
             assert abs(gm.clip2_scaled([u])[0] - want2) <= 1e-13 * want2, u
             assert abs(gm.clip1_scaled([u])[0] - want1) <= 1e-13 * want1, u
+
+
+def _surface_measures():
+    """One measure of every representation, by name."""
+    from idcalc.transform import PushforwardMeasure
+    atoms = ic.AtomicMeasure([[1.5], [-0.5]], [2.0, 1.0])
+    stable = ic.StableMeasure(0.7, [[1.0], [-1.0]], [0.6, 0.4])
+    gamma = ic.gamma_measure(1.0, 2.0, [1.0])
+    # compact, as the radial cumulant of r^-2.5 on (0, inf) is not
+    # certified: its R-doubling loop needs R ~ 2e6, past the signed driver
+    r25 = ic.RadialDensity(lambda r: r ** -2.5, support=(0.0, 4.0), order_zero=-2.5,
+                           order_inf=-INF)
+    return {
+        "zero": ic.ZeroMeasure(1),
+        "atomic": atoms,
+        "radial": ic.RadialMeasure([[1.0], [-1.0]], [0.7, 0.3], r25),
+        "stable": stable,
+        "gamma": gamma,
+        "sum": ic.SumMeasure([atoms, gamma, stable]),
+        "pushforward": PushforwardMeasure(ic.exp_kernel(), atoms),
+        "tau-mixture": TauMixtureMeasure(ic.tau_exponential(), atoms),
+    }
+
+
+# the six functionals: name, call, value shape of one scale, dtype
+_SURFACE = [
+    ("scaled_integral", lambda nu, us: nu.scaled_integral(_clip, us), False, float),
+    ("clip2_scaled", lambda nu, us: nu.clip2_scaled(us), False, float),
+    ("clip1_scaled", lambda nu, us: nu.clip1_scaled(us), False, float),
+    ("centering_scaled", lambda nu, us: nu.centering_scaled(us), True, float),
+    ("cumulant_scaled", lambda nu, us: nu.cumulant_scaled(np.array([0.7]), us), False,
+     complex),
+    ("vector_weighted_scaled",
+     lambda nu, us: nu.vector_weighted_scaled(_weight, us, 1.0, INF), True, float),
+]
+
+
+class TestFunctionalSurface:
+    """Every representation answers the six functionals with one shape
+    contract: (m,), or (m, dim) for the centering and vector functionals,
+    a scalar scale counting as m = 1."""
+
+    @pytest.mark.parametrize("kind", list(_surface_measures()))
+    def test_shape_and_dtype(self, kind):
+        nu = _surface_measures()[kind]
+        for name, call, vector, dtype in _SURFACE:
+            for us, m in ((0.5, 1), (np.array([0.0, 0.5, -2.0]), 3)):
+                got = call(nu, us)
+                want = (m, nu.dim) if vector else (m,)
+                assert isinstance(got, np.ndarray), (name, us)
+                assert got.shape == want, (name, us, got.shape)
+                assert got.dtype == np.dtype(dtype), (name, us, got.dtype)
+
+    def test_zero_base_mixtures_make_no_driver_call(self, monkeypatch):
+        import idcalc.measures as measures
+        import idcalc.quadrature as quadrature
+        import idcalc.transform as transform
+        from idcalc.transform import PushforwardMeasure
+        calls = []
+        for module in (quadrature, measures, transform):
+            for name in ("improper_nonneg", "improper_limit", "adaptive_quad"):
+                if hasattr(module, name):
+                    def counted(*args, _name=name, _fn=getattr(module, name), **kwargs):
+                        calls.append(_name)
+                        return _fn(*args, **kwargs)
+                    monkeypatch.setattr(module, name, counted)
+        us = np.array([0.0, 0.5, -2.0])
+        for nu in (PushforwardMeasure(ic.exp_kernel(), ic.ZeroMeasure(1)),
+                   TauMixtureMeasure(ic.tau_exponential(), ic.ZeroMeasure(1))):
+            for name, call, vector, dtype in _SURFACE:
+                got = call(nu, us)
+                np.testing.assert_array_equal(
+                    got, np.zeros((3, 1) if vector else (3,), dtype), err_msg=name)
+        assert calls == []
