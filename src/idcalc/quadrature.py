@@ -71,10 +71,17 @@ are wasted work, which the lookahead bounds:
 
 Any other slab (a closed-form window hook, say) is called one window at a
 time.
+
+Driver state is Python lists, one float per component: on a level's few
+components a numpy call costs more than the rules.  Slab values become
+lists once per block, the signed driver keeps one trace array per level,
+and complex magnitudes are numpy's (Python's ``abs`` misses some by an
+ulp).  A NaN that a level adds to an open component is a slab failure.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 import warnings
@@ -282,24 +289,30 @@ class ImproperResult:
 
 
 class _Components:
-    """Outcome of each component of an improper driver's value."""
+    """Outcome, open list and stable runs of an improper driver's components."""
 
     def __init__(self, n, nonneg):
         self.status = ["open"] * n
         self.evidence = [None] * n
         self.last = None
         self.nonneg = nonneg
-
-    def open(self):
-        return [c for c, s in enumerate(self.status) if s == "open"]
-
-    def open_mask(self, shape):
-        return np.array([s == "open" for s in self.status]).reshape(shape)
+        self.open = list(range(n))
+        self.stable = [0] * n
 
     def decide(self, c, status, evidence):
         self.status[c] = status
         self.evidence[c] = evidence
         self.last = evidence
+        self.open.remove(c)
+
+    def span(self, consec):
+        """Levels to evaluate from the current one on: the lookahead, or fewer
+        once every open component is in a stable run, which may then end
+        ``consec`` minus the shortest run's length levels on."""
+        runs = [self.stable[c] for c in self.open]
+        if runs and min(runs) > 0:
+            return min(_LOOKAHEAD, consec - min(runs))
+        return _LOOKAHEAD
 
     def with_components(self, evidence):
         if len(self.status) == 1:
@@ -310,7 +323,7 @@ class _Components:
         """The driver's result once every component is decided or the
         level budget is spent; ``value`` holds each component's final
         value."""
-        if "open" in self.status:
+        if self.open:
             return ImproperResult("inconclusive", value, trace,
                                   self.with_components(budget), self.nonneg)
         if "converged" not in self.status:
@@ -336,6 +349,7 @@ def default_anchor(a, b):
     return -1.0, 1.0
 
 
+@functools.lru_cache(maxsize=256, typed=True)
 def window_schedule(a, b, levels, p0=None, q0=None):
     """Nested windows (p_n, q_n) with p_n -> a and q_n -> b geometrically."""
     d0p, d0q = default_anchor(a, b)
@@ -352,11 +366,12 @@ def window_schedule(a, b, levels, p0=None, q0=None):
         else:
             q = max(1.0, abs(q0)) * 2.0 ** n
         out.append((p, q))
-    return out
+    return tuple(out)
 
 
 class _LevelSlabs:
-    """Slab values of each level of a window schedule, left window first.
+    """Slab values of each level of a window schedule, left window first,
+    each a flat list of components, of a value of shape ``shape``.
 
     A batched slab (one from :func:`slab_quad`) is called on the windows of
     a block of levels at once; any other slab on one window at a time.  A
@@ -371,6 +386,7 @@ class _LevelSlabs:
         self.batched = getattr(slab, "batched", False)
         self.ready = {}
         self.solo_until = 0
+        self.complex = False
 
     def windows(self, n):
         if n == 0:
@@ -378,6 +394,13 @@ class _LevelSlabs:
         (p_prev, q_prev), (p, q) = self.sched[n - 1], self.sched[n]
         return [w for w, new in (((p, p_prev), p < p_prev), ((q_prev, q), q > q_prev))
                 if new]
+
+    def rows(self, vals, count=None):
+        """Values of ``count`` stacked windows, or of one, as flat lists."""
+        vals = np.asarray(vals)
+        self.shape = vals.shape if count is None else vals.shape[1:]
+        self.complex = self.complex or vals.dtype.kind == "c"
+        return vals.reshape(1 if count is None else count, math.prod(self.shape)).tolist()
 
     def values(self, n, span):
         """Slab values of level ``n``.  When a block is due it holds ``span``
@@ -397,23 +420,37 @@ class _LevelSlabs:
             except Exception:  # raised again below if a reached level raises it
                 clean = False
             if clean:
+                rows = self.rows(vals, len(flat))
                 i = 0
                 for m, ws in zip(block, wins):
-                    self.ready[m] = list(vals[i:i + len(ws)])
+                    self.ready[m] = rows[i:i + len(ws)]
                     i += len(ws)
                 return self.ready.pop(n)
             self.solo_until = block.stop
-        return [self.slab(lo, hi) for (lo, hi) in self.windows(n)]
+        return [self.rows(self.slab(lo, hi))[0] for (lo, hi) in self.windows(n)]
 
 
-def _lookahead(stable, open_, consec):
-    """Levels to evaluate from the current one on: the lookahead, or fewer
-    once every open component is in a stable run, since the run may then
-    end ``consec`` minus the shortest run's length levels on."""
-    runs = [stable[c] for c in open_]
-    if runs and min(runs) > 0:
-        return min(_LOOKAHEAD, consec - min(runs))
-    return _LOOKAHEAD
+def _level_sum(level, zero, size):
+    """Each component's sum of a level's windows, onto ``zero`` as in numpy."""
+    inc = [zero] * size
+    for row in level:
+        inc = [x + y for x, y in zip(inc, row)]
+    return inc
+
+
+def _no_nan(vals, n, open_=None):
+    """``vals``, unless level ``n`` adds a NaN, which no rule reads, to an
+    open component (to any when ``open_`` is None)."""
+    if any(v != v for v in (vals if open_ is None else (vals[c] for c in open_))):
+        raise QuadratureFailure(f"NaN slab value at level {n}")
+    return vals
+
+
+def _value(vals, shape, reduce):
+    """Component values as an array of ``shape``; a 0-d one as a numpy
+    scalar when ``reduce``, as the array sums of the level loop gave it."""
+    arr = np.array(vals).reshape(shape)
+    return arr[()] if reduce and not shape else arr
 
 
 def geometric_ratio(seq):
@@ -438,29 +475,31 @@ def improper_limit(slab, a, b, *, rtol=1e-8, atol=1e-12, diverge=1e10,
     sched = window_schedule(a, b, levels, p0=p0, q0=q0)
     slabs = _LevelSlabs(slab, sched)
     try:
-        value = np.array(np.asarray(slabs.values(0, _LOOKAHEAD)[0]), copy=True)
+        value = _no_nan(slabs.values(0, _LOOKAHEAD)[0], 0)
     except QuadratureFailure as e:
         return ImproperResult("inconclusive", None, [],
                               {"rule": "slab-quadrature-failure", "detail": str(e)})
-    trace = [(*sched[0], np.array(value, copy=True))]
-    comps = _Components(value.size, False)
-    stable = [0] * value.size
+    shape = slabs.shape
+    comps = _Components(len(value), False)
+    trace = [(*sched[0], _value(value, shape, False))]
+    stable = comps.stable
     for n, (p, q) in enumerate(sched[1:], 1):
-        inc = 0.0
         try:
-            for v in slabs.values(n, _lookahead(stable, comps.open(), consec)):
-                inc = inc + np.asarray(v)
+            level = slabs.values(n, comps.span(consec))
+            inc = _no_nan(_level_sum(level, 0j if slabs.complex else 0.0, len(value)),
+                          n, comps.open)
         except QuadratureFailure as e:
-            return ImproperResult("inconclusive", value, trace,
+            return ImproperResult("inconclusive", np.array(trace[-1][2]), trace,
                                   {"rule": "slab-quadrature-failure",
                                    "detail": str(e)})
         # a decided component keeps the value of the level that decided it
-        new_value = np.where(comps.open_mask(value.shape), value + inc, value)
-        delta = np.abs(new_value - value).reshape(-1)
-        value = new_value
-        trace.append((p, q, np.array(value, copy=True)))
-        mags = np.abs(value).reshape(-1)
-        for c in comps.open():
+        old, value = value, [x + d if s == "open" else x
+                             for x, d, s in zip(value, inc, comps.status)]
+        trace.append((p, q, _value(value, shape, False)))
+        # numpy's complex magnitudes: Python's abs misses some by an ulp
+        mag = np.abs if slabs.complex else (lambda vals: [abs(v) for v in vals])
+        delta, mags = mag([x - y for x, y in zip(value, old)]), mag(value)
+        for c in comps.open[:]:
             if mags[c] > diverge:
                 # a vector with a divergent component has no limit
                 comps.decide(c, "diverged", {"rule": "magnitude",
@@ -474,13 +513,15 @@ def improper_limit(slab, a, b, *, rtol=1e-8, atol=1e-12, diverge=1e10,
                     comps.decide(c, "converged", {"levels": len(trace) - 1})
             else:
                 stable[c] = 0
-        if not comps.open():
-            return comps.result(value, trace, None)
+        if not comps.open:
+            return comps.result(np.array(trace[-1][2]), trace, None)
     # budget exhausted: extrapolate an exactly geometric increment sequence
+    value = np.array(trace[-1][2])
     tails = np.zeros_like(value)
-    for c in comps.open():
-        incs = [np.atleast_1d(trace[i + 1][2].reshape(-1)[c] - trace[i][2].reshape(-1)[c])
-                for i in range(len(trace) - 1)][-6:]
+    recent = trace[-7:]
+    for c in comps.open[:]:
+        incs = [np.atleast_1d(y[2].reshape(-1)[c] - x[2].reshape(-1)[c])
+                for x, y in zip(recent, recent[1:])]
         norms = [float(np.linalg.norm(v)) for v in incs]
         if len(norms) >= 5 and min(norms) > 0:
             rho = geometric_ratio(norms)
@@ -492,7 +533,7 @@ def improper_limit(slab, a, b, *, rtol=1e-8, atol=1e-12, diverge=1e10,
                 tails.reshape(-1)[c] = incs[-1][0] * rho / (1.0 - rho)
                 comps.decide(c, "converged", {"rule": "tight-geometric-extrapolation",
                                               "ratio": rho})
-    if comps.open():
+    if comps.open:
         return comps.result(value, trace, {"rule": "budget", "levels": levels})
     return comps.result(value + tails, trace, None)
 
@@ -509,40 +550,38 @@ def improper_nonneg(slab, a, b, *, rtol=1e-9, atol=1e-13, blowup=1e12,
     sched = window_schedule(a, b, levels, p0=p0, q0=q0)
     slabs = _LevelSlabs(slab, sched)
     try:
-        first = np.asarray(slabs.values(0, _LOOKAHEAD)[0])
+        total = _no_nan([float(v) for v in slabs.values(0, _LOOKAHEAD)[0]], 0)
     except QuadratureFailure as e:
         return ImproperResult("inconclusive", None, [],
                               {"rule": "slab-quadrature-failure", "detail": str(e)}, True)
-    total = np.array(first, dtype=float, copy=True)
-    windows = []          # per-level added mass of each component
-    trace = [(*sched[0], float(np.max(total)))]
-    comps = _Components(total.size, True)
-    stable = [0] * total.size
-    growing = [0] * total.size
+    shape = slabs.shape
+    comps = _Components(len(total), True)
+    windows = [[] for _ in total]    # per-level added mass of each component
+    trace = [(*sched[0], float(np.max(_value(total, shape, False))))]
+    stable = comps.stable
+    growing = [0] * len(total)
     for n, (p, q) in enumerate(sched[1:], 1):
-        inc = np.zeros_like(total)
         try:
-            for v in slabs.values(n, _lookahead(stable, comps.open(), consec)):
-                inc = inc + np.asarray(v)
+            level = slabs.values(n, comps.span(consec))
+            inc = _no_nan(_level_sum(level, 0.0, len(total)), n, comps.open)
         except QuadratureFailure as e:
-            return ImproperResult("inconclusive", total, trace,
+            return ImproperResult("inconclusive", _value(total, shape, n > 1), trace,
                                   {"rule": "slab-quadrature-failure",
                                    "detail": str(e)}, True)
         # a decided component keeps the value of the level that decided it
-        inc = np.where(comps.open_mask(total.shape), inc, 0.0)
-        if np.any(inc < -1e-12 * np.maximum(1.0, np.abs(total))):
+        if any(inc[c] < -1e-12 * max(1.0, abs(total[c])) for c in comps.open):
             raise QuadratureFailure("negative window in nonnegative improper integral")
-        total = total + inc
-        windows.append(inc.reshape(-1).tolist())
-        trace.append((p, q, float(np.max(total))))
-        tot = total.reshape(-1)
-        for c in comps.open():
-            w = windows[-1][c]
-            if float(tot[c]) > blowup:
-                comps.decide(c, "diverged", {"rule": "threshold",
-                                             "partial": float(tot[c])})
+        for c in comps.open:
+            total[c] += inc[c]
+            windows[c].append(inc[c])
+        trace.append((p, q, max(total)))
+        for c in comps.open[:]:
+            seen = windows[c]
+            w = seen[-1]
+            if total[c] > blowup:
+                comps.decide(c, "diverged", {"rule": "threshold", "partial": total[c]})
                 continue
-            scale = max(1.0, float(tot[c]))
+            scale = max(1.0, total[c])
             if w < rtol * scale + atol:
                 stable[c] += 1
                 if stable[c] >= consec:
@@ -550,10 +589,10 @@ def improper_nonneg(slab, a, b, *, rtol=1e-9, atol=1e-13, blowup=1e12,
                     continue
             else:
                 stable[c] = 0
-            if len(windows) >= 2:
+            if len(seen) >= 2:
                 # only (near-)nondecreasing window masses are divergence
                 # evidence; geometric decay however slow is not
-                if w >= 0.999 * windows[-2][c] and w > _FLOOR * scale:
+                if w >= 0.999 * seen[-2] and w > _FLOOR * scale:
                     growing[c] += 1
                 else:
                     growing[c] = 0
@@ -561,41 +600,42 @@ def improper_nonneg(slab, a, b, *, rtol=1e-9, atol=1e-13, blowup=1e12,
                     comps.decide(c, "diverged", {"rule": "nondecreasing-windows",
                                                  "window": w, "count": growing[c]})
                     continue
-            if len(windows) >= 10:
+            if len(seen) >= 10:
                 # windows settled on a positive level (harmonic-type series):
                 # genuine geometric decay loses visibly over five doublings,
                 # and a rising transient fails the narrow-band requirement
-                lagged = windows[-6][c]
-                recent = [v[c] for v in windows[-3:]]
+                lagged = seen[-6]
+                recent = seen[-3:]
                 if lagged > _FLOOR * scale and min(recent) > _FLOOR * scale \
                         and all(0.90 * lagged <= v <= 1.02 * lagged for v in recent) \
                         and max(recent) <= 1.05 * min(recent):
                     comps.decide(c, "diverged", {"rule": "non-vanishing-windows",
                                                  "window": w, "lagged": lagged})
-        if not comps.open():
-            return comps.result(total, trace, None)
+        if not comps.open:
+            return comps.result(_value(total, shape, True), trace, None)
     # Budget exhausted: attempt geometric tail certification.
-    bounds = np.zeros_like(total)
-    for c in comps.open():
-        tail = [v[c] for v in windows[-6:] if v[c] > 0]
+    bounds = {}
+    for c in comps.open[:]:
+        tail = [v for v in windows[c][-6:] if v > 0]
         if len(tail) < 4:
             continue
         rho = max(tail[i + 1] / tail[i] for i in range(len(tail) - 1))
         if rho < 0.97:
-            bound = tail[-1] * rho / (1.0 - rho)
-            bounds.reshape(-1)[c] = bound
-            comps.decide(c, "converged", {"rule": "geometric-tail", "tail_bound": bound,
-                                          "ratio": rho})
+            bounds[c] = tail[-1] * rho / (1.0 - rho)
+            comps.decide(c, "converged", {"rule": "geometric-tail",
+                                          "tail_bound": bounds[c], "ratio": rho})
         # exactly geometric decay (pure power integrands): the extrapolated
         # tail is exact up to the quadrature noise in the ratio estimate
         elif (rho_hat := geometric_ratio(tail)) is not None:
-            bound = tail[-1] * rho_hat / (1.0 - rho_hat)
-            bounds.reshape(-1)[c] = bound
+            bounds[c] = tail[-1] * rho_hat / (1.0 - rho_hat)
             comps.decide(c, "converged", {"rule": "tight-geometric-extrapolation",
-                                          "tail_bound": bound, "ratio": rho_hat})
-    if comps.open():
-        return comps.result(total, trace, {"rule": "budget", "levels": levels})
-    return comps.result(total + bounds, trace, None)
+                                          "tail_bound": bounds[c], "ratio": rho_hat})
+    if comps.open:
+        return comps.result(_value(total, shape, len(trace) > 1), trace,
+                            {"rule": "budget", "levels": levels})
+    for c, bound in bounds.items():
+        total[c] += bound
+    return comps.result(_value(total, shape, True), trace, None)
 
 
 def slab_quad(fn, *, rtol=1e-10, atol=1e-14):

@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+import reference_drivers
 from idcalc.errors import InconclusiveError, QuadratureFailure
 from idcalc.quadrature import (
     adaptive_quad,
@@ -41,6 +42,46 @@ def test_window_schedule_nests():
     qs = [q for _, q in sched]
     assert all(p2 < p1 for p1, p2 in zip(ps, ps[1:]))
     assert all(q2 > q1 for q1, q2 in zip(qs, qs[1:]))
+
+
+@pytest.mark.parametrize("a, b, p0, q0", [
+    (0.0, 1.0, None, None), (0.0, 1.0, 0.25, None), (0.0, 1.0, None, 0.75),
+    (-2.0, 5.0, 0.25, 0.75), (1.0, INF, None, None), (1.0, INF, 1.5, 4.0),
+    (-INF, 0.5, None, None), (-INF, 0.5, -3.0, 0.25), (-INF, INF, None, None),
+    (-INF, INF, -3.0, 0.5)])
+def test_window_schedule_is_a_cached_tuple_of_the_reference_windows(a, b, p0, q0):
+    sched = window_schedule(a, b, 48, p0=p0, q0=q0)
+    assert isinstance(sched, tuple) and all(isinstance(w, tuple) for w in sched)
+    assert sched == tuple(reference_drivers.window_schedule(a, b, 48, p0=p0, q0=q0))
+    assert window_schedule(a, b, 48, p0=p0, q0=q0) is sched
+
+
+@pytest.mark.parametrize("driver", [improper_nonneg, improper_limit])
+@pytest.mark.parametrize("at", [0, 2])
+def test_nan_window_ends_the_run(driver, at):
+    # one NaN window, then tiny masses: as max(1.0, nan) is 1.0, the NaN would
+    # pass the stabilization rule as a certified nan
+    nan_q = window_schedule(1.0, INF, 48)[at][1]
+    res = driver(lambda p, q: math.nan if q == nan_q else 1e-20, 1.0, INF)
+    assert res.status == "inconclusive"
+    assert res.evidence == {"rule": "slab-quadrature-failure",
+                            "detail": f"NaN slab value at level {at}"}
+    assert len(res.trace) == at
+
+
+def test_nan_in_a_decided_component_is_ignored():
+    # the first component stabilizes by level 5; a NaN it gets later adds
+    # nothing, since a decided component keeps its value
+    late_q = window_schedule(1.0, INF, 48)[6][1]
+
+    def slab(p, q):
+        return np.array([math.nan if q == late_q else 1e-20, q - p])
+
+    for driver, kw, status in ((improper_nonneg, {}, "converged"),
+                               (improper_limit, {"diverge": 1e6}, "diverged")):
+        res = driver(slab, 1.0, INF, **kw)
+        assert res.status == status and len(res.trace) > 7
+        assert res.evidence["rule"] in ("nondecreasing-windows", "magnitude")
 
 
 @pytest.mark.parametrize("expo, expect_status, expect_value", [
