@@ -77,24 +77,39 @@ INF = math.inf
 # JSON -> objects
 # ---------------------------------------------------------------------------
 
-# id(schema) -> (schema, compiled validator); the schema is held so that its
-# id is not reused while the entry lives
+# id(schema) -> (schema, compiled validator, passed specs); the schema is
+# held so that its id is not reused while the entry lives.  The passed specs
+# map the canonical JSON text of each instance that passed to a parsed copy.
 _VALIDATORS = {}
+# most passed specs remembered per schema
+_PASSED_CAP = 256
 
 
 def validate(instance, schema):
     """``jsonschema.validate`` with the schema checked against its
     meta-schema and compiled once per process, at first use: raises the
     same best-match ``ValidationError``, and the same
-    ``jsonschema.exceptions.SchemaError`` for a bad schema."""
+    ``jsonschema.exceptions.SchemaError`` for a bad schema.  An instance
+    with the canonical JSON text of one that passed, and equal to that text
+    parsed, is not checked again: the text tells 1, 1.0 and true apart, and
+    the equality tells lists from tuples and str keys from int keys."""
     entry = _VALIDATORS.get(id(schema))
     if entry is None:
         cls = validator_for(schema)
         cls.check_schema(schema)
-        entry = _VALIDATORS[id(schema)] = (schema, cls(schema))
+        entry = _VALIDATORS[id(schema)] = (schema, cls(schema), {})
+    passed = entry[2]
+    try:
+        key = json.dumps(instance, sort_keys=True)
+    except (TypeError, ValueError):
+        key = None
+    if key in passed and passed[key] == instance:
+        return
     error = best_match(entry[1].iter_errors(instance))
     if error is not None:
         raise error
+    if key is not None and len(passed) < _PASSED_CAP:
+        passed[key] = json.loads(key)
 
 
 def _measure_from_spec(spec, dim):
@@ -584,13 +599,16 @@ def run(argv=None):
 
 
 def _write_report(args, report):
+    """Write the report to ``report.json`` and, without its
+    ``generated_at`` line, to stdout: one ``indent=2`` encode gives both
+    texts, byte for byte those of encoding each on its own (the stamp is a
+    top-level key, and never the last one)."""
     path = os.path.join(_outdir(args), "report.json")
     with open(path, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    json.dump({k: v for k, v in report.items() if k != "generated_at"},
-              sys.stdout, indent=2, sort_keys=True)
-    sys.stdout.write("\n")
+        text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+        fh.write(text)
+    stamp = '\n  "generated_at": ' + json.dumps(report["generated_at"]) + ","
+    sys.stdout.write(text.replace(stamp, "", 1))
 
 
 def main():

@@ -11,11 +11,13 @@ and absolute domains of the induced transforms depend on.  For a decreasing
 f it is fixed by the level function u -> Leb{f > u}: ``level_upper`` is the
 one source of the occupation measure's interval masses, of
 :func:`tau_of_interval` and of the large-level profile h(r) = Leb{f > 1/r}.
-Kernels without a closed-form level function get it from a numeric level
-boundary.  One sampled endpoint limit, which extrapolates steady geometric
-steps, gives the ranges of a bare kernel and of the mass that
-:func:`kernel_from_tau` inverts; one crossing search finds both the level
-boundaries and the values of the generalized inverse.
+Built-in kernels have it in closed form, and a kernel from
+:func:`kernel_from_tau` reads it exactly off the centered mass G it
+inverts, as B - G(u) with B = sup G, unless B is infinite.  Other kernels
+get it from a numeric level boundary.  One sampled endpoint limit, which
+extrapolates steady geometric steps, gives the ranges of a bare kernel and
+of the mass that :func:`kernel_from_tau` inverts; one crossing search finds
+both the level boundaries and the values of the generalized inverse.
 """
 
 from __future__ import annotations
@@ -648,15 +650,19 @@ def kernel_from_tau(tau: TauMeasure, name=None) -> Kernel:
     else:
         c = b1 - 1.0
 
-    F = GeneralizedInverse(lambda u: tau.mass(c, u) if u >= c else -tau.mass(u, c), a1, b1)
+    G = lambda u: tau.mass(c, u) if u >= c else -tau.mass(u, c)
+    F = GeneralizedInverse(G, a1, b1)
 
     def fn(s):
         s = np.atleast_1d(np.asarray(s, dtype=float))
         return np.array([F(-x) for x in s])
 
+    # f(s) = F(-s) > u exactly when -s >= G(u), so Leb{f > u} = B - G(u);
+    # with B = inf the kernel starts at a = -inf and every level is infinite
+    level = (lambda u: F.B - G(u)) if math.isfinite(F.B) else None
     return Kernel(name or f"from_tau({tau.name})", -F.B, -F.A, fn,
                   monotone_decreasing=True, nonnegative=a1 >= 0.0,
-                  tau_density=(None, (a1, b1)))
+                  level_upper=level, tau_density=(None, (a1, b1)))
 
 
 # ---------------------------------------------------------------------------

@@ -438,11 +438,11 @@ def _level_sum(level, zero, size):
     return inc
 
 
-def _no_nan(vals, n, open_=None):
+def _no_nan(vals, n, open_=None, what="slab value"):
     """``vals``, unless level ``n`` adds a NaN, which no rule reads, to an
     open component (to any when ``open_`` is None)."""
     if any(v != v for v in (vals if open_ is None else (vals[c] for c in open_))):
-        raise QuadratureFailure(f"NaN slab value at level {n}")
+        raise QuadratureFailure(f"NaN {what} at level {n}")
     return vals
 
 
@@ -564,6 +564,8 @@ def improper_nonneg(slab, a, b, *, rtol=1e-9, atol=1e-13, blowup=1e12,
         try:
             level = slabs.values(n, comps.span(consec))
             inc = _no_nan(_level_sum(level, 0.0, len(total)), n, comps.open)
+            # an inf total plus a -inf window
+            _no_nan([total[c] + inc[c] for c in comps.open], n, what="total")
         except QuadratureFailure as e:
             return ImproperResult("inconclusive", _value(total, shape, n > 1), trace,
                                   {"rule": "slab-quadrature-failure",

@@ -335,3 +335,126 @@ def test_reused_parser_keeps_defaults(tmp_path, cp, expk, capsys):
     assert report(tmp_path)["results"]["window"] == [0.0, 2.0]
     assert run(common) == 0
     assert report(tmp_path)["results"]["window"] == [0.0, 4.0]
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "--dist", "{cp}"],
+    ["dual", "--dist", "{stable05}"],
+    ["transform", "--kernel", "{expk}", "--dist", "{gaussian}"],
+    ["domain", "--kernel", "{expk}", "--dist", "{stable05}"],
+    ["largeness", "--kernel", "{ind01}"],
+    ["tau", "--kernel", "{expk}"],
+    ["psi", "--kernel", "{expk}", "--dist", "{stable05}"],
+    ["simulate", "--kernel", "{ind01}", "--dist", "{cp}", "--window", "0", "2",
+     "--paths", "2000", "--mesh", "8", "--emit", "csv"],
+    ["classify", "--dist", "missing.json"],
+])
+def test_report_and_stdout_are_the_indented_encodes(tmp_path, gaussian, stable05,
+                                                    cp, expk, ind01, capsys, argv):
+    files = {"gaussian": gaussian, "stable05": stable05, "cp": cp, "expk": expk,
+             "ind01": ind01}
+    run(["--out", str(tmp_path), *(a.format(**files) for a in argv)])
+    text = (tmp_path / "report.json").read_text()
+    rep = json.loads(text)
+    assert text == json.dumps(rep, indent=2, sort_keys=True) + "\n"
+    rep.pop("generated_at")
+    assert capsys.readouterr().out == json.dumps(rep, indent=2, sort_keys=True) + "\n"
+
+
+_VALID_DIST = {"dim": 1, "gamma": [0.0], "nu": _STABLE_NU}
+
+
+def _passed(schema):
+    from idcalc import cli
+    return cli._VALIDATORS[id(schema)][2]
+
+
+def test_invalid_spec_raises_the_same_error_every_time():
+    import copy
+
+    from jsonschema import ValidationError
+
+    from idcalc import cli, schemas
+    spec = copy.deepcopy(_VALID_DIST)
+    spec["nu"]["alpha"] = 2.5
+    messages = []
+    for _ in range(3):
+        with pytest.raises(ValidationError) as e:
+            cli.validate(spec, schemas.DISTRIBUTION_SCHEMA)
+        messages.append(e.value.message)
+    assert len(set(messages)) == 1
+    assert json.dumps(spec, sort_keys=True) not in _passed(schemas.DISTRIBUTION_SCHEMA)
+
+
+def test_spec_mutated_after_passing_is_checked_again():
+    # a memo keyed on the object's id would pass the mutated spec
+    import copy
+
+    from jsonschema import ValidationError
+
+    from idcalc import cli, schemas
+    spec = copy.deepcopy(_VALID_DIST)
+    cli.validate(spec, schemas.DISTRIBUTION_SCHEMA)
+    cli.validate(spec, schemas.DISTRIBUTION_SCHEMA)
+    spec["nu"]["alpha"] = 2.5
+    with pytest.raises(ValidationError):
+        cli.validate(spec, schemas.DISTRIBUTION_SCHEMA)
+
+
+def test_spec_with_tuples_or_int_keys_is_not_taken_for_its_json_text(monkeypatch):
+    # json.dumps writes a tuple as a list and an int key as a string, which
+    # jsonschema reads as no array and no property
+    import jsonschema
+
+    from idcalc import cli, schemas
+    monkeypatch.setattr(cli, "_VALIDATORS", {})
+    cli.validate(_VALID_DIST, schemas.DISTRIBUTION_SCHEMA)
+    for spec in ({**_VALID_DIST, "gamma": (0.0,)},
+                 {**_VALID_DIST, "nu": {"type": "stable", "alpha": 0.5,
+                                        "directions": ({"xi": [1.0], "weight": 1.0},)}}):
+        with pytest.raises(jsonschema.ValidationError) as want:
+            jsonschema.validate(spec, schemas.DISTRIBUTION_SCHEMA)
+        with pytest.raises(jsonschema.ValidationError) as got:
+            cli.validate(spec, schemas.DISTRIBUTION_SCHEMA)
+        assert got.value.message == want.value.message
+    schema = {"required": ["1"]}
+    cli.validate({"1": 0}, schema)
+    with pytest.raises(jsonschema.ValidationError):
+        cli.validate({1: 0}, schema)
+
+
+def test_spec_holding_a_numpy_array_is_still_validated(monkeypatch):
+    import jsonschema
+    import numpy as np
+
+    from idcalc import cli, schemas
+    monkeypatch.setattr(cli, "_VALIDATORS", {})
+    spec = {**_VALID_DIST, "gamma": np.array([0.0])}
+    with pytest.raises(jsonschema.ValidationError) as want:
+        jsonschema.validate(spec, schemas.DISTRIBUTION_SCHEMA)
+    for _ in range(2):
+        with pytest.raises(jsonschema.ValidationError) as got:
+            cli.validate(spec, schemas.DISTRIBUTION_SCHEMA)
+        assert got.value.message == want.value.message
+    # a valid one is checked too, and not remembered
+    ok = {**_VALID_DIST, "note": np.array([0.0])}
+    jsonschema.validate(ok, schemas.DISTRIBUTION_SCHEMA)
+    cli.validate(ok, schemas.DISTRIBUTION_SCHEMA)
+    assert _passed(schemas.DISTRIBUTION_SCHEMA) == {}
+
+
+def test_passed_specs_stop_at_the_cap(monkeypatch):
+    from jsonschema import ValidationError
+
+    from idcalc import cli, schemas
+    monkeypatch.setattr(cli, "_VALIDATORS", {})
+    monkeypatch.setattr(cli, "_PASSED_CAP", 3)
+    specs = [{"type": "exp", "rate": 1.0 + i} for i in range(6)]
+    for spec in specs:
+        cli.validate(spec, schemas.KERNEL_SCHEMA)
+    passed = _passed(schemas.KERNEL_SCHEMA)
+    assert sorted(passed) == sorted(json.dumps(s, sort_keys=True) for s in specs[:3])
+    # beyond the cap every spec is still checked
+    with pytest.raises(ValidationError):
+        cli.validate({"type": "exp", "rate": "fast"}, schemas.KERNEL_SCHEMA)
+    assert len(passed) == 3

@@ -529,3 +529,20 @@ class TestWindowHooks:
                     assert math.isinf(numeric)
                 else:
                     assert closed == pytest.approx(numeric, abs=1e-9)
+
+
+@pytest.mark.parametrize("make_tau, lo, hi", [
+    (tau_exponential, 0.01, 4.0),
+    (tau_gaussian, -3.0, 3.0),
+    (lambda: tau_measure(power_tail_kernel(1.5)), 0.01, 0.99),
+    (lambda: tau_measure(double_exp_kernel()), 1e-6, 0.36),
+])
+def test_kernel_from_tau_reads_its_levels_off_the_centered_mass(make_tau, lo, hi):
+    # Leb{f > u} = B - G(u) exactly, so the rebuilt occupation measure is tau
+    # up to the rounding of the subtractions
+    tau = make_tau()
+    tm = tau_measure(kernel_from_tau(tau))
+    rng = np.random.default_rng(7)
+    for u1, u2 in np.sort(rng.uniform(lo, hi, (40, 2)), axis=1):
+        want = tau.mass(float(u1), float(u2))
+        assert abs(tm.mass(float(u1), float(u2)) - want) <= 1e-15 * max(1.0, want)
