@@ -38,7 +38,7 @@ from .errors import (
 from .quadrature import (
     ImproperResult,
     adaptive_quad,
-    geometric_ratio,
+    geometric_tail,
     improper_limit,
     improper_nonneg,
     slab_quad,
@@ -381,23 +381,20 @@ _END_SAMPLES = 64    # samples of an endpoint limit
 _BISECTIONS = 300    # halvings of a crossing bracket
 
 
-def _geometric_tail(d):
-    """Sum of the steps after the steps d by :func:`geometric_ratio`, or None."""
-    rho = geometric_ratio(d) if len(d) == 5 else None
-    return None if rho is None else d[-1] * rho / (1.0 - rho)
-
-
 def _end_limit(g, lo, hi, end):
     """Sampled limit of a monotone scalar function g at one end of (lo, hi):
     (value, flat?), the value +-inf when g runs off.
 
     The samples double toward the end: s = +-1, +-2, ... on an infinite end,
-    min(1, half the span) times 1, 1/2, ... off a finite one.  They stop when
-    two agree relative to their size, the geometric tail of the last five
-    steps added, or when that tail cancels the sample to 1e-12 (limit 0, as
-    for a power-law approach to 0).  Out of samples (64, or the end's next
-    float), the tail is still added, steps that shrink at ratios below 0.97
-    keep the last sample, and other steps diverge (log(log(1/u)) does).  The
+    min(1, half the span) times 1, 1/2, ... off a finite one.  The tail is
+    the window drivers' tail rule, :func:`~idcalc.quadrature.geometric_tail`,
+    on the last five steps: steps its ``tight-geometric-extrapolation``
+    certifies add their geometric tail.  The samples stop when two agree
+    relative to their size, the tail added, or when the tail cancels the
+    sample to 1e-12 (limit 0, as for a power-law approach to 0).  Out of
+    samples (64, or the end's next float), the tail is still added; without
+    one, steps its ``geometric-tail`` rule certifies (ratios below 0.97) keep
+    the last sample, and other steps diverge (log(log(1/u)) does).  The
     limit is flat (g sits at it on a stretch before the end) only when the
     samples reach it without creeping to within 1e-12 of it first.
     """
@@ -405,6 +402,7 @@ def _end_limit(g, lo, hi, end):
     step0 = min(1.0, (hi - lo) / 2.0) if math.isfinite(hi - lo) else 1.0
     vals = []
     before = None   # the sample ahead of the last one's run of ties
+    d, tail = [], None   # the last five steps and their geometric tail
     for j in range(1024):
         s = edge - sign * step0 * 2.0 ** -j if math.isfinite(edge) else sign * 2.0 ** j
         if s == edge or len(vals) == _END_SAMPLES:
@@ -414,7 +412,10 @@ def _end_limit(g, lo, hi, end):
         v = float(g(s))
         if math.isinf(v):
             return v, False
-        tail = _geometric_tail([y - x for x, y in zip(vals[-5:], vals[-4:] + [v])])
+        last = vals[-5:] + [v]
+        d = [y - x for x, y in zip(last, last[1:])]
+        found = geometric_tail(d, False) if len(d) == 5 else None
+        tail = None if found is None else d[-1] * found[1] / (1.0 - found[1])
         if vals and abs(v - vals[-1]) <= 1e-12 * abs(v):
             lead = before if v == vals[-1] else vals[-1]
             return v + (tail or 0.0), lead is None or abs(lead - v) > 1e-12 * max(1.0, abs(v))
@@ -423,9 +424,8 @@ def _end_limit(g, lo, hi, end):
         if vals and v != vals[-1]:
             before = vals[-1]
         vals.append(v)
-    d = [y - x for x, y in zip(vals[-6:-1], vals[-5:])]
-    tail = _geometric_tail(d)
-    if tail is None and not all(0.0 < y / x < 0.97 for x, y in zip(d, d[1:])):
+    found = geometric_tail(d, True)
+    if tail is None and (found is None or found[0] != "geometric-tail"):
         return math.copysign(INF, d[-1]), False
     return vals[-1] + (tail or 0.0), False
 

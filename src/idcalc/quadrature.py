@@ -17,18 +17,39 @@ larger one.  For a scalar or one-component value these are the plain
 scalar rules.
 
 Improper integrals over open or unbounded intervals are driven through
-nested geometric windows.  The drivers return a three-valued outcome:
-converged (with a value), diverged, or inconclusive, following a fixed
-certification policy, per component:
+nested geometric windows by one level loop, entered as
+:func:`improper_nonneg` for a nonnegative integrand and
+:func:`improper_limit` for a signed one.  Its outcome is three-valued:
+converged (with a value), diverged, or inconclusive.  Each level, every
+open component meets one rule table, in this order, each rule written
+once; its evidence label is the evidence's ``"rule"``.  A component's size
+is its partial value (nonnegative) or that value's magnitude (signed), and
+its step the level's window mass (nonnegative) or the magnitude of the
+value's move (signed):
 
-* signed integrands: Cauchy stabilization of the partial value below
-  ``rtol`` over ``consec`` consecutive levels certifies convergence;
-  magnitude beyond ``diverge`` certifies divergence; otherwise the driver
-  gives up after ``levels`` doublings.
-* nonnegative integrands: additionally, window contributions decreasing at
-  a geometric rate certify a finite value (with a tail bound), and window
-  contributions bounded away from zero and non-decreasing over several
-  consecutive levels certify divergence.
+* ``threshold`` (nonnegative) / ``magnitude`` (signed): a size past
+  ``blowup`` / ``diverge`` certifies divergence; a signed one ends the run;
+* ``stabilized`` (nonnegative, the last step as ``tail_bound``) / no label
+  (signed, ``{"levels": n}``, Cauchy convergence): steps below
+  ``atol + rtol * max(1, size)`` at ``consec`` consecutive levels certify
+  convergence;
+* ``nondecreasing-windows`` (nonnegative): window masses at least 0.999
+  times the one before, and above 1e-13 times the size, at seven
+  consecutive levels certify divergence;
+* ``non-vanishing-windows`` (nonnegative): the last three window masses
+  within 5% of each other and within 0.90-1.02 times the one five levels
+  before them certify divergence;
+* once ``levels`` are spent, the tail rule :func:`geometric_tail` on the
+  last six steps: ``geometric-tail`` (nonnegative: at least four positive
+  window masses, every ratio below 0.97), then
+  ``tight-geometric-extrapolation`` (both signs: a steady ratio; signed:
+  five nonzero increments that also point one way) certify convergence,
+  the geometric tail added; any other component leaves the run
+  inconclusive, ``budget``.
+
+A slab failure or a NaN ends the run as inconclusive,
+``slab-quadrature-failure``.  ``kernels._end_limit`` takes its tail from
+the same :func:`geometric_tail`.
 
 A nonnegative result is converged when every component is certified and
 at least one converged, with ``+inf`` in each diverged component; diverged
@@ -453,154 +474,102 @@ def _value(vals, shape, reduce):
     return arr[()] if reduce and not shape else arr
 
 
-def geometric_ratio(seq):
-    """Mean ratio of consecutive terms that shrink at a ratio below 0.998
-    steady to 1e-4 (exactly geometric, as a pure power's windows), else None."""
-    r = [y / x for x, y in zip(seq, seq[1:])] if 0.0 not in seq else [0.0]
-    lo, hi = min(r), max(r)
-    steady = 0.0 < lo <= hi < 0.998 and (hi - lo) / lo < 1e-4
-    return float(np.mean(r)) if steady else None
+def geometric_tail(steps, loose):
+    """The tail rule on the magnitudes of a sequence's last steps: (rule,
+    ratio) of the rule that certifies they go on shrinking geometrically,
+    their tail summing to ``last * ratio / (1 - ratio)``, or None.
 
-
-def improper_limit(slab, a, b, *, rtol=1e-8, atol=1e-12, diverge=1e10,
-                   levels=48, consec=5, p0=None, q0=None):
-    """Drive lim over windows of a signed (possibly vector) integral.
-
-    ``slab(lo, hi)`` must return the integral over the finite slab [lo, hi].
-    The driver accumulates the integral over nested windows and applies the
-    Cauchy / magnitude policy described in the module docstring to each
-    component.  A signed vector with a divergent component has no limit, so
-    the first component past ``diverge`` ends the run as diverged.
+    When ``loose``, steps that all shrink at ratios in (0, 0.97) certify
+    ``geometric-tail`` with the largest ratio (0.0 for fewer than two
+    steps).  Otherwise, or then, steps that shrink at ratios below 0.998
+    steady to 1e-4 (exactly geometric, as a pure power's windows) certify
+    ``tight-geometric-extrapolation`` with the mean ratio.
     """
+    r = [y / x for x, y in zip(steps, steps[1:])] if 0.0 not in steps else [0.0]
+    if loose and all(0.0 < x < 0.97 for x in r):
+        return "geometric-tail", max(r, default=0.0)
+    lo, hi = min(r), max(r)
+    if 0.0 < lo <= hi < 0.998 and (hi - lo) / lo < 1e-4:
+        return "tight-geometric-extrapolation", float(np.mean(r))
+    return None
+
+
+def _certify(slab, a, b, nonneg, rtol, atol, bound, levels, consec, p0, q0):
+    """The level loop of both improper drivers: each level's slabs are added
+    to every open component, which then meets the rule table of the module
+    docstring, its sign's rules in the table's order; once the budget is
+    spent, the open components meet the tail rule."""
     sched = window_schedule(a, b, levels, p0=p0, q0=q0)
     slabs = _LevelSlabs(slab, sched)
     try:
-        value = _no_nan(slabs.values(0, _LOOKAHEAD)[0], 0)
+        row = slabs.values(0, _LOOKAHEAD)[0]
+        value = _no_nan([float(v) for v in row] if nonneg else row, 0)
     except QuadratureFailure as e:
-        return ImproperResult("inconclusive", None, [],
-                              {"rule": "slab-quadrature-failure", "detail": str(e)})
-    shape = slabs.shape
-    comps = _Components(len(value), False)
-    trace = [(*sched[0], _value(value, shape, False))]
-    stable = comps.stable
+        return ImproperResult("inconclusive", None, [], {"rule": "slab-quadrature-failure",
+                                                         "detail": str(e)}, nonneg)
+    shape, size = slabs.shape, len(value)
+    comps = _Components(size, nonneg)
+    trace = [(*sched[0], float(np.max(value)) if nonneg else _value(value, shape, False))]
+    # each component's step at each level it was open: the added window
+    # mass for a nonnegative integrand, the value's move for a signed one
+    steps = [[] for _ in value]
+    stable, growing = comps.stable, [0] * size
     for n, (p, q) in enumerate(sched[1:], 1):
+        open_ = comps.open[:]
         try:
             level = slabs.values(n, comps.span(consec))
-            inc = _no_nan(_level_sum(level, 0j if slabs.complex else 0.0, len(value)),
-                          n, comps.open)
+            inc = _no_nan(_level_sum(level, 0j if slabs.complex else 0.0, size), n, open_)
+            # an inf total plus a -inf window
+            _no_nan([value[c] + inc[c] for c in open_], n, what="total")
         except QuadratureFailure as e:
-            return ImproperResult("inconclusive", np.array(trace[-1][2]), trace,
-                                  {"rule": "slab-quadrature-failure",
-                                   "detail": str(e)})
+            return ImproperResult("inconclusive", _value(value, shape, nonneg and n > 1), trace,
+                                  {"rule": "slab-quadrature-failure", "detail": str(e)}, nonneg)
+        if nonneg and any(inc[c] < -1e-12 * max(1.0, abs(value[c])) for c in open_):
+            raise QuadratureFailure("negative window in nonnegative improper integral")
         # a decided component keeps the value of the level that decided it
-        old, value = value, [x + d if s == "open" else x
-                             for x, d, s in zip(value, inc, comps.status)]
-        trace.append((p, q, _value(value, shape, False)))
-        # numpy's complex magnitudes: Python's abs misses some by an ulp
-        mag = np.abs if slabs.complex else (lambda vals: [abs(v) for v in vals])
-        delta, mags = mag([x - y for x, y in zip(value, old)]), mag(value)
-        for c in comps.open[:]:
-            if mags[c] > diverge:
-                # a vector with a divergent component has no limit
-                comps.decide(c, "diverged", {"rule": "magnitude",
-                                             "magnitude": float(mags[c])})
+        for c in open_:
+            x = value[c]
+            value[c] = x + inc[c]
+            steps[c].append(inc[c] if nonneg else value[c] - x)
+        trace.append((p, q, max(value) if nonneg else _value(value, shape, False)))
+        if nonneg:
+            sizes, moves = value, inc
+        else:
+            # numpy's complex magnitudes: Python's abs misses some by an ulp
+            absolute = np.abs if slabs.complex else (lambda vals: [abs(v) for v in vals])
+            sizes, moves = absolute(value), absolute([s[-1] for s in steps])
+        for c in open_:
+            mag, move = sizes[c], moves[c]
+            if mag > bound:
+                comps.decide(c, "diverged", {"rule": "threshold", "partial": mag} if nonneg
+                             else {"rule": "magnitude", "magnitude": float(mag)})
+                if nonneg:
+                    continue
+                # a signed vector with a divergent component has no limit
                 return ImproperResult("diverged", None, trace,
                                       comps.with_components(comps.last))
-            scale = max(1.0, float(mags[c]))
-            if delta[c] < rtol * scale + atol:
+            scale = max(1.0, mag)
+            if move < rtol * scale + atol:
                 stable[c] += 1
                 if stable[c] >= consec:
-                    comps.decide(c, "converged", {"levels": len(trace) - 1})
-            else:
-                stable[c] = 0
-        if not comps.open:
-            return comps.result(np.array(trace[-1][2]), trace, None)
-    # budget exhausted: extrapolate an exactly geometric increment sequence
-    value = np.array(trace[-1][2])
-    tails = np.zeros_like(value)
-    recent = trace[-7:]
-    for c in comps.open[:]:
-        incs = [np.atleast_1d(y[2].reshape(-1)[c] - x[2].reshape(-1)[c])
-                for x, y in zip(recent, recent[1:])]
-        norms = [float(np.linalg.norm(v)) for v in incs]
-        if len(norms) >= 5 and min(norms) > 0:
-            rho = geometric_ratio(norms)
-            aligned = all(
-                float(np.real(np.vdot(incs[i], incs[i + 1]))) >
-                0.999 * norms[i] * norms[i + 1]
-                for i in range(len(incs) - 1))
-            if rho is not None and aligned:
-                tails.reshape(-1)[c] = incs[-1][0] * rho / (1.0 - rho)
-                comps.decide(c, "converged", {"rule": "tight-geometric-extrapolation",
-                                              "ratio": rho})
-    if comps.open:
-        return comps.result(value, trace, {"rule": "budget", "levels": levels})
-    return comps.result(value + tails, trace, None)
-
-
-def improper_nonneg(slab, a, b, *, rtol=1e-9, atol=1e-13, blowup=1e12,
-                    levels=48, consec=4, p0=None, q0=None):
-    """Three-valued improper integral of a nonnegative integrand.
-
-    Returns :class:`ImproperResult`; on ``"converged"`` the value includes a
-    geometric extrapolation of the remaining tail when the window ratio is
-    certifiably below one, and the evidence records the tail bound.  Each
-    component of a vector integrand is certified on its own.
-    """
-    sched = window_schedule(a, b, levels, p0=p0, q0=q0)
-    slabs = _LevelSlabs(slab, sched)
-    try:
-        total = _no_nan([float(v) for v in slabs.values(0, _LOOKAHEAD)[0]], 0)
-    except QuadratureFailure as e:
-        return ImproperResult("inconclusive", None, [],
-                              {"rule": "slab-quadrature-failure", "detail": str(e)}, True)
-    shape = slabs.shape
-    comps = _Components(len(total), True)
-    windows = [[] for _ in total]    # per-level added mass of each component
-    trace = [(*sched[0], float(np.max(_value(total, shape, False))))]
-    stable = comps.stable
-    growing = [0] * len(total)
-    for n, (p, q) in enumerate(sched[1:], 1):
-        try:
-            level = slabs.values(n, comps.span(consec))
-            inc = _no_nan(_level_sum(level, 0.0, len(total)), n, comps.open)
-            # an inf total plus a -inf window
-            _no_nan([total[c] + inc[c] for c in comps.open], n, what="total")
-        except QuadratureFailure as e:
-            return ImproperResult("inconclusive", _value(total, shape, n > 1), trace,
-                                  {"rule": "slab-quadrature-failure",
-                                   "detail": str(e)}, True)
-        # a decided component keeps the value of the level that decided it
-        if any(inc[c] < -1e-12 * max(1.0, abs(total[c])) for c in comps.open):
-            raise QuadratureFailure("negative window in nonnegative improper integral")
-        for c in comps.open:
-            total[c] += inc[c]
-            windows[c].append(inc[c])
-        trace.append((p, q, max(total)))
-        for c in comps.open[:]:
-            seen = windows[c]
-            w = seen[-1]
-            if total[c] > blowup:
-                comps.decide(c, "diverged", {"rule": "threshold", "partial": total[c]})
-                continue
-            scale = max(1.0, total[c])
-            if w < rtol * scale + atol:
-                stable[c] += 1
-                if stable[c] >= consec:
-                    comps.decide(c, "converged", {"rule": "stabilized", "tail_bound": w})
+                    comps.decide(c, "converged", {"rule": "stabilized", "tail_bound": move}
+                                 if nonneg else {"levels": n})
                     continue
             else:
                 stable[c] = 0
+            if not nonneg:
+                continue
+            seen = steps[c]
             if len(seen) >= 2:
                 # only (near-)nondecreasing window masses are divergence
                 # evidence; geometric decay however slow is not
-                if w >= 0.999 * seen[-2] and w > _FLOOR * scale:
+                if move >= 0.999 * seen[-2] and move > _FLOOR * scale:
                     growing[c] += 1
                 else:
                     growing[c] = 0
                 if growing[c] >= _GROW_CONSEC:
                     comps.decide(c, "diverged", {"rule": "nondecreasing-windows",
-                                                 "window": w, "count": growing[c]})
+                                                 "window": move, "count": growing[c]})
                     continue
             if len(seen) >= 10:
                 # windows settled on a positive level (harmonic-type series):
@@ -612,32 +581,51 @@ def improper_nonneg(slab, a, b, *, rtol=1e-9, atol=1e-13, blowup=1e12,
                         and all(0.90 * lagged <= v <= 1.02 * lagged for v in recent) \
                         and max(recent) <= 1.05 * min(recent):
                     comps.decide(c, "diverged", {"rule": "non-vanishing-windows",
-                                                 "window": w, "lagged": lagged})
+                                                 "window": move, "lagged": lagged})
         if not comps.open:
-            return comps.result(_value(total, shape, True), trace, None)
-    # Budget exhausted: attempt geometric tail certification.
-    bounds = {}
+            return comps.result(_value(value, shape, nonneg), trace, None)
+    # the budget is spent: the tail rule on each open component's last six
+    # steps, the positive window masses of a nonnegative integrand or the
+    # norms of a signed one's increments, which must also point one way
+    tails = {}
     for c in comps.open[:]:
-        tail = [v for v in windows[c][-6:] if v > 0]
-        if len(tail) < 4:
-            continue
-        rho = max(tail[i + 1] / tail[i] for i in range(len(tail) - 1))
-        if rho < 0.97:
-            bounds[c] = tail[-1] * rho / (1.0 - rho)
-            comps.decide(c, "converged", {"rule": "geometric-tail",
-                                          "tail_bound": bounds[c], "ratio": rho})
-        # exactly geometric decay (pure power integrands): the extrapolated
-        # tail is exact up to the quadrature noise in the ratio estimate
-        elif (rho_hat := geometric_ratio(tail)) is not None:
-            bounds[c] = tail[-1] * rho_hat / (1.0 - rho_hat)
-            comps.decide(c, "converged", {"rule": "tight-geometric-extrapolation",
-                                          "tail_bound": bounds[c], "ratio": rho_hat})
+        if nonneg:
+            mags = [v for v in steps[c][-6:] if v > 0]
+            found = len(mags) >= 4 and geometric_tail(mags, True)
+        else:
+            incs = [np.atleast_1d(v) for v in steps[c][-6:]]
+            mags = [float(np.linalg.norm(v)) for v in incs]
+            found = (len(mags) >= 5 and min(mags) > 0
+                     and all(float(np.real(np.vdot(x, y))) > 0.999 * nx * ny
+                             for x, y, nx, ny in zip(incs, incs[1:], mags, mags[1:]))
+                     and geometric_tail(mags, False))
+        if found:
+            rule, rho = found
+            tails[c] = (mags[-1] if nonneg else incs[-1][0]) * rho / (1.0 - rho)
+            comps.decide(c, "converged", {"rule": rule, "tail_bound": tails[c], "ratio": rho}
+                         if nonneg else {"rule": rule, "ratio": rho})
     if comps.open:
-        return comps.result(_value(total, shape, len(trace) > 1), trace,
+        return comps.result(_value(value, shape, nonneg and len(trace) > 1), trace,
                             {"rule": "budget", "levels": levels})
-    for c, bound in bounds.items():
-        total[c] += bound
-    return comps.result(_value(total, shape, True), trace, None)
+    for c, tail in tails.items():
+        value[c] += tail
+    return comps.result(_value(value, shape, True), trace, None)
+
+
+def improper_limit(slab, a, b, *, rtol=1e-8, atol=1e-12, diverge=1e10,
+                   levels=48, consec=5, p0=None, q0=None):
+    """Drive lim over windows of a signed (possibly vector) integral, whose
+    slab ``slab(lo, hi)`` over a finite window [lo, hi] is given, by the
+    signed rules of the module docstring's table."""
+    return _certify(slab, a, b, False, rtol, atol, diverge, levels, consec, p0, q0)
+
+
+def improper_nonneg(slab, a, b, *, rtol=1e-9, atol=1e-13, blowup=1e12,
+                    levels=48, consec=4, p0=None, q0=None):
+    """Three-valued improper integral of a nonnegative (possibly vector)
+    integrand, whose slab over a finite window is given, by the nonnegative
+    rules of the module docstring's table."""
+    return _certify(slab, a, b, True, rtol, atol, blowup, levels, consec, p0, q0)
 
 
 def slab_quad(fn, *, rtol=1e-10, atol=1e-14):

@@ -5,6 +5,11 @@ arrays.  They serve as the oracle of ``tests/test_driver_oracle.py``: the
 package's drivers must return what these return, byte for byte, on every
 window sequence.  Do not edit the copied code; it is the rules' reference,
 not a second implementation to maintain.
+
+The file also holds ``kernels._end_limit``, the sampled limit of a monotone
+function at one end of an interval, as it stood at commit dec5b36 with its
+own copy of the geometric-tail rule; ``tests/test_driver_oracle.py`` checks
+the package's ``_end_limit`` against it the same way.
 """
 
 from __future__ import annotations
@@ -343,3 +348,60 @@ def improper_nonneg(slab, a, b, *, rtol=1e-9, atol=1e-13, blowup=1e12,
     if comps.open():
         return comps.result(total, trace, {"rule": "budget", "levels": levels})
     return comps.result(total + bounds, trace, None)
+
+
+# ---------------------------------------------------------------------------
+# kernels._end_limit as it stood at commit dec5b36, copied verbatim with its
+# helpers, when it held its own copy of the geometric-tail rule
+# ---------------------------------------------------------------------------
+
+_END_SAMPLES = 64    # samples of an endpoint limit
+
+
+def _geometric_tail(d):
+    """Sum of the steps after the steps d by :func:`geometric_ratio`, or None."""
+    rho = geometric_ratio(d) if len(d) == 5 else None
+    return None if rho is None else d[-1] * rho / (1.0 - rho)
+
+
+def _end_limit(g, lo, hi, end):
+    """Sampled limit of a monotone scalar function g at one end of (lo, hi):
+    (value, flat?), the value +-inf when g runs off.
+
+    The samples double toward the end: s = +-1, +-2, ... on an infinite end,
+    min(1, half the span) times 1, 1/2, ... off a finite one.  They stop when
+    two agree relative to their size, the geometric tail of the last five
+    steps added, or when that tail cancels the sample to 1e-12 (limit 0, as
+    for a power-law approach to 0).  Out of samples (64, or the end's next
+    float), the tail is still added, steps that shrink at ratios below 0.97
+    keep the last sample, and other steps diverge (log(log(1/u)) does).  The
+    limit is flat (g sits at it on a stretch before the end) only when the
+    samples reach it without creeping to within 1e-12 of it first.
+    """
+    edge, sign = (lo, -1.0) if end == "lower" else (hi, 1.0)
+    step0 = min(1.0, (hi - lo) / 2.0) if math.isfinite(hi - lo) else 1.0
+    vals = []
+    before = None   # the sample ahead of the last one's run of ties
+    for j in range(1024):
+        s = edge - sign * step0 * 2.0 ** -j if math.isfinite(edge) else sign * 2.0 ** j
+        if s == edge or len(vals) == _END_SAMPLES:
+            break
+        if not lo < s < hi:
+            continue
+        v = float(g(s))
+        if math.isinf(v):
+            return v, False
+        tail = _geometric_tail([y - x for x, y in zip(vals[-5:], vals[-4:] + [v])])
+        if vals and abs(v - vals[-1]) <= 1e-12 * abs(v):
+            lead = before if v == vals[-1] else vals[-1]
+            return v + (tail or 0.0), lead is None or abs(lead - v) > 1e-12 * max(1.0, abs(v))
+        if tail is not None and abs(v + tail) <= 1e-12 * abs(v):
+            return 0.0, False
+        if vals and v != vals[-1]:
+            before = vals[-1]
+        vals.append(v)
+    d = [y - x for x, y in zip(vals[-6:-1], vals[-5:])]
+    tail = _geometric_tail(d)
+    if tail is None and not all(0.0 < y / x < 0.97 for x, y in zip(d, d[1:])):
+        return math.copysign(INF, d[-1]), False
+    return vals[-1] + (tail or 0.0), False

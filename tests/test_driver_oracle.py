@@ -14,16 +14,21 @@ driver), scalar and vector values, batched and plain slabs, every exit
 rule, and slabs that raise or warn at a level, before the stop or past it.
 NaN is left out: there the drivers deliberately differ from the reference
 (``test_quadrature`` checks that they end the run).
+
+``kernels._end_limit`` is checked against its frozen copy too, on seeded
+monotone functions sampled toward a finite or an infinite end: the
+``(value, flat)`` pair must have the same bytes.
 """
 
 import math
+import struct
 import warnings
 
 import numpy as np
 import pytest
 
 import reference_drivers as ref
-from idcalc import quadrature
+from idcalc import kernels, quadrature
 from idcalc.errors import InconclusiveError, QuadratureFailure
 
 INF = math.inf
@@ -234,3 +239,68 @@ def test_drivers_match_the_reference(name):
     # every exit rule, and each kind of sequence, was exercised
     assert exits >= EXITS[name]
     assert len(kinds) == (8 if name == "limit" else 4)
+
+
+# (lo, hi) of an end limit's interval
+END_INTERVALS = [(0.0, INF), (1.0, INF), (-INF, 0.0), (-INF, -2.0), (-INF, INF),
+                 (0.0, 1.0), (-1.0, 3.0), (2.0, 2.5), (-3.0, -2.9999)]
+# how g approaches its end: power, log, geometric steps, ties of a quantized
+# power, a flat stretch, and run-offs to +-inf (a power, a log, a log-log and
+# an inf past a point)
+END_KINDS = ["power", "log", "steps", "ties", "flat", "runoff", "log-runoff", "loglog",
+             "inf"]
+
+
+def _pow(t, e):
+    try:
+        return t ** e
+    except OverflowError:
+        return INF
+
+
+def _end_case(seed):
+    """A function g monotone along the samples toward one end of (lo, hi):
+    g = limit + sign * h(t), where t > 0 shrinks toward the end (the distance
+    to a finite end, one over |s| toward an infinite one)."""
+    rng = np.random.default_rng([2, seed])
+    lo, hi = END_INTERVALS[rng.integers(len(END_INTERVALS))]
+    end = "lower" if rng.random() < 0.5 else "upper"
+    edge = lo if end == "lower" else hi
+    kind = END_KINDS[rng.integers(len(END_KINDS))]
+    c = float(10.0 ** rng.uniform(-3.0, 2.0))
+    alpha = float(rng.uniform(0.05, 3.0))
+    rho = float(rng.uniform(0.05, 0.999))
+    t0 = float(2.0 ** -rng.uniform(0.0, 40.0))
+    quantum = float(2.0 ** -rng.integers(4, 40))
+    limit = float(rng.choice([0.0, 0.0, rng.normal(), 1e8 * rng.normal(), 1e-9]))
+    sign = 1.0 if rng.random() < 0.5 else -1.0
+    h = {"power": lambda t: c * _pow(t, alpha),
+         "log": lambda t: c / math.log1p(1.0 / t),
+         "steps": lambda t: c * rho ** math.floor(-math.log2(t)),
+         "ties": lambda t: c * quantum * round(_pow(t, alpha) / quantum),
+         "flat": lambda t: c * _pow(max(t - t0, 0.0), alpha),
+         "runoff": lambda t: c * _pow(t, -alpha),
+         "log-runoff": lambda t: c * math.log(1.0 / t),
+         "loglog": lambda t: c * math.log(math.log(math.e + 1.0 / t)),
+         "inf": lambda t: INF if t < t0 else c * _pow(t, -alpha)}[kind]
+    dist = (lambda s: abs(s - edge)) if math.isfinite(edge) else (lambda s: 1.0 / abs(s))
+    return (lambda s: limit + sign * h(dist(s))), lo, hi, end
+
+
+def _outcome(value, flat):
+    if math.isinf(value):
+        return "+inf" if value > 0 else "-inf"
+    return "flat" if flat else ("zero" if value == 0.0 else "finite")
+
+
+def test_end_limit_matches_the_reference():
+    outcomes = set()
+    for seed in range(CASES):
+        g, lo, hi, end = _end_case(seed)
+        value, flat = kernels._end_limit(g, lo, hi, end)
+        want, want_flat = ref._end_limit(g, lo, hi, end)
+        assert (struct.pack("<d", value), flat) == (struct.pack("<d", want), want_flat), \
+            f"case {seed}: {(value, flat)} != {(want, want_flat)}"
+        outcomes.add(_outcome(want, want_flat))
+    # every kind of answer was exercised
+    assert outcomes == {"+inf", "-inf", "flat", "zero", "finite"}

@@ -546,3 +546,16 @@ def test_kernel_from_tau_reads_its_levels_off_the_centered_mass(make_tau, lo, hi
     for u1, u2 in np.sort(rng.uniform(lo, hi, (40, 2)), axis=1):
         want = tau.mass(float(u1), float(u2))
         assert abs(tm.mass(float(u1), float(u2)) - want) <= 1e-15 * max(1.0, want)
+
+
+@pytest.mark.parametrize("ratio, want", [(0.5, 1.0 - 0.5 ** 4), (0.98, INF)])
+def test_end_limit_reads_the_steps_of_few_samples(ratio, want):
+    # an end past 2^1019 leaves four samples, too few steps for a tight
+    # tail: the 0.97 rule keeps the last sample, or the limit runs off.  The
+    # steps are the samples' differences (each sample less itself once gave
+    # zero steps and a ZeroDivisionError)
+    from idcalc.kernels import _end_limit
+
+    def g(s):
+        return 1.0 - ratio ** (math.log2(s) - 1019.0)
+    assert _end_limit(g, 2.0 ** 1019, INF, "upper") == (want, False)

@@ -69,11 +69,12 @@ def test_nan_window_ends_the_run(driver, at):
     assert len(res.trace) == at
 
 
-def test_inf_then_minus_inf_window_ends_the_run():
+@pytest.mark.parametrize("driver", [improper_nonneg, improper_limit])
+def test_inf_then_minus_inf_window_ends_the_run(driver):
     # the total inf + -inf is NaN, and max(1.0, nan) is 1.0: the
-    # stabilization rule would certify it
+    # stabilization rule would certify it, and no signed rule reads it
     q0, q1 = (window_schedule(1.0, INF, 48)[n][1] for n in (0, 1))
-    res = improper_nonneg(lambda p, q: {q0: INF, q1: -INF}.get(q, 1e-20), 1.0, INF)
+    res = driver(lambda p, q: {q0: INF, q1: -INF}.get(q, 1e-20), 1.0, INF)
     assert res.status == "inconclusive"
     assert res.evidence == {"rule": "slab-quadrature-failure",
                             "detail": "NaN total at level 1"}

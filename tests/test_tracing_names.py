@@ -11,6 +11,8 @@ import pathlib
 
 import pytest
 
+from test_driver_oracle import EXITS
+
 TRACING = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
 
@@ -42,3 +44,10 @@ def test_domain_verdicts_stay_traced():
               if module == "idcalc.transform"}
     assert {"absolutely_definable", "definable_verdict", "compensated_verdict",
             "essential_conditions"} <= traced
+
+
+def test_oracle_exit_rules_are_traced_rules():
+    # the traced exit counters are keyed by these labels, so a rule renamed in
+    # the drivers' table would drop out of them; exceptions are no exit rule
+    exits = set().union(*EXITS.values()) - {"QuadratureFailure", "InconclusiveError"}
+    assert exits == set(TRACING_MODULE.DRIVER_RULES)
