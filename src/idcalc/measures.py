@@ -22,20 +22,24 @@ The public methods wrap it, a scalar ``us`` counting as m = 1:
   i<z,ux>/(1+|ux|^2)) nu(dx)
 * ``vector_weighted_scaled(w, us, lo, hi)`` ("vector_shell") -- int (u x)
   w(|u x|) nu(dx) over lo <= |u x| < hi
+* ``tail_mass(rs)`` ("tail") -- nu(|x| >= r) at u = 1/r, the scale's value
+  being nu(|u x| >= 1), so r = 0 is u = inf and r = inf is u = 0
 
 ``integral`` and ``vector_weighted`` are their one-scale case u = 1.  A
 primitive representation implements ``_<name>(us, *args)`` per record
 name, which the default ``scaled`` reaches by name, so a subclass's closed
 form overrides its parent's quadrature by plain inheritance.  A composite
-overrides ``scaled`` once, knowing of a functional only the shape and
-dtype of one scale's value and whether it is nonnegative.  Per
+overrides ``scaled`` once, knowing of a functional only its record: the
+shape and dtype of one scale's value, whether it is nonnegative, its
+error label and the panel tolerance of a mixing quadrature.  Per
 representation:
 
 * atoms: exact sums, one call of ``h`` (or ``w``) on all m x n points;
 * the polar family, nu(B) = sum_k w_k int 1_B(r xi_k) rho(r) dr
   (``RadialMeasure``): every radial integral runs through one driver body,
   in r or in y = |u| r, each scale certified as its own component.  The
-  two shell functionals share one route split (``_routed``): over
+  shells, the tail (the shell of 1 over [1, inf)) and the centering share
+  one route split (``_routed``), so a zero scale gives 0 in each: over
   [0, inf) the r-range and window schedule are common to all scales, so
   one r-space call serves them all; a shell [lo, hi) has the y-range
   [lo, hi) at every scale, so one y-space call serves the scales |u| <= 1
@@ -44,7 +48,7 @@ representation:
   ``GammaMeasure`` (rho = c e^(-lambda r) / r) are members of the family
   that override only the primitives with closed forms; the stable
   scaling identity nu(B/u) = |u|^alpha nu(sign(u) B) lets one base
-  integral per sign of u serve every scale;
+  integral per sign of u serve every scale, and both tails are closed forms;
 * the zero measure answers zeros, and a sum the sum over its parts.
 
 Every representation, the scale mixtures of ``idcalc.transform``
@@ -91,7 +95,8 @@ _ONE = np.array([1.0])
 class Functional(NamedTuple):
     """One functional: ``name`` picks the primitive ``_<name>(us, *args)``;
     ``vector`` and ``dtype`` give the shape and type of one scale's value;
-    ``nonneg`` lets a mixture certify it +inf; ``label`` names it in errors."""
+    ``nonneg`` lets a mixture certify it +inf; ``label`` names it in errors;
+    ``atol`` is the absolute panel tolerance of a mixing quadrature."""
 
     name: str
     args: tuple = ()
@@ -99,6 +104,7 @@ class Functional(NamedTuple):
     dtype: type = float
     nonneg: bool = False
     label: str = "integral"
+    atol: float = 1e-13
 
     def shape(self, dim):
         return (dim,) if self.vector else ()
@@ -107,6 +113,7 @@ class Functional(NamedTuple):
 _CLIP2 = Functional("clip2", nonneg=True)
 _CLIP1 = Functional("clip1", nonneg=True)
 _CENTERING = Functional("centering", vector=True, label="centering")
+_TAIL = Functional("tail", nonneg=True, atol=1e-12)
 
 
 def _reflection_symmetric(points, masses):
@@ -126,8 +133,8 @@ def _in_orthant(points, signs):
 class LevyMeasure:
     """Abstract base.  A subclass implements ``symmetrized`` and ``scaled``,
     the latter directly (a composite) or through the primitives ``_shell``,
-    ``_clip2``, ``_clip1``, ``_centering``, ``_cumulant`` and
-    ``_vector_shell`` that the default reaches by name."""
+    ``_clip2``, ``_clip1``, ``_centering``, ``_cumulant``, ``_vector_shell``
+    and ``_tail`` that the default reaches by name."""
 
     dim: int
 
@@ -167,17 +174,21 @@ class LevyMeasure:
         return self.scaled(Functional("vector_shell", (w, lo, hi), vector=True,
                                       label="moment vector"), _scales(us))
 
+    def tail_mass(self, rs):
+        """nu(|x| >= r) at every radius r >= 0: the tail at scale 1/r, so
+        r = 0, and r below 1 / (largest float), counts every jump."""
+        rs = _scales(rs)
+        if not np.all(rs >= 0.0):
+            raise ValueError("tail radii must be nonnegative numbers")
+        with np.errstate(divide="ignore", over="ignore"):
+            return self.scaled(_TAIL, 1.0 / rs)
+
     # -- derived conveniences ------------------------------------------------
     def total_mass(self):
         return self.integral(lambda x: np.ones(x.shape[0]))
 
     def clipped_second_moment(self):
         return float(self.clip2_scaled(_ONE)[0])
-
-    def tail_mass(self, rs):
-        """nu(|x| >= r), vectorized over the radii."""
-        return np.array([self.integral(lambda x: np.ones(x.shape[0]), float(r), INF)
-                         for r in _scales(rs)])
 
     def small_jump_first_moment(self):
         """int_{|x| < 1} |x| nu(dx)."""
@@ -223,9 +234,6 @@ class ZeroMeasure(LevyMeasure):
 
     def scaled(self, f, us):
         return np.zeros(us.shape + f.shape(self.dim), f.dtype)
-
-    def tail_mass(self, rs):
-        return np.zeros(_scales(rs).shape)
 
     def is_zero(self):
         return True
@@ -281,9 +289,9 @@ class AtomicMeasure(LevyMeasure):
             vals[m] = np.asarray(h(pts[m]), dtype=float)
         return (vals * self.masses[None, :]).sum(axis=1)
 
-    def tail_mass(self, rs):
-        rs = np.atleast_1d(np.asarray(rs, dtype=float))
-        return (self.radii[None, :] >= rs[:, None]) @ self.masses
+    def _tail(self, us):
+        with np.errstate(over="ignore"):
+            return (np.outer(np.abs(us), self.radii) >= 1.0) @ self.masses
 
     def _clip2(self, us):
         y = np.minimum(np.square(np.outer(us, self.radii)), 1.0)
@@ -491,8 +499,8 @@ class RadialMeasure(LevyMeasure):
 
         def fn(r):
             y = np.asarray(g(r))
-            d = np.asarray(self.density(r))
             with np.errstate(over="ignore", invalid="ignore"):
+                d = np.asarray(self.density(r))   # may overflow at a singular 0
                 out = y * d if y.ndim == 1 else \
                     y * d.reshape((-1,) + (1,) * (y.ndim - 1))
             # 0 * inf artifacts outside the density's support are true zeros
@@ -565,6 +573,12 @@ class RadialMeasure(LevyMeasure):
                               dtype=float).reshape(len(t), len(dirs), v.size)
         return self._routed(cols, self.weights, us, lo, hi)[0]
 
+    def _tail(self, us):
+        # one routed shell of 1 over |u| r >= 1; the total mass at u = inf
+        fin = np.isfinite(us)
+        shell = self._shell(np.where(fin, us, 0.0), lambda x: np.ones(x.shape[0]), 1.0, INF)
+        return shell if fin.all() else np.where(fin, shell, self.total_mass())
+
     def _clip_single(self, u, power):
         """int (|u r|^power ^ 1) rho(r) dr, split at the clipping radius so
         the window drivers never face a hidden transition scale."""
@@ -590,12 +604,13 @@ class RadialMeasure(LevyMeasure):
         return np.where(us != 0, INF, 0.0)
 
     def _centering(self, us):
-        def g(r):
-            ur = np.outer(r, us)
+        # routed, so a zero scale (its column diverges at r = 0) gives 0
+        def col(r, v, ks):
+            ur = np.outer(r, v)
             r2 = (r * r)[:, None]
-            return r[:, None] * (1.0 / (1.0 + ur * ur) - 1.0 / (1.0 + r2))
+            return (r[:, None] * (1.0 / (1.0 + ur * ur) - 1.0 / (1.0 + r2)))[:, None, :]
 
-        val = np.asarray(self.radial_integral(g, 0.0, INF, signed=True))
+        val = self._routed(col, _ONE, us, 0.0, INF, signed=True)[0]
         return np.einsum("k,kd,m->md", self.weights, self.directions, val)
 
     def _cumulant(self, us, z):
@@ -749,11 +764,10 @@ class GammaMeasure(RadialMeasure):
         out[nz] = self.shape * (au[nz] * body + exp1(x))
         return out
 
-    def tail_mass(self, rs):
+    def _tail(self, us):
         from scipy.special import exp1
-        rs = np.atleast_1d(np.asarray(rs, dtype=float))
-        return np.where(rs > 0, self.shape * exp1(np.maximum(self.rate * rs, 1e-300)),
-                        INF)
+        with np.errstate(divide="ignore", over="ignore"):
+            return self.shape * exp1(self.rate / np.abs(us))
 
     def _centering(self, us):
         au = np.abs(us)
@@ -831,25 +845,20 @@ class StableMeasure(RadialMeasure):
                 out[sel] = self._scale_factors(us[sel]) * base
         return out
 
-    def tail_mass(self, rs):
-        rs = np.atleast_1d(np.asarray(rs, dtype=float))
-        with np.errstate(divide="ignore"):
-            out = np.where(rs > 0, rs ** (-self.alpha) / self.alpha, INF)
-        return self.weight_sum() * out
+    def _tail(self, us):
+        return self.weight_sum() * (self._scale_factors(us) / self.alpha)
 
     def _clip2(self, us):
-        us = np.abs(us)
         a = self.alpha
         c = 1.0 / (2.0 - a) + 1.0 / a
-        return self.weight_sum() * c * us ** a
+        return self.weight_sum() * c * self._scale_factors(us)
 
     def _clip1(self, us):
-        us = np.abs(us)
         a = self.alpha
         if a >= 1.0:
-            return np.where(us > 0, INF, 0.0)
+            return np.where(np.abs(us) > 0, INF, 0.0)
         c = 1.0 / (1.0 - a) + 1.0 / a
-        return self.weight_sum() * c * us ** a
+        return self.weight_sum() * c * self._scale_factors(us)
 
     def _centering(self, us):
         # int_0^inf r^(-alpha) (1/(1+u^2 r^2) - 1/(1+r^2)) dr
@@ -932,9 +941,6 @@ class SumMeasure(LevyMeasure):
 
     def scaled(self, f, us):
         return sum(p.scaled(f, us) for p in self.parts)
-
-    def tail_mass(self, rs):
-        return sum(p.tail_mass(rs) for p in self.parts)
 
     def is_symmetric(self):
         # parts may be reflections of each other (a symmetrized gamma is a

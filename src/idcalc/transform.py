@@ -82,23 +82,24 @@ class ScaleMixtureMeasure(LevyMeasure):
     Two functionals differ: over y = v x the centering weight 1/(1+|y|^2)
     sits at scale v, so the mixed per-scale centering is v (c(u v) - c(v));
     and a base with an infinite clipped first moment has an infinite one
-    at every nonzero scale.  A call hands the mixing every scale (or
-    radius) it asks for as the components of one vector integrand, so it
-    makes one mixing driver call however many there are; the base answers
-    for all the scales of an outer quadrature panel in one call.
+    at every nonzero scale.  The tail mass is the tail at scale 1/r, with
+    no code of its own.  A call hands the mixing every scale it asks for as
+    the components of one vector integrand, so it makes one mixing driver
+    call however many there are; the base answers for all the scales of
+    an outer quadrature panel in one call.
 
-    A subclass supplies m through one hook, ``_mix(fn, nonneg, label,
-    atol)``: it integrates the vectorized ``fn`` against m and reads the
-    result with :meth:`ImproperResult.certified`, so a certified divergence
-    of a nonnegative mixture is +inf.  The pushforward names ``label`` in
-    its error and uses ``atol`` as its absolute panel tolerance; the
-    occupation mixture ignores both (panel tolerance 1e-13, error label
-    "occupation mixture").
+    A subclass supplies m through one hook, ``_mix(fn, f)``: it integrates
+    the vectorized ``fn`` against m, for the :class:`Functional` record
+    ``f``, and reads the result with :meth:`ImproperResult.certified`, so a
+    certified divergence of a nonnegative (``f.nonneg``) mixture is +inf.
+    The pushforward names ``f.label`` in its error and uses ``f.atol`` as
+    its absolute panel tolerance; the occupation mixture ignores both
+    (panel tolerance 1e-13, error label "occupation mixture").
     """
 
     base: LevyMeasure
 
-    def _mix(self, fn, nonneg=False, label="integral", atol=1e-13):
+    def _mix(self, fn, f):
         raise NotImplementedError
 
     def scaled(self, f, us):
@@ -111,32 +112,23 @@ class ScaleMixtureMeasure(LevyMeasure):
             # min(|v x|, 1) lies within a factor max(|v|, 1/|v|) of
             # min(|x|, 1): the base moment is infinite at every nonzero
             # scale, and the mixture wherever m has mass off 0
-            off_zero = self._mix(lambda vs: (vs != 0.0).astype(float), nonneg=True)
+            off_zero = self._mix(lambda vs: (vs != 0.0).astype(float), f)
             return np.where(nz & (off_zero > 0.0), INF, 0.0)
+        u = us[nz]
 
-        def per_scale(w, vs):
+        def per_scale(vs):
             # the base values at the scales w = v u of the mixing abscissae
-            # vs, one row of w per v, flattened
+            # vs, one row of w per v, flattened; v = 0 is scale 0 at u = inf
+            with np.errstate(over="ignore", invalid="ignore"):
+                w = np.outer(vs, u)
+            w[np.outer(vs == 0.0, np.isinf(u))] = 0.0
             if f.name != "centering":
-                return self.base.scaled(f, w)
-            c = self.base.scaled(f, np.concatenate([w, vs]))
+                return self.base.scaled(f, w.ravel())
+            c = self.base.scaled(f, np.concatenate([w.ravel(), vs]))
             cw = c[:w.size].reshape(vs.size, -1, self.dim)
             return vs[:, None, None] * (cw - c[w.size:][:, None, :])
-        u = us[nz]
-        out[nz] = self._mix(lambda vs: np.reshape(
-            per_scale(np.outer(vs, u).reshape(-1), vs), (vs.size, u.size) + shape),
-            f.nonneg, f.label)
+        out[nz] = self._mix(lambda vs: per_scale(vs).reshape((vs.size, u.size) + shape), f)
         return out
-
-    def tail_mass(self, rs):
-        rs = np.atleast_1d(np.asarray(rs, dtype=float))
-
-        def per_radius(vs):
-            vs = np.abs(vs)[:, None]
-            with np.errstate(over="ignore"):
-                vals = self.base.tail_mass((rs / np.where(vs > 0, vs, 1.0)).reshape(-1))
-            return np.where(vs > 0, vals.reshape(vs.size, rs.size), 0.0)
-        return np.asarray(self._mix(per_radius, nonneg=True, atol=1e-12), dtype=float)
 
     def is_symmetric(self):
         return self.base.is_symmetric()
@@ -165,14 +157,14 @@ class PushforwardMeasure(ScaleMixtureMeasure):
         self.proper = self.p > kernel.a and self.q < kernel.b
         self.dim = base.dim
 
-    def _mix(self, fn, nonneg=False, label="integral", atol=1e-13):
+    def _mix(self, fn, f):
         slab = slab_quad(lambda s: fn(np.atleast_1d(self.kernel(s))),
-                         rtol=1e-9, atol=atol)
+                         rtol=1e-9, atol=f.atol)
         if self.proper:
             return slab(self.p, self.q)
-        res = improper_nonneg(slab, self.p, self.q) if nonneg else \
+        res = improper_nonneg(slab, self.p, self.q) if f.nonneg else \
             improper_limit(slab, self.p, self.q, rtol=1e-9)
-        return res.certified(f"pushforward {label}")
+        return res.certified(f"pushforward {f.label}")
 
 
 class TauMixtureMeasure(ScaleMixtureMeasure):
@@ -186,7 +178,7 @@ class TauMixtureMeasure(ScaleMixtureMeasure):
         self.base = base
         self.dim = base.dim
 
-    def _mix(self, fn, nonneg=False, label="integral", atol=1e-13):
+    def _mix(self, fn, f):
         total = 0.0
         for u, m in self.tau.atoms:
             total = total + m * np.asarray(fn(np.array([u]))[0])
@@ -199,7 +191,7 @@ class TauMixtureMeasure(ScaleMixtureMeasure):
                 return vals * dens.reshape((-1,) + (1,) * (vals.ndim - 1))
 
             slab = slab_quad(weighted, rtol=1e-10, atol=1e-13)
-            res = improper_nonneg(slab, lo, hi, rtol=1e-10) if nonneg else \
+            res = improper_nonneg(slab, lo, hi, rtol=1e-10) if f.nonneg else \
                 improper_limit(slab, lo, hi, rtol=1e-9)
             total = total + res.certified("occupation mixture")
         return total

@@ -166,3 +166,26 @@ def test_infinite_tau_atom_mass_stays_legal():
     k = Kernel("one", 0.0, INF, lambda s: np.ones_like(np.asarray(s, dtype=float)),
                monotone_decreasing=True)
     assert tau_measure(k).atoms == [(1.0, INF)]
+
+
+# a negative or NaN radius has no tail mass; before, the answer depended on
+# the representation (3.0 for these atoms at r = -1, inf for gamma, and a
+# RuntimeWarning for stable)
+TAIL_MEASURES = {
+    "zero": lambda: ic.ZeroMeasure(1),
+    "atomic": lambda: ic.AtomicMeasure([[1.5], [-0.5]], [2.0, 1.0]),
+    "gamma": lambda: ic.gamma_measure(1.0, 2.0, [1.0]),
+    "stable": lambda: ic.StableMeasure(0.7, [[1.0]], [1.0]),
+    "sum": lambda: ic.SumMeasure([ic.AtomicMeasure([[1.0]], [1.0]),
+                                  ic.StableMeasure(1.5, [[1.0]], [1.0])]),
+    "psi": lambda: ic.psi(exp_kernel(), ic.AtomicMeasure([[1.0]], [1.0])),
+}
+
+
+@pytest.mark.parametrize("radii", [-1.0, NAN, [1.0, -2.0], [NAN, 1.0]],
+                         ids=["negative", "nan", "negative-in-array", "nan-in-array"])
+@pytest.mark.parametrize("kind", list(TAIL_MEASURES))
+def test_tail_mass_rejects_bad_radius(kind, radii):
+    nu = TAIL_MEASURES[kind]()
+    with pytest.raises(ValueError):
+        nu.tail_mass(radii)

@@ -526,7 +526,8 @@ def _surface_measures():
     }
 
 
-# the six functionals: name, call, value shape of one scale, dtype
+# the seven functionals: name, call, value shape of one scale, dtype; the
+# tail mass takes radii, here |u|, 0 included
 _SURFACE = [
     ("scaled_integral", lambda nu, us: nu.scaled_integral(_clip, us), False, float),
     ("clip2_scaled", lambda nu, us: nu.clip2_scaled(us), False, float),
@@ -536,11 +537,12 @@ _SURFACE = [
      complex),
     ("vector_weighted_scaled",
      lambda nu, us: nu.vector_weighted_scaled(_weight, us, 1.0, INF), True, float),
+    ("tail_mass", lambda nu, us: nu.tail_mass(np.abs(us)), False, float),
 ]
 
 
 class TestFunctionalSurface:
-    """Every representation answers the six functionals with one shape
+    """Every representation answers the seven functionals with one shape
     contract: (m,), or (m, dim) for the centering and vector functionals,
     a scalar scale counting as m = 1."""
 
@@ -576,3 +578,108 @@ class TestFunctionalSurface:
                 np.testing.assert_array_equal(
                     got, np.zeros((3, 1) if vector else (3,), dtype), err_msg=name)
         assert calls == []
+
+    def test_only_the_base_defines_the_wrappers(self):
+        # every public functional is one wrapper of ``scaled`` on LevyMeasure;
+        # a representation answers through ``scaled`` or its primitives
+        import inspect
+
+        import idcalc.measures as measures
+        import idcalc.transform as transform
+        wrappers = {"tail_mass", "integral", "vector_weighted", "scaled_integral"}
+        for module in (measures, transform):
+            for name, cls in vars(module).items():
+                if not inspect.isclass(cls) or cls.__module__ != module.__name__ \
+                        or cls is measures.LevyMeasure:
+                    continue
+                own = {m for m in vars(cls) if m in wrappers or m.endswith("_scaled")}
+                assert not own, (name, sorted(own))
+
+
+_EDGE_RADII = [0.0, 1e-300, 0.3, 1.0, 2.0, 1e300, INF]
+
+
+def _edge_measures():
+    from idcalc.kernels import tau_from_atoms
+    atom = ic.AtomicMeasure([[1.0]], [1.0])
+    return {**_surface_measures(),
+            "psi-exp-atom": ic.psi(ic.exp_kernel(), atom),
+            "tau-atoms": TauMixtureMeasure(tau_from_atoms([(0.5, 1.0), (2.0, 1.0)]), atom),
+            "tau-zero-atom": TauMixtureMeasure(tau_from_atoms([(0.0, 1.0), (2.0, 1.0)]),
+                                               ic.gamma_measure(1.0, 2.0, [1.0]))}
+
+
+# nu(|x| >= r) at _EDGE_RADII as the per-class tail code gave it before the
+# tail became a functional of the one entry; r = 0 is the total mass
+_EDGE_TAILS = {
+    "zero": [0.0] * 7,
+    # atoms 1.5 (mass 2) and -0.5 (mass 1)
+    "atomic": [3.0, 3.0, 3.0, 2.0, 0.0, 0.0, 0.0],
+    # 0.7 + 0.3 times (2/3) (r^-1.5 - 1/8) on (0, 4)
+    "radial": [INF, INF, 3.9738707963345523, 0.5833333333333316, 0.15236892706218205,
+               0.0, 0.0],
+    # r^-0.7 / 0.7
+    "stable": [INF, 1.4285714285713846e+210, 3.318310961599757, 1.4285714285714286,
+               0.8793888666749403, 1.4285714285714724e-210, 0.0],
+    # E1(2 r)
+    "gamma": [INF, 689.5051650527522, 0.4543795031894021, 0.048900510708061125,
+              0.0037793524098489063, 0.0, 0.0],
+    "sum": [INF, 1.4285714285713846e+210, 6.772690464789159, 3.47747193927949,
+            0.8831682190847893, 1.4285714285714724e-210, 0.0],
+    "pushforward": [INF, INF, 3.729575623899322, 0.8109302159406993, 0.0, 0.0, 0.0],
+    "tau-mixture": [2.9999999999781624, 2.9999999999781624, 2.186273142281745,
+                    1.1621695212960172, 0.5455099151142552, 0.0, 0.0],
+    # log(1 / r) for r < 1 (the kernel route is 8e-11 off at the atom's step)
+    "psi-exp-atom": [INF, INF, 1.2039728042427873, 0.0, 0.0, 0.0, 0.0],
+    # tau atoms 0.5 and 2 (mass 1 each) over one atom at 1
+    "tau-atoms": [2.0, 2.0, 2.0, 1.0, 1.0, 0.0, 0.0],
+    # E1(r) from the atom at 2; the atom at 0 adds 0, also at r = 0
+    "tau-zero-atom": [INF, 690.1983122333121, 0.9056766516758468, 0.2193839343955205,
+                      0.048900510708061125, 0.0, 0.0],
+}
+
+
+@pytest.mark.parametrize("kind", list(_EDGE_TAILS))
+def test_tail_mass_at_edge_radii(kind):
+    nu = _edge_measures()[kind]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = [float(nu.tail_mass(r)[0]) for r in _EDGE_RADII]
+        whole = nu.tail_mass(np.array(_EDGE_RADII))
+    np.testing.assert_allclose(got, _EDGE_TAILS[kind], rtol=1e-13, atol=0.0)
+    np.testing.assert_allclose(whole, _EDGE_TAILS[kind], rtol=1e-12, atol=0.0)
+    for r, g, want in zip(_EDGE_RADII, got, _EDGE_TAILS[kind]):
+        if r in (0.0, 1e-300, 1e300, INF):
+            assert g == want, (r, g, want)
+
+
+def test_radial_centering_zero_scale_is_zero():
+    # a zero scale (an underflowed kernel value) answers 0 and leaves the
+    # other scales alone; its column r^3 / (1 + r^2) rho diverges
+    rho = ic.RadialDensity(lambda r: r ** -1.8, order_zero=-1.8, order_inf=-1.8)
+    nu = ic.RadialMeasure([[1.0]], [1.0], rho)
+    stable = ic.StableMeasure(0.8, [[1.0]], [1.0])
+    for us in ([0.0, 1.0, 0.5], [0.0, 0.5], [0.0, 0.5, -2.0, 3e-5, 1e4]):
+        got = nu.centering_scaled(np.array(us))
+        want = stable.centering_scaled(np.array(us))
+        assert got[0, 0] == 0.0
+        np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-9)
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "leading empty windows pass the stabilized rule: from [hi/3, hi] toward 0 "
+    "four near-empty windows certify before the mass near r = 1 is reached"))
+@pytest.mark.parametrize("u", [math.exp(-8), math.exp(-10), math.exp(-12)])
+@pytest.mark.parametrize("route", ["gamma-shell", "radial-clip2"])
+def test_small_scale_body_of_gamma_density(route, u):
+    from scipy.special import gammainc
+    if route == "gamma-shell":
+        # int_{|u x| < 1} |u x|^2 nu(dx) = u^2 P(2, 1/u)
+        got = ic.gamma_measure(1.0, 1.0, [1.0]).scaled_integral(
+            lambda x: (x * x).sum(axis=1), u, 0.0, 1.0)[0]
+        want = u * u * gammainc(2.0, 1.0 / u)
+    else:
+        rho = ic.RadialDensity(lambda r: np.exp(-r) / r, order_zero=-1.0, order_inf=-INF)
+        got = ic.RadialMeasure([[1.0]], [1.0], rho).clip2_scaled(u)[0]
+        want = ic.gamma_measure(1.0, 1.0, [1.0]).clip2_scaled(u)[0]
+    assert abs(got - want) <= 1e-6 * want
