@@ -22,17 +22,15 @@ The public methods wrap it, a scalar ``us`` counting as m = 1:
   i<z,ux>/(1+|ux|^2)) nu(dx)
 * ``vector_weighted_scaled(w, us, lo, hi)`` ("vector_shell") -- int (u x)
   w(|u x|) nu(dx) over lo <= |u x| < hi
-* ``tail_mass(rs)`` ("tail") -- nu(|x| >= r) at u = 1/r, the scale's value
-  being nu(|u x| >= 1), so r = 0 is u = inf and r = inf is u = 0
+* ``tail_mass(rs)`` ("tail", args the radii) -- nu(|x| >= r), the value
+  nu(|u x| >= 1) at u = 1/r, so r = 0 is u = inf and r = inf is u = 0
 
 ``integral`` and ``vector_weighted`` are their one-scale case u = 1.  A
 primitive representation implements ``_<name>(us, *args)`` per record
 name, which the default ``scaled`` reaches by name, so a subclass's closed
 form overrides its parent's quadrature by plain inheritance.  A composite
-overrides ``scaled`` once, knowing of a functional only its record: the
-shape and dtype of one scale's value, whether it is nonnegative, its
-error label and the panel tolerance of a mixing quadrature.  Per
-representation:
+overrides ``scaled`` once, knowing of a functional only its record
+(:class:`Functional`).  Per representation:
 
 * atoms: exact sums, one call of ``h`` (or ``w``) on all m x n points;
 * the polar family, nu(B) = sum_k w_k int 1_B(r xi_k) rho(r) dr
@@ -113,7 +111,6 @@ class Functional(NamedTuple):
 _CLIP2 = Functional("clip2", nonneg=True)
 _CLIP1 = Functional("clip1", nonneg=True)
 _CENTERING = Functional("centering", vector=True, label="centering")
-_TAIL = Functional("tail", nonneg=True, atol=1e-12)
 
 
 def _reflection_symmetric(points, masses):
@@ -175,13 +172,14 @@ class LevyMeasure:
                                       label="moment vector"), _scales(us))
 
     def tail_mass(self, rs):
-        """nu(|x| >= r) at every radius r >= 0: the tail at scale 1/r, so
-        r = 0, and r below 1 / (largest float), counts every jump."""
+        """nu(|x| >= r) at every radius r >= 0: the tail at scale 1/r, r = 0
+        counting every jump; the record carries r, as r * (1/r) may round below 1."""
         rs = _scales(rs)
         if not np.all(rs >= 0.0):
             raise ValueError("tail radii must be nonnegative numbers")
         with np.errstate(divide="ignore", over="ignore"):
-            return self.scaled(_TAIL, 1.0 / rs)
+            us = 1.0 / rs
+        return self.scaled(Functional("tail", (rs,), nonneg=True, atol=1e-12), us)
 
     # -- derived conveniences ------------------------------------------------
     def total_mass(self):
@@ -289,9 +287,8 @@ class AtomicMeasure(LevyMeasure):
             vals[m] = np.asarray(h(pts[m]), dtype=float)
         return (vals * self.masses[None, :]).sum(axis=1)
 
-    def _tail(self, us):
-        with np.errstate(over="ignore"):
-            return (np.outer(np.abs(us), self.radii) >= 1.0) @ self.masses
+    def _tail(self, us, rs):
+        return (self.radii[None, :] >= rs[:, None]) @ self.masses
 
     def _clip2(self, us):
         y = np.minimum(np.square(np.outer(us, self.radii)), 1.0)
@@ -573,7 +570,7 @@ class RadialMeasure(LevyMeasure):
                               dtype=float).reshape(len(t), len(dirs), v.size)
         return self._routed(cols, self.weights, us, lo, hi)[0]
 
-    def _tail(self, us):
+    def _tail(self, us, rs):
         # one routed shell of 1 over |u| r >= 1; the total mass at u = inf
         fin = np.isfinite(us)
         shell = self._shell(np.where(fin, us, 0.0), lambda x: np.ones(x.shape[0]), 1.0, INF)
@@ -764,10 +761,10 @@ class GammaMeasure(RadialMeasure):
         out[nz] = self.shape * (au[nz] * body + exp1(x))
         return out
 
-    def _tail(self, us):
+    def _tail(self, us, rs):
         from scipy.special import exp1
-        with np.errstate(divide="ignore", over="ignore"):
-            return self.shape * exp1(self.rate / np.abs(us))
+        x = np.maximum(self.rate * rs, 5e-324)   # finite where rate r underflows
+        return np.where(rs > 0.0, self.shape * exp1(x), INF)
 
     def _centering(self, us):
         au = np.abs(us)
@@ -845,8 +842,9 @@ class StableMeasure(RadialMeasure):
                 out[sel] = self._scale_factors(us[sel]) * base
         return out
 
-    def _tail(self, us):
-        return self.weight_sum() * (self._scale_factors(us) / self.alpha)
+    def _tail(self, us, rs):
+        with np.errstate(divide="ignore", over="ignore"):
+            return self.weight_sum() * (rs ** -self.alpha / self.alpha)
 
     def _clip2(self, us):
         a = self.alpha

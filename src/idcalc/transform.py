@@ -79,14 +79,14 @@ class ScaleMixtureMeasure(LevyMeasure):
     Every functional of nu~ at scale u is the same functional of the base
     measure at scale u v, mixed over m, so one ``scaled`` answers them all;
     zero scales, and every scale of a zero base, give 0 without mixing.
-    Two functionals differ: over y = v x the centering weight 1/(1+|y|^2)
+    Three functionals differ: over y = v x the centering weight 1/(1+|y|^2)
     sits at scale v, so the mixed per-scale centering is v (c(u v) - c(v));
-    and a base with an infinite clipped first moment has an infinite one
-    at every nonzero scale.  The tail mass is the tail at scale 1/r, with
-    no code of its own.  A call hands the mixing every scale it asks for as
-    the components of one vector integrand, so it makes one mixing driver
-    call however many there are; the base answers for all the scales of
-    an outer quadrature panel in one call.
+    a base with an infinite clipped first moment has an infinite one at
+    every nonzero scale; and the tail's radii r move to r / |v| with its
+    scales, so an atom at r stays counted.  A call hands the mixing every
+    scale it asks for as the components of one vector integrand, so it
+    makes one mixing driver call however many there are; the base answers
+    for all the scales of an outer quadrature panel in one call.
 
     A subclass supplies m through one hook, ``_mix(fn, f)``: it integrates
     the vectorized ``fn`` against m, for the :class:`Functional` record
@@ -117,11 +117,14 @@ class ScaleMixtureMeasure(LevyMeasure):
         u = us[nz]
 
         def per_scale(vs):
-            # the base values at the scales w = v u of the mixing abscissae
-            # vs, one row of w per v, flattened; v = 0 is scale 0 at u = inf
-            with np.errstate(over="ignore", invalid="ignore"):
-                w = np.outer(vs, u)
-            w[np.outer(vs == 0.0, np.isinf(u))] = 0.0
+            # the base values at the scales w = v u of the abscissae vs, one
+            # row per v, flattened; the tail's at the radii r / |v|, inf at v = 0
+            if f.name == "tail":
+                with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                    rv = np.where(vs[:, None] != 0.0, f.args[0][nz] / np.abs(vs[:, None]), INF)
+                    w = 1.0 / rv
+                return self.base.scaled(f._replace(args=(rv.ravel(),)), w.ravel())
+            w = np.outer(vs, u)
             if f.name != "centering":
                 return self.base.scaled(f, w.ravel())
             c = self.base.scaled(f, np.concatenate([w.ravel(), vs]))

@@ -596,46 +596,65 @@ class TestFunctionalSurface:
                 assert not own, (name, sorted(own))
 
 
-_EDGE_RADII = [0.0, 1e-300, 0.3, 1.0, 2.0, 1e300, INF]
+_EDGE_RADII = [0.0, 1e-300, 0.3, 1.0, 2.0, 49.0, 1e300, INF]
 
 
 def _edge_measures():
     from idcalc.kernels import tau_from_atoms
     atom = ic.AtomicMeasure([[1.0]], [1.0])
+    # 49 (1/49) rounds below 1: an atom at radius 49 tests the closed boundary
+    atom49 = ic.AtomicMeasure([[49.0], [-7.0]], [1.0, 2.0])
     return {**_surface_measures(),
             "psi-exp-atom": ic.psi(ic.exp_kernel(), atom),
             "tau-atoms": TauMixtureMeasure(tau_from_atoms([(0.5, 1.0), (2.0, 1.0)]), atom),
             "tau-zero-atom": TauMixtureMeasure(tau_from_atoms([(0.0, 1.0), (2.0, 1.0)]),
-                                               ic.gamma_measure(1.0, 2.0, [1.0]))}
+                                               ic.gamma_measure(1.0, 2.0, [1.0])),
+            "tau-zero-radial": TauMixtureMeasure(
+                tau_from_atoms([(0.0, 1.0), (2.0, 1.0)]),
+                ic.RadialMeasure([[1.0]], [1.0], ic.RadialDensity(
+                    lambda r: r ** -2.5, support=(1.0, 4.0), order_zero=-2.5,
+                    order_inf=-INF))),
+            "atom-49": atom49,
+            "sum-49": ic.SumMeasure([atom49, ic.gamma_measure(1.0, 2.0, [1.0])]),
+            "tau-atoms-49": TauMixtureMeasure(tau_from_atoms([(1.0, 1.0), (49.0, 1.0)]), atom)}
 
 
 # nu(|x| >= r) at _EDGE_RADII as the per-class tail code gave it before the
 # tail became a functional of the one entry; r = 0 is the total mass
 _EDGE_TAILS = {
-    "zero": [0.0] * 7,
+    "zero": [0.0] * 8,
     # atoms 1.5 (mass 2) and -0.5 (mass 1)
-    "atomic": [3.0, 3.0, 3.0, 2.0, 0.0, 0.0, 0.0],
+    "atomic": [3.0, 3.0, 3.0, 2.0, 0.0, 0.0, 0.0, 0.0],
     # 0.7 + 0.3 times (2/3) (r^-1.5 - 1/8) on (0, 4)
     "radial": [INF, INF, 3.9738707963345523, 0.5833333333333316, 0.15236892706218205,
-               0.0, 0.0],
+               0.0, 0.0, 0.0],
     # r^-0.7 / 0.7
     "stable": [INF, 1.4285714285713846e+210, 3.318310961599757, 1.4285714285714286,
-               0.8793888666749403, 1.4285714285714724e-210, 0.0],
+               0.8793888666749403, 0.0937054183590682, 1.4285714285714724e-210, 0.0],
     # E1(2 r)
     "gamma": [INF, 689.5051650527522, 0.4543795031894021, 0.048900510708061125,
-              0.0037793524098489063, 0.0, 0.0],
+              0.0037793524098489063, 2.7768283305559097e-45, 0.0, 0.0],
     "sum": [INF, 1.4285714285713846e+210, 6.772690464789159, 3.47747193927949,
-            0.8831682190847893, 1.4285714285714724e-210, 0.0],
-    "pushforward": [INF, INF, 3.729575623899322, 0.8109302159406993, 0.0, 0.0, 0.0],
+            0.8831682190847893, 0.0937054183590682, 1.4285714285714724e-210, 0.0],
+    "pushforward": [INF, INF, 3.729575623899322, 0.8109302159406993, 0.0, 0.0, 0.0, 0.0],
     "tau-mixture": [2.9999999999781624, 2.9999999999781624, 2.186273142281745,
-                    1.1621695212960172, 0.5455099151142552, 0.0, 0.0],
+                    1.1621695212960172, 0.5455099151142552, 0.0, 0.0, 0.0],
     # log(1 / r) for r < 1 (the kernel route is 8e-11 off at the atom's step)
-    "psi-exp-atom": [INF, INF, 1.2039728042427873, 0.0, 0.0, 0.0, 0.0],
+    "psi-exp-atom": [INF, INF, 1.2039728042427873, 0.0, 0.0, 0.0, 0.0, 0.0],
     # tau atoms 0.5 and 2 (mass 1 each) over one atom at 1
-    "tau-atoms": [2.0, 2.0, 2.0, 1.0, 1.0, 0.0, 0.0],
+    "tau-atoms": [2.0, 2.0, 2.0, 1.0, 1.0, 0.0, 0.0, 0.0],
     # E1(r) from the atom at 2; the atom at 0 adds 0, also at r = 0
     "tau-zero-atom": [INF, 690.1983122333121, 0.9056766516758468, 0.2193839343955205,
-                      0.048900510708061125, 0.0, 0.0],
+                      0.048900510708061125, 1.0489811642368022e-23, 0.0, 0.0],
+    # r^-2.5 on (1, 4) moved to (2, 8): (2/3) (1 - 1/8) below r = 2; the
+    # atom at 0 adds 0, also at r = 0
+    "tau-zero-radial": [0.5833333333333316] * 5 + [0.0] * 3,
+    # atoms 49 (mass 1) and -7 (mass 2), alone and plus the gamma above
+    "atom-49": [3.0, 3.0, 3.0, 3.0, 3.0, 1.0, 0.0, 0.0],
+    "sum-49": [INF, 692.5051650527522, 3.454379503189402, 3.0489005107080613,
+               3.003779352409849, 1.0, 0.0, 0.0],
+    # tau atoms 1 and 49 (mass 1 each) over one atom at 1
+    "tau-atoms-49": [2.0, 2.0, 2.0, 2.0, 1.0, 1.0, 0.0, 0.0],
 }
 
 
@@ -649,8 +668,37 @@ def test_tail_mass_at_edge_radii(kind):
     np.testing.assert_allclose(got, _EDGE_TAILS[kind], rtol=1e-13, atol=0.0)
     np.testing.assert_allclose(whole, _EDGE_TAILS[kind], rtol=1e-12, atol=0.0)
     for r, g, want in zip(_EDGE_RADII, got, _EDGE_TAILS[kind]):
-        if r in (0.0, 1e-300, 1e300, INF):
+        if r in (0.0, 1e-300, 49.0, 1e300, INF):
             assert g == want, (r, g, want)
+
+
+@pytest.mark.parametrize("r", [5e-309, 1e-320, 5e-324])
+def test_tail_mass_at_subnormal_radius(r):
+    # 1 / r overflows, but the closed forms take r itself: r^-0.7 / 0.7 and
+    # E1(2 r) = -euler_gamma - log(2 r) + O(r)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        stable = ic.StableMeasure(0.7, [[1.0]], [1.0]).tail_mass(r)[0]
+        gamma = ic.gamma_measure(1.0, 2.0, [1.0]).tail_mass(r)[0]
+    assert stable == pytest.approx(r ** -0.7 / 0.7, rel=1e-14)
+    assert gamma == pytest.approx(-np.euler_gamma - math.log(2.0 * r), rel=1e-14)
+
+
+def test_tail_mass_of_radial_density_on_whole_half_line():
+    # r^-2.5 on (0, inf): nu(|x| >= r) = (2/3) r^-1.5; the scales 1/r <= 1
+    # share one y-space call, the others run one r-space call each
+    rho = ic.RadialDensity(lambda r: r ** -2.5, order_zero=-2.5, order_inf=-2.5)
+    nu = ic.RadialMeasure([[1.0], [-1.0]], [0.7, 0.3], rho)
+    rs = np.array([0.0, 1e-300, 0.3, 1.0, 2.0, math.exp(10), 1e300, INF])
+    with np.errstate(divide="ignore", over="ignore", under="ignore"):
+        want = (2.0 / 3.0) * rs ** -1.5
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = [float(nu.tail_mass(r)[0]) for r in rs]
+        whole = nu.tail_mass(rs)
+    for g in (np.array(got), whole):
+        np.testing.assert_allclose(g, want, rtol=1e-9, atol=3e-11)
+        assert list(g[[0, 1, 6, 7]]) == [INF, INF, 0.0, 0.0]
 
 
 def test_radial_centering_zero_scale_is_zero():
