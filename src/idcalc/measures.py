@@ -34,8 +34,11 @@ overrides ``scaled`` once, knowing of a functional only its record
 
 * atoms: exact sums, one call of ``h`` (or ``w``) on all m x n points;
 * the polar family, nu(B) = sum_k w_k int 1_B(r xi_k) rho(r) dr
-  (``RadialMeasure``): every radial integral runs through one driver body,
-  in r or in y = |u| r, each scale certified as its own component.  The
+  (``RadialMeasure``), rho a function on an open support (lo, hi)
+  (``RadialDensity``), its dual r^-4 rho(1/r) on (1/hi, 1/lo): every
+  radial integral runs through one driver body, in r or in y = |u| r,
+  each scale certified as its own component (a divergent one, such as the
+  clip1 body of a density r^-2.5 at 0, as +inf).  The
   shells, the tail (the shell of 1 over [1, inf)) and the centering share
   one route split (``_routed``), so a zero scale gives 0 in each: over
   [0, inf) the r-range and window schedule are common to all scales, so
@@ -378,22 +381,15 @@ def _drive(fn, lo, hi, signed, atol):
 
 
 class RadialDensity:
-    """Radial density rho(r) on a sub-interval of (0, inf).
+    """Radial density rho(r): the function ``fn`` on an open interval
+    ``support`` = (lo, hi) of (0, inf), 0 <= lo < hi <= inf, and 0 off it."""
 
-    ``order_zero`` / ``order_inf`` are conservative power-law envelopes: the
-    density is r^(order +- eps) near the corresponding end for every eps > 0
-    (log corrections allowed).  ``-inf`` for ``order_inf`` means faster than
-    any power (exponential decay or compact support).  ``None`` disables the
-    closed-form convergence test and forces window certification.
-    """
-
-    def __init__(self, fn, support=(0.0, INF), order_zero=None, order_inf=None,
-                 label="radial"):
+    def __init__(self, fn, support=(0.0, INF)):
+        lo, hi = float(support[0]), float(support[1])
+        if not 0.0 <= lo < hi:
+            raise ValueError("radial support must satisfy 0 <= lo < hi <= inf")
         self.fn = fn
-        self.support = (float(support[0]), float(support[1]))
-        self.order_zero = order_zero
-        self.order_inf = order_inf
-        self.label = label
+        self.support = (lo, hi)
 
     def __call__(self, r):
         r = np.asarray(r, dtype=float)
@@ -403,48 +399,6 @@ class RadialDensity:
         if m.any():
             out[m] = self.fn(r[m])
         return out
-
-    def dual(self):
-        return _DualRadialDensity(self)
-
-    def moment_order_test(self, m):
-        """Convergence of int r^m rho(r) dr at zero.
-
-        Returns True (converges), False (diverges) or None (undecided).
-        Strict inequalities only; the borderline exponent is left undecided
-        because log corrections may swing it either way.
-        """
-        if self.support[0] > 0:
-            return True
-        if self.order_zero is None:
-            return None
-        e = m + self.order_zero
-        if e > -1.0 + 1e-12:
-            return True
-        if e < -1.0 - 1e-12:
-            return False
-        return None
-
-
-class _DualRadialDensity(RadialDensity):
-    """Density of the inversion-transported measure: r -> r^-4 rho(1/r)."""
-
-    def __init__(self, base):
-        lo, hi = base.support
-        new_lo = 0.0 if hi == INF else 1.0 / hi
-        new_hi = INF if lo == 0.0 else 1.0 / lo
-        o0 = None if base.order_inf is None else (
-            INF if base.order_inf == -INF else -4.0 - base.order_inf)
-        oi = None if base.order_zero is None else -4.0 - base.order_zero
-        if o0 == INF:
-            o0 = 6.0  # any large exponent: density vanishes faster than r^6
-        super().__init__(lambda r: base.fn(1.0 / r) / r ** 4,
-                         support=(new_lo, new_hi), order_zero=o0, order_inf=oi,
-                         label=f"dual({base.label})")
-        self.base = base
-
-    def dual(self):
-        return self.base
 
 
 class RadialMeasure(LevyMeasure):
@@ -594,11 +548,11 @@ class RadialMeasure(LevyMeasure):
         return self.weight_sum() * np.array([self._clip_single(float(u), 2.0) for u in us])
 
     def _clip1(self, us):
-        if self.density.moment_order_test(1.0) is not False:
-            vals = np.array([self._clip_single(float(u), 1.0) for u in us])
-            if not np.any(np.isinf(vals)):
-                return self.weight_sum() * vals
-        return np.where(us != 0, INF, 0.0)
+        # the drivers certify a divergent body; it diverges at every u != 0
+        vals = np.array([self._clip_single(float(u), 1.0) for u in us])
+        if np.any(np.isinf(vals)):
+            return np.where(us != 0, INF, 0.0)
+        return self.weight_sum() * vals
 
     def _centering(self, us):
         # routed, so a zero scale (its column diverges at r = 0) gives 0
@@ -669,8 +623,13 @@ class RadialMeasure(LevyMeasure):
         return _in_orthant(self.directions, signs)
 
     def _dual(self):
-        return RadialMeasure(self.directions, self.weights, self.density.dual(),
-                             validate=False)
+        # density r^-4 rho(1/r) on the inverted support; clip2 is invariant
+        # under the inversion, so the dual needs no validation
+        fn = self.density.fn
+        lo, hi = self.density.support
+        dens = RadialDensity(lambda r: fn(1.0 / r) / r ** 4,
+                             (0.0 if hi == INF else 1.0 / hi, INF if lo == 0.0 else 1.0 / lo))
+        return RadialMeasure(self.directions, self.weights, dens, validate=False)
 
     def _reflected(self):
         """Directions and weights of nu(B) + nu(-B)."""
@@ -729,8 +688,7 @@ class GammaMeasure(RadialMeasure):
         lam = self.rate = float(rate)
         self.direction = direction / norm
         super().__init__(self.direction[None, :], np.array([1.0]),
-                         RadialDensity(lambda r: c * np.exp(-lam * r) / r,
-                                       order_zero=-1.0, order_inf=-INF, label="gamma"),
+                         RadialDensity(lambda r: c * np.exp(-lam * r) / r),
                          validate=False)
 
     def _radial_law(self):
@@ -819,8 +777,7 @@ class StableMeasure(RadialMeasure):
             raise ValueError("stability index must lie in (0, 2)")
         a = self.alpha = float(alpha)
         super().__init__(directions, weights,
-                         RadialDensity(lambda r: r ** (-a - 1.0), order_zero=-a - 1.0,
-                                       order_inf=-a - 1.0, label="stable"),
+                         RadialDensity(lambda r: r ** (-a - 1.0)),
                          validate=False)
 
     def _radial_law(self):
@@ -977,49 +934,6 @@ def symmetrize_measure(nu):
     the parts' reflection-sums, or the same scale mixture over the
     reflection-sum of its base."""
     return nu.symmetrized()
-
-
-def materialize_radial(nu, r_grid):
-    """Materialize a one-dimensional measure as a radial-polar measure with
-    a piecewise-constant density sampled on the stated radius grid.
-
-    Lazy compositions (window pushforwards, occupation-measure mixtures)
-    stay exact by default; this is the explicit discretization step, and the
-    grid choice is the caller's statement of the acceptable resolution.
-    Mass outside [min(grid), max(grid)) is dropped.
-    """
-    if nu.dim != 1:
-        raise ValueError("radial materialization is implemented for one"
-                         " dimension")
-    rs = np.unique(np.asarray(r_grid, dtype=float))
-    if rs.size < 2 or rs[0] <= 0:
-        raise ValueError("grid needs at least two positive radii")
-    parts = []
-    for sign in (1.0, -1.0):
-        def side_tail(r, sign=sign):
-            h = lambda x: ((sign * x[:, 0]) > 0).astype(float)
-            return nu.integral(h, float(r), INF)
-
-        tails = np.array([side_tail(r) for r in rs])
-        cell_mass = tails[:-1] - tails[1:]
-        if float(cell_mass.sum()) <= 0:
-            continue
-        dens_vals = cell_mass / np.diff(rs)
-        edges = rs.copy()
-
-        def fn(r, edges=edges, vals=dens_vals):
-            idx = np.clip(np.searchsorted(edges, r, side="right") - 1,
-                          0, len(vals) - 1)
-            out = np.asarray(vals[idx], dtype=float)
-            return np.where((r >= edges[0]) & (r < edges[-1]), out, 0.0)
-
-        dens = RadialDensity(fn, support=(float(rs[0]), float(rs[-1])),
-                             label="materialized")
-        parts.append(RadialMeasure(np.array([[sign]]), np.array([1.0]), dens,
-                                   validate=False))
-    if not parts:
-        return ZeroMeasure(1)
-    return parts[0] if len(parts) == 1 else SumMeasure(parts)
 
 
 def levy_integral(nu, h, region=None):

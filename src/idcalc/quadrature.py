@@ -163,7 +163,8 @@ def _panels(fn, lo, hi):
     # a slice, not an index array, keeps the product in C order, so each
     # panel's Gauss sum adds its terms in the order a lone panel's does
     vg = half * (_GAUSS_WEIGHTS.reshape((7,) + tail) * y[:, 1::2]).sum(axis=1)
-    return vk, np.abs(vk - vg)
+    # equal sums, infinite ones included, have error 0 (inf - inf is NaN)
+    return vk, np.abs(np.subtract(vk, vg, out=np.zeros_like(vk), where=vk != vg))
 
 
 def _error_weights(total, rtol, atol):

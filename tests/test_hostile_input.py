@@ -65,8 +65,12 @@ CASES = [
      ("dist", _dist(_atomic([0.0], 1.0)))),
     # the CLI has no radial measure type
     ("radial-nan-weight", lambda: ic.RadialMeasure(
-        [[1.0]], [NAN], ic.RadialDensity(lambda r: np.exp(-r) / r, order_zero=-1.0,
-                                         order_inf=-INF)), None),
+        [[1.0]], [NAN], ic.RadialDensity(lambda r: np.exp(-r) / r)), None),
+    # a radial support needs 0 <= lo < hi <= inf; else the measure, or its
+    # dual, is silently zero
+    *[(f"radial-support-{lo}-{hi}", lambda lo=lo, hi=hi: ic.RadialDensity(
+        lambda r: r ** -2.0, (lo, hi)), None)
+      for lo, hi in ((-1.0, 2.0), (2.0, 1.0), (1.0, 1.0), (NAN, 2.0), (0.0, NAN))],
     ("gamma-zero-direction", lambda: ic.gamma_measure(1.0, 1.0, [0.0]),
      ("dist", _dist(_gamma(1.0, [0.0])))),
     ("gamma-nan-shape", lambda: ic.gamma_measure(NAN, 1.0, [1.0]),

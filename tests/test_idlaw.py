@@ -53,8 +53,7 @@ class TestClassify:
         assert ic.classify_type(t) is ic.TypeClass.C
 
     def test_radial_infinite_activity_finite_variation(self):
-        dens = ic.RadialDensity(lambda r: r ** -1.5, support=(0.0, 1.0),
-                                order_zero=-1.5, order_inf=-INF)
+        dens = ic.RadialDensity(lambda r: r ** -1.5, support=(0.0, 1.0))
         nu = ic.RadialMeasure([[1.0]], [1.0], dens)
         t = ic.Triplet(0.0, nu, [0.0])
         assert ic.classify_type(t) is ic.TypeClass.B
@@ -76,8 +75,7 @@ class TestDriftMean:
                                    [0.0], atol=1e-15)
 
     def test_no_drift_for_heavy_small_jumps(self):
-        dens = ic.RadialDensity(lambda r: r ** -3.0, support=(0.0, 1.0),
-                                order_zero=-3.0, order_inf=-INF)
+        dens = ic.RadialDensity(lambda r: r ** -3.0, support=(0.0, 1.0))
         # r^-3 near zero integrates r^2 but not r
         nu = ic.RadialMeasure([[1.0]], [1.0], dens, validate=False)
         with pytest.raises(NoDrift):
@@ -138,6 +136,14 @@ class TestDual:
             assert lhs == pytest.approx(rhs, rel=1e-8)
         else:
             assert lhs == INF and rhs == INF
+        # r^-2 on (1, 4): the dual density r^-4 (1/r)^-2 lives on (1/4, 1)
+        rad = ic.RadialMeasure([[1.0]], [1.0],
+                               ic.RadialDensity(lambda r: r ** -2.0, support=(1.0, 4.0)))
+        radd = ic.dual_measure(rad)
+        assert radd.density.support == (0.25, 1.0)
+        lhs = ic.levy_integral(radd, radial_h(lambda r: r ** (2 - a)), (0.0, 1.0))
+        rhs = ic.levy_integral(rad, radial_h(lambda r: r ** a), (1.0, INF))
+        assert lhs == pytest.approx(rhs, rel=1e-12)
 
     def test_drift_mean_duality(self):
         t = one_atom(2.0, 1.0, gamma=0.3)
@@ -161,8 +167,7 @@ class TestDual:
             ic.levy_integral(nu, clip), rel=1e-12)
 
     def test_radial_dual_cumulant_involution(self):
-        dens = ic.RadialDensity(lambda r: np.exp(-r) / r, order_zero=-1.0,
-                                order_inf=-INF)
+        dens = ic.RadialDensity(lambda r: np.exp(-r) / r)
         nu = ic.RadialMeasure([[1.0]], [1.0], dens)
         t = ic.Triplet(0.0, nu, [0.4])
         tt = ic.dual(ic.dual(t))

@@ -7,7 +7,6 @@ import pytest
 import idcalc as ic
 from idcalc.errors import TooFewSamples
 from idcalc.kernels import exp_kernel, indicator_kernel, sinc_kernel
-from idcalc.measures import INF
 from idcalc.mc import (
     TILE_BYTES,
     SimConfig,
@@ -248,8 +247,7 @@ def _sample_total_add_at(sampler, rng, counts, f):
 def _radial(directions, weights):
     """A radial measure with the gamma-like density exp(-r) / r: rate
     about w E1(eps) above a cutoff eps, 6.33 w at 1e-3."""
-    dens = ic.RadialDensity(lambda r: np.exp(-r) / r, order_zero=-1.0,
-                            order_inf=-INF)
+    dens = ic.RadialDensity(lambda r: np.exp(-r) / r)
     return ic.RadialMeasure(directions, weights, dens)
 
 

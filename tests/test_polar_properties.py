@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 import idcalc as ic
 from idcalc.kernels import TauMeasure
-from idcalc.measures import INF
 from idcalc.transform import TauMixtureMeasure
 
 # a fixed draw sequence keeps the suite reproducible
@@ -40,7 +39,7 @@ def polar_parts(draw, dim):
 
 
 def _gamma_like_density():
-    return ic.RadialDensity(lambda r: np.exp(-r) / r, order_zero=-1.0, order_inf=-INF)
+    return ic.RadialDensity(lambda r: np.exp(-r) / r)
 
 
 @st.composite
