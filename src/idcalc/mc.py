@@ -22,6 +22,9 @@ that sum over a tile, a block of paths times a block of consecutive cells:
   Gaussian refinement replaces the discarded small jumps by a matched
   normal term.
 
+The exact window law enters twice, at the mesh probe and at the ECF check,
+each through one ``direct_exponent`` call over its whole argument grid.
+
 Tiles are sized from the expected jump count so that the temporaries of a
 draw stay within about ``TILE_BYTES``.  Randomness comes from
 counter-based Philox streams keyed by (seed, tile), so runs are
@@ -396,7 +399,7 @@ def sample_integral(k: Kernel, t: Triplet, p: float, q: float,
     exact = None   # the exact window exponents, computed at the first check
     while mesh * 2 <= cfg.max_mesh_points:
         if exact is None:
-            exact = [direct_exponent(k, t, z, p, q) for z in probe]
+            exact = direct_exponent(k, t, probe, p, q)
         if _mesh_bias(k, t, p, q, mesh, probe, exact) <= target:
             break
         mesh *= 2
@@ -428,15 +431,13 @@ def _probe_grid(dim, m=6):
 
 def _mesh_bias(k, t, p, q, mesh, zs, exact):
     """Characteristic-function gap of the midpoint-frozen integrand, against
-    the exact window exponents ``exact`` at the arguments ``zs``."""
+    the exact window exponents ``exact`` at the rows of the grid ``zs``."""
     ds = (q - p) / mesh
     mids = p + (np.arange(mesh) + 0.5) * ds
     fvals = np.asarray(k(mids), dtype=float)
-    gap = 0.0
-    for z, ex in zip(zs, exact):
-        frozen = ds * np.sum(base_exponent_scaled(t, z, fvals))
-        gap = max(gap, abs(np.exp(frozen) - np.exp(ex)))
-    return gap
+    # a contiguous row per argument sums pairwise, as a lone 1-d sum does
+    frozen = ds * np.ascontiguousarray(base_exponent_scaled(t, zs, fvals).T).sum(axis=1)
+    return float(np.max(np.abs(np.exp(frozen) - np.exp(exact))))
 
 
 # ---------------------------------------------------------------------------
@@ -470,8 +471,10 @@ def ecf_check(samples, analytic_exponent, z_grid, batches=16) -> EcfReport:
     """Compare the empirical characteristic function of the samples with
     exp of the analytic exponent on a grid of arguments.
 
-    Standard errors come from batch means; the headline figure is the
-    largest deviation in standard-error units.
+    ``analytic_exponent`` maps the (m, d) grid to its m exponents in one
+    call; any other shape raises ``ValueError``.  Standard errors come from
+    batch means; the headline figure is the largest deviation in
+    standard-error units.
     """
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
     n = samples.shape[0]
@@ -481,8 +484,12 @@ def ecf_check(samples, analytic_exponent, z_grid, batches=16) -> EcfReport:
     if z_grid.shape[1] != samples.shape[1]:
         raise ValueError("argument grid dimension mismatch")
     edges = np.linspace(0, n, batches + 1).astype(int)
+    ana = np.asarray(analytic_exponent(z_grid))
+    if ana.shape != (len(z_grid),):
+        raise ValueError(f"analytic exponent must map the {z_grid.shape} grid to"
+                         f" {len(z_grid)} values, got shape {ana.shape}")
+    ana = np.exp(ana.astype(complex))
     emp = np.empty(len(z_grid), dtype=complex)
-    ana = np.empty(len(z_grid), dtype=complex)
     err = np.empty(len(z_grid))
     for i, z in enumerate(z_grid):
         phases = np.exp(1j * (samples @ z))
@@ -490,7 +497,6 @@ def ecf_check(samples, analytic_exponent, z_grid, batches=16) -> EcfReport:
         means = np.array([phases[a:b].mean() for a, b in zip(edges, edges[1:])])
         err[i] = math.sqrt((means.real.var(ddof=1) + means.imag.var(ddof=1))
                            / batches)
-        ana[i] = np.exp(analytic_exponent(z))
     # floor the standard error at machine scale so degenerate samples with
     # an exact analytic match report zero deviation
     dev = np.abs(emp - ana) / np.maximum(err, 1e-14)
@@ -499,5 +505,6 @@ def ecf_check(samples, analytic_exponent, z_grid, batches=16) -> EcfReport:
 
 def window_exponent(k: Kernel, t: Triplet, p: float, q: float):
     """Analytic exponent of the window integral via the base law's
-    characteristic exponent composed with the kernel."""
+    characteristic exponent composed with the kernel: maps an (m, d) grid of
+    arguments to its m exponents with one ``direct_exponent`` call."""
     return lambda z: direct_exponent(k, t, z, p, q)

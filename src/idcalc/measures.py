@@ -9,8 +9,9 @@ mixtures, are scale mixtures of these representations and live in
 
 Every representation answers each functional, a :class:`Functional`
 record, through one entry ``scaled(f, us)``: f at each of the m scales of
-the 1-d array ``us``, shape (m,), or (m, dim) for a vector functional.
-The public methods wrap it, a scalar ``us`` counting as m = 1:
+the 1-d array ``us``, shape (m,) + ``f.shape(dim)``: (m,), (m, dim) for a
+vector functional, and (m, m_z) for the cumulant over an (m_z, d) grid of
+arguments.  The public methods wrap it, a scalar ``us`` counting as m = 1:
 
 * ``scaled_integral(h, us, lo, hi)`` ("shell") -- int h(u x) nu(dx) over
   lo <= |u x| < hi, h >= 0
@@ -19,7 +20,7 @@ The public methods wrap it, a scalar ``us`` counting as m = 1:
 * ``centering_scaled(us)`` ("centering") -- int x (1/(1+|ux|^2) -
   1/(1+|x|^2)) nu(dx)
 * ``cumulant_scaled(z, us)`` ("cumulant") -- int (e^{i<z,ux>} - 1 -
-  i<z,ux>/(1+|ux|^2)) nu(dx)
+  i<z,ux>/(1+|ux|^2)) nu(dx), at one argument z or at each row of a grid
 * ``vector_weighted_scaled(w, us, lo, hi)`` ("vector_shell") -- int (u x)
   w(|u x|) nu(dx) over lo <= |u x| < hi
 * ``tail_mass(rs)`` ("tail", args the radii) -- nu(|x| >= r), the value
@@ -32,7 +33,8 @@ form overrides its parent's quadrature by plain inheritance.  A composite
 overrides ``scaled`` once, knowing of a functional only its record
 (:class:`Functional`).  Per representation:
 
-* atoms: exact sums, one call of ``h`` (or ``w``) on all m x n points;
+* atoms: exact sums, one call of ``h`` (or ``w``) on all m x n points,
+  and one phase array for the cumulant over every argument;
 * the polar family, nu(B) = sum_k w_k int 1_B(r xi_k) rho(r) dr
   (``RadialMeasure``), rho a function on an open support (lo, hi)
   (``RadialDensity``), its dual r^-4 rho(1/r) on (1/hi, 1/lo): every
@@ -45,11 +47,14 @@ overrides ``scaled`` once, knowing of a functional only its record
   one r-space call serves them all; a shell [lo, hi) has the y-range
   [lo, hi) at every scale, so one y-space call serves the scales |u| <= 1
   of a density supported on (0, inf), and the rest run one r-space call
-  per scale and direction.  ``StableMeasure`` (rho = r^(-alpha-1)) and
-  ``GammaMeasure`` (rho = c e^(-lambda r) / r) are members of the family
-  that override only the primitives with closed forms; the stable
-  scaling identity nu(B/u) = |u|^alpha nu(sign(u) B) lets one base
-  integral per sign of u serve every scale, and both tails are closed forms;
+  per scale and direction; the cumulant runs one signed driver per
+  direction, with a column per scale and argument.
+  ``StableMeasure`` (rho = r^(-alpha-1)) and ``GammaMeasure``
+  (rho = c e^(-lambda r) / r) are members of the family that override only
+  the primitives with closed forms; the stable scaling identity
+  nu(B/u) = |u|^alpha nu(sign(u) B) lets one base integral per sign of u
+  serve every scale, both tails are closed forms, and each cumulant is one
+  closed-form call per direction over every scale and argument;
 * the zero measure answers zeros, and a sum the sum over its parts.
 
 Every representation, the scale mixtures of ``idcalc.transform``
@@ -95,7 +100,8 @@ _ONE = np.array([1.0])
 
 class Functional(NamedTuple):
     """One functional: ``name`` picks the primitive ``_<name>(us, *args)``;
-    ``vector`` and ``dtype`` give the shape and type of one scale's value;
+    ``vector`` and ``dtype`` give the shape and type of one scale's value,
+    and the cumulant over a grid of m_z arguments has one entry per row;
     ``nonneg`` lets a mixture certify it +inf; ``label`` names it in errors;
     ``atol`` is the absolute panel tolerance of a mixing quadrature."""
 
@@ -108,6 +114,8 @@ class Functional(NamedTuple):
     atol: float = 1e-13
 
     def shape(self, dim):
+        if self.name == "cumulant":
+            return self.args[0].shape[:-1]
         return (dim,) if self.vector else ()
 
 
@@ -162,6 +170,8 @@ class LevyMeasure:
         return self.scaled(_CENTERING, _scales(us))
 
     def cumulant_scaled(self, z, us):
+        """The cumulant at one argument z, shape (m,), or at each row of an
+        (m_z, d) grid z, shape (m, m_z)."""
         return self.scaled(Functional("cumulant", (np.asarray(z, dtype=float),),
                                       dtype=complex, label="exponent"), _scales(us))
 
@@ -307,11 +317,12 @@ class AtomicMeasure(LevyMeasure):
         return (w * self.masses[None, :]) @ self.points
 
     def _cumulant(self, us, z):
-        zx = self.points @ z                      # (n,)
-        uzx = np.outer(us, zx)                    # (m, n)
+        zx = self.points @ z.T                    # (n,), or (n, m_z) for a grid
+        uzx = np.multiply.outer(us, zx)           # (m, n) or (m, n, m_z)
         ur = np.outer(us, self.radii)
-        integrand = np.exp(1j * uzx) - 1.0 - 1j * uzx / (1.0 + ur * ur)
-        return integrand @ self.masses
+        damp = (1.0 + ur * ur).reshape(ur.shape + (1,) * (z.ndim - 1))
+        integrand = np.exp(1j * uzx) - 1.0 - 1j * uzx / damp
+        return np.moveaxis(integrand, 1, -1) @ self.masses
 
     def _vector_shell(self, us, w, lo, hi):
         ur, m = self._scaled_radii(us, lo, hi)
@@ -565,29 +576,33 @@ class RadialMeasure(LevyMeasure):
         return np.einsum("k,kd,m->md", self.weights, self.directions, val)
 
     def _cumulant(self, us, z):
-        out = np.zeros(us.shape, dtype=complex)
+        # one signed driver per direction, with a column per scale and, for
+        # a grid z, per argument
+        out = np.zeros(us.shape + z.shape[:-1], dtype=complex)
         for xi, w in zip(self.directions, self.weights):
-            theta = float(xi @ z)
+            theta = xi @ z.T
 
             def g(r, theta=theta):
                 ur = np.outer(r, us)
-                phase = theta * ur
+                phase = np.multiply.outer(ur, theta)
                 with np.errstate(divide="ignore", over="ignore"):
                     damp = 1.0 / (1.0 + 1.0 / (ur * ur))   # u^2 r^2 / (1 + u^2 r^2)
+                damp = damp.reshape(damp.shape + (1,) * theta.ndim)
                 # free of cancellation at small r, where the density may blow up
                 return -2.0 * np.sin(0.5 * phase) ** 2 \
                     + 1j * (np.sin(phase) - phase + phase * damp)
 
-            val = self._cumulant_radial(g, abs(theta))
+            val = self._cumulant_radial(g, np.abs(theta))
             out = out + w * np.asarray(val)
         return out
 
-    def _cumulant_radial(self, g, theta_max):
-        """Radial quadrature of the characteristic-exponent integrand.
+    def _cumulant_radial(self, g, theta):
+        """Radial quadrature of the characteristic-exponent integrand, at
+        the phase factors |theta| of the arguments (the columns' last axis).
 
         The oscillatory factor is resolved on a finite range; beyond it the
         remaining mass of the density bounds the discarded oscillatory tail,
-        which is accepted once it falls below tolerance.
+        which is accepted once it falls below tolerance at every argument.
         """
         slo = self.density.support[0]
         if math.isfinite(self.density.support[1]):
@@ -598,9 +613,9 @@ class RadialMeasure(LevyMeasure):
             tail_mass = self.radial_integral(np.ones_like, R, INF)
             if tail_mass == INF:
                 raise InconclusiveError("density tail mass diverges")
-            bound = (2.0 + 0.5 * theta_max) * tail_mass
-            scale = max(1e-12, float(np.max(np.abs(total))))
-            if bound < 1e-9 * scale + 1e-13:
+            bound = (2.0 + 0.5 * theta) * tail_mass
+            scale = np.maximum(1e-12, np.abs(np.atleast_1d(total)).max(axis=0))
+            if np.all(bound < 1e-9 * scale + 1e-13):
                 return total
             R *= 4.0
         raise InconclusiveError("cumulant tail bound did not close")
@@ -738,11 +753,12 @@ class GammaMeasure(RadialMeasure):
         return np.outer(vals, self.direction)
 
     def _cumulant(self, us, z):
-        theta = float(self.direction @ z)
-        out = np.zeros(us.shape, dtype=complex)
+        # one transform g(rate / |u|) per scale serves every argument
+        theta = self.direction @ z.T
+        out = np.zeros(us.shape + theta.shape, dtype=complex)
         nz = us != 0
-        if theta != 0.0 and np.any(nz):
-            u = us[nz]
+        if np.any(theta != 0.0) and np.any(nz):
+            u = us[nz].reshape((-1,) + (1,) * theta.ndim)
             au = np.abs(u)
             with np.errstate(over="ignore"):
                 y = np.minimum(self.rate / au, 1e100)
@@ -835,12 +851,11 @@ class StableMeasure(RadialMeasure):
         # transported centering: the exact scaling identity gives
         # |u|^alpha * I(theta sign u) per direction
         a = self.alpha
-        scale = np.abs(us) ** a
+        scale = (np.abs(us) ** a).reshape(us.shape + (1,) * (z.ndim - 1))
         sg = np.sign(us)
-        out = np.zeros(us.shape, dtype=complex)
+        out = np.zeros(us.shape + z.shape[:-1], dtype=complex)
         for xi, w in zip(self.directions, self.weights):
-            theta = float(xi @ z)
-            out = out + w * scale * _stable_exponent(a, sg * theta)
+            out = out + w * scale * _stable_exponent(a, np.multiply.outer(sg, xi @ z.T))
         return out
 
     def _vector_shell(self, us, w, lo, hi):

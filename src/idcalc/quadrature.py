@@ -183,24 +183,68 @@ def _per_window(flags):
     return flags.any(axis=tuple(range(1, flags.ndim)))
 
 
+def _finite(vals, errs):
+    """Whether each panel's value and error are finite in every component."""
+    if np.isfinite(vals).all() and np.isfinite(errs).all():
+        return [True] * len(vals)
+    return (~_per_window(~(np.isfinite(vals) & np.isfinite(errs)))).tolist()
+
+
 class _Refining:
     """A window of :func:`adaptive_quad` still refining: its heap of panels,
-    worst first, their count, and its value and error."""
+    worst first, their count, and its value and error.
 
-    def __init__(self, a, b, value, err):
+    Once one of its panels is not finite (:func:`_finite`), the window's
+    running sums take a guarded path: where a popped panel is not finite,
+    inf - inf would be NaN, so that component is summed again over the
+    panels, and a component of infinite tolerance ranks no panel."""
+
+    def __init__(self, a, b, value, err, finite):
         self.heap = [(0.0, 0, a, b, value, err)]
         self.panels = 1
         self.value = value
         self.err = err
+        self.finite = finite
+        self.dropped = 0.0   # the values of the panels too narrow to split
 
-    def split(self, lo, mid, hi, v0, e0, v1, e1, v2, e2, rtol, atol):
-        """Replace the panel [lo, hi] by its halves."""
-        self.value = self.value - v0 + v1 + v2
-        self.err = self.err - e0 + e1 + e2
-        weight = _error_weights(self.value, rtol, atol)
+    def _resum(self, i, total, old, extra):
+        """``total``, but where ``old`` (a popped panel's entry) is not
+        finite, entry ``i`` summed over the heap's panels plus ``extra``."""
+        again = sum((p[i] for p in self.heap), extra)
+        return np.where(np.isfinite(old), total, again)
+
+    def drop(self, v0, e0):
+        """Drop a popped panel at floating-point resolution: its value stays
+        in the window's sum, its error leaves it."""
+        self.dropped = self.dropped + v0
+        if self.finite:
+            self.err = self.err - e0
+        else:
+            with np.errstate(invalid="ignore"):
+                self.err = self._resum(5, self.err - e0, e0, 0.0)
+
+    def split(self, lo, mid, hi, v0, e0, halves, rtol, atol):
+        """Replace the popped panel [lo, hi] by its ``halves``, each
+        (value, error, finite)."""
+        (v1, e1, f1), (v2, e2, f2) = halves
+        if self.finite and f1 and f2:
+            self.value = self.value - v0 + v1 + v2
+            self.err = self.err - e0 + e1 + e2
+            weight = _error_weights(self.value, rtol, atol)
+            k1, k2 = (e1 * weight).max(), (e2 * weight).max()
+        else:
+            self.finite = False
+            with np.errstate(invalid="ignore", divide="ignore"):
+                self.value = self._resum(4, self.value - v0 + v1 + v2, v0,
+                                         self.dropped + v1 + v2)
+                self.err = self._resum(5, self.err - e0 + e1 + e2, e0, e1 + e2)
+                weight = _error_weights(self.value, rtol, atol)
+                # a NaN weight (inf / inf) or 0 * inf ranks nothing
+                k1 = np.nan_to_num(e1 * weight).max()
+                k2 = np.nan_to_num(e2 * weight).max()
         n = self.panels  # the panel count doubles as the heap tiebreaker
-        heapq.heappush(self.heap, (-float((e1 * weight).max()), n, lo, mid, v1, e1))
-        heapq.heappush(self.heap, (-float((e2 * weight).max()), n + 1, mid, hi, v2, e2))
+        heapq.heappush(self.heap, (-float(k1), n, lo, mid, v1, e1))
+        heapq.heappush(self.heap, (-float(k2), n + 1, mid, hi, v2, e2))
         self.panels = n + 2
 
 
@@ -236,7 +280,8 @@ def adaptive_quad(fn, a, b, *, rtol=1e-10, atol=1e-13, max_panels=16384):
     total[live] = vals
     total_err[live] = errs
     unmet = _per_window(errs > atol + rtol * np.abs(vals))
-    todo = {w: _Refining(a[w], b[w], vals[i], errs[i])
+    ok = _finite(vals, errs)
+    todo = {w: _Refining(a[w], b[w], vals[i], errs[i], ok[i])
             for i, w in enumerate(live) if unmet[i]}
     while todo:
         # every unfinished window pops its worst panel that can still split
@@ -246,7 +291,7 @@ def adaptive_quad(fn, a, b, *, rtol=1e-10, atol=1e-13, max_panels=16384):
                 _, _, lo, hi, v0, e0 = heapq.heappop(r.heap)
                 mid = 0.5 * (lo + hi)
                 if mid <= lo or mid >= hi:  # interval at floating-point resolution
-                    r.err = r.err - e0
+                    r.drop(v0, e0)
                     continue
                 picks.append((w, lo, mid, hi, v0, e0))
                 break
@@ -257,11 +302,11 @@ def adaptive_quad(fn, a, b, *, rtol=1e-10, atol=1e-13, max_panels=16384):
             break
         ends = np.array([(lo, mid, hi) for (_, lo, mid, hi, _, _) in picks])
         v, e = _panels(fn, ends[:, :2].reshape(-1), ends[:, 1:].reshape(-1))
+        ok = _finite(v, e)
         # a copy per panel, so that a split panel's memory is freed
-        v, e = [x.copy() for x in v], [x.copy() for x in e]
+        halves = [(x.copy(), y.copy(), f) for x, y, f in zip(v, e, ok)]
         for i, (w, lo, mid, hi, v0, e0) in enumerate(picks):
-            todo[w].split(lo, mid, hi, v0, e0, v[2 * i], e[2 * i],
-                          v[2 * i + 1], e[2 * i + 1], rtol, atol)
+            todo[w].split(lo, mid, hi, v0, e0, halves[2 * i:2 * i + 2], rtol, atol)
         todo = {w: todo[w] for (w, *_) in picks}
     failed = np.flatnonzero(_per_window(
         total_err > 10.0 * (atol + rtol * np.maximum(np.abs(total), 1e-300))))

@@ -23,6 +23,13 @@ a :class:`TransformResult` or raise :class:`NotDefinable` /
 :class:`InconclusiveError`.  Closed-form domain rules attached to tagged
 kernels override slow window numerics; a disagreement between the two
 raises :class:`ConsistencyAlarm` rather than silently preferring either.
+
+The independent route to the transformed characteristic exponent,
+:func:`direct_exponent`, integrates C(f(s) z) over s.  It takes one
+argument z, or an (m_z, d) grid of them: the grid runs as one vector-valued
+slab (one ``adaptive_quad`` over a window, one ``improper_limit`` run over
+the whole interval), each exponent certified as its own component, with
+the z-free centering computed once per integrand call.
 """
 
 from __future__ import annotations
@@ -662,39 +669,56 @@ def psi(tau_or_kernel, nu: LevyMeasure):
     return out
 
 
+def _gaussian_drift(t: Triplet, z):
+    """<z, A z> and <gamma, z>: floats for one argument z, one entry per row
+    of an (m_z, d) grid z."""
+    if z.ndim == 2:
+        return np.einsum("zi,ij,zj->z", z, t.A, z), z @ t.gamma
+    return float(z @ t.A @ z), float(t.gamma @ z)
+
+
 def base_exponent_scaled(t: Triplet, z, us):
-    """C(u z) for the base law, vectorized over the scale factors u.
+    """C(u z) for the base law, vectorized over the scale factors u: shape
+    (m,) for one argument z, and (m, m_z) for an (m_z, d) grid of them, whose
+    jump part is one cumulant call and whose centering is computed once.
 
     The jump integral with the transported centering needs the correction
     i u <z, int x (1/(1+|ux|^2) - 1/(1+|x|^2)) nu(dx)> to recover the base
     law's own centering.
     """
-    z = np.atleast_1d(np.asarray(z, dtype=float))
+    z = np.asarray(z, dtype=float)
+    z = z if z.ndim == 2 else np.atleast_1d(z)
     us = np.atleast_1d(np.asarray(us, dtype=float))
-    quad = -0.5 * float(z @ t.A @ z) * us * us
+    zaz, gz = _gaussian_drift(t, z)
+    u = us.reshape(us.shape + (1,) * (z.ndim - 1))   # one column per argument
+    quad = -0.5 * zaz * u * u
     out = quad.astype(complex)
-    out += 1j * us * float(t.gamma @ z)
+    out += 1j * u * gz
     if not t.nu.is_zero():
         out += np.asarray(t.nu.cumulant_scaled(z, us))
         cent = np.asarray(t.nu.centering_scaled(us))
-        out += 1j * us * (cent @ z)
+        out += 1j * u * (cent @ z.T)
     return out
 
 
 def direct_exponent(k: Kernel, t: Triplet, z, p=None, q=None):
     """int C(f(s) z) ds over a window (the whole interval by default): the
-    independent route to the transformed characteristic exponent."""
-    z = np.atleast_1d(np.asarray(z, dtype=float))
+    independent route to the transformed characteristic exponent.  One
+    argument z gives a complex number; an (m_z, d) grid gives the m_z
+    exponents from one vector-valued slab, each certified on its own."""
+    z = np.asarray(z, dtype=float)
+    grid = z.ndim == 2
+    z = z if grid else np.atleast_1d(z)
 
     if t.nu.is_zero():
         # the exponent is a combination of int f and int f^2; closed-form
         # window hooks keep oscillatory kernels exact over deep windows
-        zaz = -0.5 * float(z @ t.A @ z)
-        gz = float(t.gamma @ z)
+        zaz, gz = _gaussian_drift(t, z)
+        zaz = -0.5 * zaz
 
         def slab(w1, w2):
             val = 1j * gz * kernel_window_integral(k, w1, w2, "plain")
-            if zaz != 0.0:
+            if np.any(zaz != 0.0):
                 val = val + zaz * kernel_window_integral(k, w1, w2, "square")
             return val
     else:
@@ -702,5 +726,7 @@ def direct_exponent(k: Kernel, t: Triplet, z, p=None, q=None):
                          rtol=1e-10, atol=1e-13)
 
     if p is not None and q is not None:
-        return complex(slab(p, q))
-    return complex(improper_limit(slab, k.a, k.b, rtol=1e-9).certified("direct exponent"))
+        val = slab(p, q)
+    else:
+        val = improper_limit(slab, k.a, k.b, rtol=1e-9).certified("direct exponent")
+    return np.asarray(val, dtype=complex) if grid else complex(val)

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from idcalc.cli import run
@@ -207,10 +208,30 @@ def test_simulate_samples_csv(tmp_path, cp, ind01, capsys):
     assert len(lines) == 2001
 
 
+def test_simulate_runs_two_exact_exponent_quadratures(tmp_path, monkeypatch, capsys):
+    # one grid call for the mesh probe and one for the ECF grid, on the 2-d
+    # stable 1.2 law under sinc
+    import idcalc.mc as mc
+    stable2d = write(tmp_path, "stable2d.json", {
+        "dim": 2, "gamma": [0.0, 0.0], "nu": {"type": "stable", "alpha": 1.2, "directions": [
+            {"xi": [1.0, 0.0], "weight": 0.5}, {"xi": [0.0, 1.0], "weight": 0.5},
+            {"xi": [-0.6, -0.8], "weight": 0.4}]}})
+    sinc = write(tmp_path, "sinc.json", {"type": "sinc"})
+    grids = []
+    original = mc.direct_exponent
+
+    def counted(k, t, z, *window):
+        grids.append(np.shape(z))
+        return original(k, t, z, *window)
+    monkeypatch.setattr(mc, "direct_exponent", counted)
+    rc = run(["--out", str(tmp_path), "simulate", "--kernel", sinc, "--dist", stable2d,
+              "--paths", "2000", "--z-points", "10", "--cutoff", "0.05", "--seed", "5"])
+    assert rc == 0
+    assert grids == [(6, 2), (10, 2)]
+
+
 @pytest.mark.parametrize("dim", [1, 2])
 def test_samples_writer_matches_savetxt(tmp_path, dim):
-    import numpy as np
-
     from idcalc.cli import _write_samples
     x = np.random.default_rng(dim).standard_normal((9000, dim))
     edge = [0.0, -0.0, 5e-324, -2.2e-308, 1e-310, 1e300, -1.5e-200, 1e100,
@@ -425,7 +446,6 @@ def test_spec_with_tuples_or_int_keys_is_not_taken_for_its_json_text(monkeypatch
 
 def test_spec_holding_a_numpy_array_is_still_validated(monkeypatch):
     import jsonschema
-    import numpy as np
 
     from idcalc import cli, schemas
     monkeypatch.setattr(cli, "_VALIDATORS", {})

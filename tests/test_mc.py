@@ -132,19 +132,19 @@ class TestSampleIntegral:
 class TestEcfCheck:
     def test_point_mass_deviation_zero(self):
         samples = np.full((2000, 1), 1.7)
-        rep = ecf_check(samples, lambda z: 1j * 1.7 * z[0], Z_GRID)
+        rep = ecf_check(samples, lambda zs: 1j * 1.7 * zs[:, 0], Z_GRID)
         # machine-precision agreement: zero up to the floored stderr ratio
         assert rep.max_sigma_deviation < 0.1
         assert np.max(np.abs(rep.empirical - rep.analytic)) < 1e-12
 
     def test_needs_samples(self):
         with pytest.raises(TooFewSamples):
-            ecf_check(np.zeros((10, 1)), lambda z: 0j, Z_GRID)
+            ecf_check(np.zeros((10, 1)), lambda zs: np.zeros(len(zs), complex), Z_GRID)
 
     def test_modulus_bound(self):
         rng = _stream(0, 99)
         samples = rng.standard_normal((5000, 1))
-        rep = ecf_check(samples, lambda z: -0.5 * float(z @ z), Z_GRID)
+        rep = ecf_check(samples, lambda zs: -0.5 * (zs * zs).sum(axis=1), Z_GRID)
         assert np.all(np.abs(rep.empirical) <= 1.0 + 3.0 * rep.stderr)
 
     def test_negative_control_detected(self):
@@ -159,11 +159,20 @@ class TestEcfCheck:
 
     def test_rows_shape(self):
         samples = np.full((2000, 1), 0.3)
-        rep = ecf_check(samples, lambda z: 1j * 0.3 * z[0], Z_GRID)
+        rep = ecf_check(samples, lambda zs: 1j * 0.3 * zs[:, 0], Z_GRID)
         rows = rep.rows()
         assert len(rows) == len(Z_GRID)
         assert set(rows[0]) == {"z", "re_empirical", "im_empirical",
                                 "re_analytic", "im_analytic", "stderr"}
+
+    def test_per_argument_exponent_is_rejected(self):
+        # an exponent written for one argument broadcasts over the grid to
+        # the wrong shape; it must raise, not report a huge deviation
+        samples = np.full((2000, 1), 1.7)
+        with pytest.raises(ValueError, match="analytic exponent"):
+            ecf_check(samples, lambda z: 1j * 1.7 * z[0], Z_GRID)
+        with pytest.raises(ValueError, match="analytic exponent"):
+            ecf_check(samples, lambda zs: 1j * 1.7 * zs, Z_GRID)
 
 
 class TestSymmetrizedSimulation:
@@ -185,7 +194,7 @@ class TestImproperConvergenceWitness:
         k = exp_kernel()
         t = cp_unit()
         res = phi(k, t)
-        analytic = lambda z: ic.cumulant(res.triplet, z)
+        analytic = lambda zs: np.array([ic.cumulant(res.triplet, z) for z in zs])
         devs = []
         for q, seed in ((4.0, 41), (16.0, 43)):
             cfg = SimConfig(mesh_points=int(32 * q), n_paths=20_000, seed=seed)
@@ -204,17 +213,19 @@ def test_mesh_choice_computes_exact_exponents_once(monkeypatch):
     calls = []
     original = mc.direct_exponent
 
-    def counted(*args):
-        calls.append(1)
-        return original(*args)
+    def counted(k, t, z, *window):
+        calls.append(np.array(z, copy=True))
+        return original(k, t, z, *window)
     monkeypatch.setattr(mc, "direct_exponent", counted)
     k, t = exp_kernel(), cp_unit()
     cfg = SimConfig(mesh_points=8, n_paths=20_000, seed=3)
     samples = sample_integral(k, t, 0.0, 8.0, cfg)
     probe = mc._probe_grid(1)
-    assert len(calls) == len(probe)
+    # one call over the whole probe grid
+    assert len(calls) == 1
+    np.testing.assert_array_equal(calls[0], probe)
     # the chosen mesh is the first doubling whose gap meets the target
-    exact = [original(k, t, z, 0.0, 8.0) for z in probe]
+    exact = original(k, t, probe, 0.0, 8.0)
     target = 0.5 / math.sqrt(cfg.n_paths)
     meshes = [8 * 2 ** i for i in range(12)]
     gaps = [mc._mesh_bias(k, t, 0.0, 8.0, m, probe, exact) for m in meshes]

@@ -224,6 +224,22 @@ class TestComponentwiseCertification:
         vv, errv = adaptive_quad(lambda x: f(x)[:, None], 0.0, 1.0, rtol=1e-9)
         assert vv.shape == (1,) and vv[0] == v and errv == err
 
+    @pytest.mark.parametrize("cut", [2.0, 0.3, 7e-4])
+    def test_infinite_component_leaves_the_others_alone(self, cut):
+        # a component +inf below ``cut``: split panels of infinite value or
+        # error must not turn the running sums into inf - inf = NaN.  Below
+        # 7e-4 only the first Kronrod node of the panels near 0 is infinite,
+        # so the error there is inf while the Gauss sum is finite
+        f = self.PEAK
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            v, _ = adaptive_quad(lambda x: np.stack([np.where(x < cut, INF, 1.0), f(x)],
+                                                    axis=1), 0.0, 1.0, rtol=1e-9)
+        ref, _ = adaptive_quad(lambda x: np.stack([np.ones_like(x), f(x)], axis=1),
+                               0.0, 1.0, rtol=1e-9)
+        assert v[0] == INF
+        assert abs(v[1] - ref[1]) <= 1e-15 * ref[1]
+
     @staticmethod
     def _power_slab(e):
         # exact integral of r^e over [p, q]
